@@ -2,7 +2,7 @@
 // exact vs compiled batch scoring at 1 and 8 threads on the paper-scale
 // model (500 unpruned trees, 387 features, 4000 rows), the scalar block
 // kernel (SIMD contribution), single-sample latency, the one-time
-// quantize/layout lowering cost, and the SHAP explainer on both layouts.
+// quantize/layout lowering cost, and a SHAP batch on the paper-scale model.
 //
 // The committed BENCH_compiled.json baseline is gated in CI perf-smoke on
 // CPU time: the exact/compiled ratio at 1 thread is the tentpole's >= 2x
@@ -146,8 +146,7 @@ BENCHMARK(BM_CompiledBuild)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_ShapBatch_Exact(benchmark::State& state) {
   const Dataset& data = paper_scale_data();
-  TreeShapExplainer explainer(paper_scale_forest());
-  explainer.set_engine(ForestEngine::kExact);
+  const TreeShapExplainer explainer(paper_scale_forest());
   constexpr std::size_t kBatchRows = 16;
   std::vector<std::size_t> rows(kBatchRows);
   std::iota(rows.begin(), rows.end(), 0);
@@ -159,22 +158,6 @@ void BM_ShapBatch_Exact(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * kBatchRows));
 }
 BENCHMARK(BM_ShapBatch_Exact)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void BM_ShapBatch_Compiled(benchmark::State& state) {
-  const Dataset& data = paper_scale_data();
-  TreeShapExplainer explainer(paper_scale_forest());
-  explainer.set_engine(ForestEngine::kCompiled);
-  constexpr std::size_t kBatchRows = 16;
-  std::vector<std::size_t> rows(kBatchRows);
-  std::iota(rows.begin(), rows.end(), 0);
-  const Dataset batch = data.subset(rows);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(explainer.shap_values_batch(batch, 1));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kBatchRows));
-}
-BENCHMARK(BM_ShapBatch_Compiled)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace drcshap

@@ -5,8 +5,7 @@
 // feature block (placement / edge congestion / via congestion) and by
 // window position (central cell vs neighbors).
 //
-// Usage: feature_importance [scale] [--engine auto|exact|compiled]
-//                            [--explain-cache on|off]
+// Usage: feature_importance [scale] [--explain-cache on|off]
 
 #include <cstdlib>
 #include <cstring>
@@ -23,9 +22,7 @@ namespace {
 
 int usage() {
   std::cerr << "usage: feature_importance [scale]\n"
-               "         [--engine auto|exact|compiled]  SHAP traversal "
-               "engine\n"
-               "         [--explain-cache on|off]        explanation cache "
+               "         [--explain-cache on|off]  explanation cache "
                "(default: $DRCSHAP_EXPLAIN_CACHE)\n";
   return 2;
 }
@@ -34,16 +31,9 @@ int usage() {
 
 int main(int argc, char** argv) {
   double scale = 8.0;
-  ForestEngine engine = ForestEngine::kAuto;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--engine" && i + 1 < argc) {
-      const std::string name = argv[++i];
-      if (name == "auto") engine = ForestEngine::kAuto;
-      else if (name == "exact") engine = ForestEngine::kExact;
-      else if (name == "compiled") engine = ForestEngine::kCompiled;
-      else return usage();
-    } else if (arg == "--explain-cache" && i + 1 < argc) {
+    if (arg == "--explain-cache" && i + 1 < argc) {
       // Flag form of $DRCSHAP_EXPLAIN_CACHE (re-read per explain call).
       const std::string name = argv[++i];
       if (name == "on") ::setenv("DRCSHAP_EXPLAIN_CACHE", "1", 1);
@@ -73,8 +63,7 @@ int main(int argc, char** argv) {
   options.n_trees = 120;
   RandomForestClassifier forest(options);
   forest.fit(train);
-  TreeShapExplainer explainer(forest);
-  explainer.set_engine(engine);
+  const TreeShapExplainer explainer(forest);
 
   // Streaming global summary over a sample of held-out rows: mean |SHAP|
   // plus sign statistics, accumulated in O(n_features) memory.

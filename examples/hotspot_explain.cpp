@@ -5,9 +5,7 @@
 // against the "actual" DRC errors the oracle produced there — which are, as
 // in the paper, not available at prediction/explanation time.
 //
-// Usage: hotspot_explain [test_design] [scale]
-//                        [--engine auto|exact|compiled]
-//                        [--explain-cache on|off]
+// Usage: hotspot_explain [test_design] [scale] [--explain-cache on|off]
 
 #include <algorithm>
 #include <cstdlib>
@@ -39,17 +37,10 @@ void describe_actual_errors(const DesignRun& run, std::size_t cell) {
 int main(int argc, char** argv) {
   std::string test_name = "des_perf_1";
   double scale = 8.0;
-  ForestEngine engine = ForestEngine::kAuto;
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--engine" && i + 1 < argc) {
-      const std::string name = argv[++i];
-      if (name == "auto") engine = ForestEngine::kAuto;
-      else if (name == "exact") engine = ForestEngine::kExact;
-      else if (name == "compiled") engine = ForestEngine::kCompiled;
-      else { std::cerr << "unknown engine " << name << "\n"; return 2; }
-    } else if (arg == "--explain-cache" && i + 1 < argc) {
+    if (arg == "--explain-cache" && i + 1 < argc) {
       // Flag form of $DRCSHAP_EXPLAIN_CACHE (re-read per explain call).
       const std::string name = argv[++i];
       if (name == "on") ::setenv("DRCSHAP_EXPLAIN_CACHE", "1", 1);
@@ -58,7 +49,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h" ||
                (!arg.empty() && arg[0] == '-')) {
       std::cerr << "usage: hotspot_explain [test_design] [scale]\n"
-                   "         [--engine auto|exact|compiled]\n"
                    "         [--explain-cache on|off]\n";
       return arg == "--help" || arg == "-h" ? 0 : 2;
     } else if (positional == 0) {
@@ -85,8 +75,7 @@ int main(int argc, char** argv) {
   rf_options.n_trees = 150;
   RandomForestClassifier forest(rf_options);
   forest.fit(train);
-  TreeShapExplainer explainer(forest);
-  explainer.set_engine(engine);
+  const TreeShapExplainer explainer(forest);
 
   const std::vector<double> scores =
       forest.predict_proba_all(test_run.samples);

@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "util/artifact.hpp"
+
 namespace drcshap {
 
 namespace detail {
@@ -52,19 +54,12 @@ bool env_disables_simd() {
   return v == "0" || v == "off" || v == "OFF" || v == "false" || v == "FALSE";
 }
 
-void fnv_mix(std::uint64_t& hash, const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    hash ^= p[i];
-    hash *= 1099511628211ULL;
-  }
-}
-
+/// Chains the length and then the bytes of `v` into `hash`.
 template <class T>
-void fnv_mix_vector(std::uint64_t& hash, const std::vector<T>& v) {
+std::uint64_t fnv1a_vector(const std::vector<T>& v, std::uint64_t hash) {
   const std::uint64_t len = v.size();
-  fnv_mix(hash, &len, sizeof(len));
-  fnv_mix(hash, v.data(), v.size() * sizeof(T));
+  hash = fnv1a(&len, sizeof(len), hash);
+  return fnv1a(v.data(), v.size() * sizeof(T), hash);
 }
 
 }  // namespace
@@ -109,7 +104,6 @@ CompiledForest::CompiledForest(const FlatForest& flat)
   qthreshold_.assign(n_nodes, kLeafThreshold);
   child_.assign(n_nodes, 0);
   value_.assign(n_nodes, 0.0);
-  cover_.assign(n_nodes, 0.0);
   roots_.reserve(flat.n_trees());
   depths_.reserve(flat.n_trees());
 
@@ -126,7 +120,6 @@ CompiledForest::CompiledForest(const FlatForest& flat)
       const auto new_id =
           static_cast<std::size_t>(base + static_cast<std::int32_t>(head));
       value_[new_id] = flat.value()[flat_id];
-      cover_[new_id] = flat.cover()[flat_id];
       const std::int32_t f = flat.feature()[flat_id];
       if (f < 0) {
         // Leaf: self-loop, never-true split, feature 0 for safe gathers.
@@ -245,20 +238,17 @@ bool CompiledForest::simd_available() {
 }
 
 std::uint64_t CompiledForest::layout_digest() const {
-  std::uint64_t hash = 1469598103934665603ULL;
   const std::uint64_t shape[2] = {n_features_,
                                   static_cast<std::uint64_t>(max_depth_)};
-  fnv_mix(hash, shape, sizeof(shape));
-  fnv_mix_vector(hash, cuts_);
-  fnv_mix_vector(hash, cut_begin_);
-  fnv_mix_vector(hash, feature_);
-  fnv_mix_vector(hash, qthreshold_);
-  fnv_mix_vector(hash, child_);
-  fnv_mix_vector(hash, value_);
-  fnv_mix_vector(hash, cover_);
-  fnv_mix_vector(hash, roots_);
-  fnv_mix_vector(hash, depths_);
-  return hash;
+  std::uint64_t hash = fnv1a(shape, sizeof(shape));
+  hash = fnv1a_vector(cuts_, hash);
+  hash = fnv1a_vector(cut_begin_, hash);
+  hash = fnv1a_vector(feature_, hash);
+  hash = fnv1a_vector(qthreshold_, hash);
+  hash = fnv1a_vector(child_, hash);
+  hash = fnv1a_vector(value_, hash);
+  hash = fnv1a_vector(roots_, hash);
+  return fnv1a_vector(depths_, hash);
 }
 
 }  // namespace drcshap

@@ -104,14 +104,14 @@ class CompiledForest {
   std::int32_t root(std::size_t tree) const { return roots_[tree]; }
   int tree_depth(std::size_t tree) const { return depths_[tree]; }
 
-  // BFS node arrays (absolute ids). Shared with the SHAP tree explainer,
-  // whose hot/cold descent reuses the quantized compares and the adjacent
-  // child pairs. A leaf is a node with child()[n] == n.
+  // BFS node arrays (absolute ids), read only by the predict kernels. A
+  // leaf is a node with child()[n] == n. The SHAP tree explainer walks the
+  // exact FlatForest instead and uses this layout only through
+  // quantize_sample, whose codes are its dedupe/cache key.
   const std::int32_t* feature() const { return feature_.data(); }
   const std::int32_t* qthreshold() const { return qthreshold_.data(); }
   const std::int32_t* child() const { return child_.data(); }
   const double* value() const { return value_.data(); }
-  const double* cover() const { return cover_.data(); }
 
   /// Distinct sorted thresholds of `feature` (rank = u16 code).
   std::size_t n_cuts(std::size_t feature) const {
@@ -167,7 +167,6 @@ class CompiledForest {
   std::vector<std::int32_t> qthreshold_;
   std::vector<std::int32_t> child_;
   std::vector<double> value_;
-  std::vector<double> cover_;
   std::vector<std::int32_t> roots_;
   std::vector<std::int32_t> depths_;
 

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <string_view>
 
+#include "util/artifact.hpp"
+
 namespace drcshap {
 
 ExplanationCache::ExplanationCache(std::size_t capacity, std::size_t n_shards) {
@@ -18,16 +20,6 @@ ExplanationCache::ExplanationCache(std::size_t capacity, std::size_t n_shards) {
   }
 }
 
-std::uint64_t ExplanationCache::digest(const void* bytes, std::size_t len) {
-  const auto* p = static_cast<const std::uint8_t*>(bytes);
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
-}
-
 bool ExplanationCache::enabled_by_env() {
   const char* env = std::getenv("DRCSHAP_EXPLAIN_CACHE");
   if (env == nullptr) return true;
@@ -37,16 +29,11 @@ bool ExplanationCache::enabled_by_env() {
 }
 
 namespace {
-/// Digest of a salted key: the salt folded in before the key bytes.
+/// FNV-1a of a salted key (shard selector and bucket key): the salt folded
+/// in before the key bytes.
 std::uint64_t salted_digest(std::uint64_t salt, const void* bytes,
                             std::size_t len) {
-  std::uint64_t h = ExplanationCache::digest(&salt, sizeof(salt));
-  const auto* p = static_cast<const std::uint8_t*>(bytes);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
+  return fnv1a(bytes, len, fnv1a(&salt, sizeof(salt)));
 }
 }  // namespace
 

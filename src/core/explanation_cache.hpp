@@ -4,18 +4,18 @@
 //
 // Two g-cells whose features quantize to the same codes take the same
 // branch at every split of every tree, so their SHAP vectors are equal
-// bit for bit (the same argument that makes the compiled engine
-// byte-identical to the exact one). That makes the quantized code vector a
-// sound cache key: a hit returns exactly the doubles a recompute would
+// bit for bit (the monotone quantization resolves every split exactly as
+// the float compare does). That makes the quantized code vector a sound
+// cache key: a hit returns exactly the doubles a recompute would
 // produce. ECO-style traffic re-asks about mostly-unchanged cells, so
 // repeat rate across requests is high and hits skip the whole
 // O(trees * leaves * depth^2) TreeSHAP walk.
 //
 // Entries store the full code vector next to the phi row and verify it on
 // lookup, so a 64-bit digest collision degrades to a miss, never to a
-// wrong explanation. The exact engine (an ensemble that cannot quantize)
-// keys on the raw float row bytes instead via the same digest+verify
-// scheme — byte-equal rows are trivially explanation-equal.
+// wrong explanation. An ensemble that cannot quantize keys on the raw
+// float row bytes instead via the same digest+verify scheme — byte-equal
+// rows are trivially explanation-equal.
 //
 // Shards are independently mutex-guarded LRU lists; concurrent explain
 // batches (and the serving daemon's batch runner) hit different shards in
@@ -70,8 +70,8 @@ class ExplanationCache {
   /// Looks up the row keyed by (`salt`, `key_bytes`) — the salt is the
   /// explainer's structural model digest, so one cache accidentally shared
   /// by two models misses instead of serving the wrong model's phi.
-  /// `key_bytes` is the quantized code vector (compiled engine) or the raw
-  /// float row (exact engine). On a hit copies the stored phi row into
+  /// `key_bytes` is the quantized code vector, or the raw float row when
+  /// the forest cannot be quantized. On a hit copies the stored phi row into
   /// `phi_out` (must hold n_values doubles) and returns true. Touches LRU
   /// recency.
   bool lookup(std::uint64_t salt, const void* key_bytes, std::size_t key_len,
@@ -87,9 +87,6 @@ class ExplanationCache {
 
   ExplanationCacheStats stats() const;
   std::size_t capacity() const { return capacity_; }
-
-  /// FNV-1a 64 over arbitrary key bytes — shard selector and bucket key.
-  static std::uint64_t digest(const void* bytes, std::size_t len);
 
   /// False when $DRCSHAP_EXPLAIN_CACHE is "0"/"off"/"false" — explainers
   /// then bypass any attached cache. Unset or anything else means enabled;

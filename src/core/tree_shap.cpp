@@ -12,6 +12,7 @@
 #include "core/explanation_cache.hpp"
 #include "core/tree_shap_simd.hpp"
 #include "obs/registry.hpp"
+#include "util/artifact.hpp"
 #include "util/thread_pool.hpp"
 
 namespace drcshap {
@@ -20,7 +21,6 @@ namespace {
 
 using shap_detail::PathElement;
 using shap_detail::ExactTraversal;
-using shap_detail::CompiledTraversal;
 using shap_detail::ShapMeta;
 using shap_detail::FastFrame;
 using shap_detail::extend_path_01;
@@ -66,16 +66,14 @@ double unwound_path_sum(const PathElement* path, int unique_depth,
 // level L uses the scratch slot starting at L * stride; a repeated feature
 // shrinks unique_depth without changing the level, so slots are keyed by
 // level.
-template <class Traversal>
 struct ShapContext {
-  Traversal tree;
+  ExactTraversal tree;
   double* phi;
   PathElement* path_storage;
   int stride;
 };
 
-template <class Traversal>
-void shap_recurse(const ShapContext<Traversal>& ctx, std::int32_t node_index,
+void shap_recurse(const ShapContext& ctx, std::int32_t node_index,
                   int level, int unique_depth, const PathElement* parent_path,
                   double parent_zero_fraction, double parent_one_fraction,
                   int parent_feature_index) {
@@ -132,31 +130,25 @@ void shap_recurse(const ShapContext<Traversal>& ctx, std::int32_t node_index,
                cold_cover / cover * incoming_zero_fraction, 0.0, feature);
 }
 
+/// The forest's node arrays bound to sample `x` (nullptr for the
+/// sample-independent structural pass).
+ExactTraversal traversal(const FlatForest& forest, const float* x) {
+  return {forest.feature(), forest.threshold(), forest.left(), forest.right(),
+          forest.value(),   forest.cover(),     x};
+}
+
+/// Scratch sizing for one forest: a level-L path holds <= L+1 elements.
+std::size_t path_scratch_len(const FlatForest& forest) {
+  return static_cast<std::size_t>(forest.max_depth() + 1) *
+         static_cast<std::size_t>(forest.max_depth() + 2);
+}
+
 /// Accumulate one tree's SHAP values for `x` into `phi` (not normalized).
 /// `path_storage` must hold (forest.max_depth()+1) * stride elements with
 /// stride >= forest.max_depth() + 2.
 void flat_tree_shap(const FlatForest& forest, std::size_t tree, const float* x,
                     double* phi, PathElement* path_storage, int stride) {
-  ShapContext<ExactTraversal> ctx{
-      {forest.feature(), forest.threshold(), forest.left(), forest.right(),
-       forest.value(), forest.cover(), x},
-      phi,
-      path_storage,
-      stride};
-  shap_recurse(ctx, forest.root(tree), /*level=*/0, /*unique_depth=*/0,
-               /*parent_path=*/nullptr, 1.0, 1.0, -1);
-}
-
-/// Same, over the compiled breadth-first layout with pre-quantized codes.
-void compiled_tree_shap(const CompiledForest& forest, std::size_t tree,
-                        const std::uint16_t* codes, double* phi,
-                        PathElement* path_storage, int stride) {
-  ShapContext<CompiledTraversal> ctx{
-      {forest.feature(), forest.qthreshold(), forest.child(), forest.value(),
-       forest.cover(), codes},
-      phi,
-      path_storage,
-      stride};
+  ShapContext ctx{traversal(forest, x), phi, path_storage, stride};
   shap_recurse(ctx, forest.root(tree), /*level=*/0, /*unique_depth=*/0,
                /*parent_path=*/nullptr, 1.0, 1.0, -1);
 }
@@ -170,16 +162,15 @@ void compiled_tree_shap(const CompiledForest& forest, std::size_t tree,
 // is a product of cover ratios folded through duplicate features — purely
 // structural — and the unique-path composition (which features sit at which
 // path indices, and hence where a duplicate split feature is found) is
-// structural too. A one-time DFS per layout records both per node, with the
-// *identical* floating-point expression order the recursion uses
+// structural too. A one-time DFS over the forest records both per node,
+// with the *identical* floating-point expression order the recursion uses
 // (`child_cover / cover * incoming_zero_fraction`), so the precomputed
 // doubles are bit-equal to the ones the reference path derives per row.
 
 /// Structural half of shap_recurse: walks one tree maintaining only the
 /// (feature, zero_fraction) path with duplicate folding, recording per-node
 /// metadata. Mirrors the reference op order exactly.
-template <class Traversal>
-void build_meta_recurse(const Traversal& tree, ShapMeta& meta,
+void build_meta_recurse(const ExactTraversal& tree, ShapMeta& meta,
                         std::int32_t node_index, int level, int unique_depth,
                         const PathElement* parent_path,
                         double parent_zero_fraction, int parent_feature_index,
@@ -231,21 +222,17 @@ void build_meta_recurse(const Traversal& tree, ShapMeta& meta,
                      feature, storage, stride, leaf_count);
 }
 
-template <class Traversal>
-ShapMeta build_meta(const Traversal& tree, std::size_t n_nodes,
-                    std::size_t n_trees, const std::int32_t* roots,
-                    int max_depth) {
+ShapMeta build_meta(const FlatForest& forest) {
   ShapMeta meta;
-  meta.entry_zero_fraction.assign(n_nodes, 1.0);
-  meta.dup_index.assign(n_nodes, 0);
-  std::vector<PathElement> storage(
-      static_cast<std::size_t>(max_depth + 1) *
-      static_cast<std::size_t>(max_depth + 2));
-  for (std::size_t t = 0; t < n_trees; ++t) {
+  meta.entry_zero_fraction.assign(forest.n_nodes(), 1.0);
+  meta.dup_index.assign(forest.n_nodes(), 0);
+  std::vector<PathElement> storage(path_scratch_len(forest));
+  const ExactTraversal tree = traversal(forest, nullptr);
+  for (std::size_t t = 0; t < forest.n_trees(); ++t) {
     int leaves = 0;
-    build_meta_recurse(tree, meta, roots[t], /*level=*/0, /*unique_depth=*/0,
-                       /*parent_path=*/nullptr, 1.0, -1, storage.data(),
-                       max_depth + 2, leaves);
+    build_meta_recurse(tree, meta, forest.root(t), /*level=*/0,
+                       /*unique_depth=*/0, /*parent_path=*/nullptr, 1.0, -1,
+                       storage.data(), forest.max_depth() + 2, leaves);
     if (leaves > meta.max_leaves) meta.max_leaves = leaves;
   }
   return meta;
@@ -258,8 +245,7 @@ ShapMeta build_meta(const Traversal& tree, std::size_t n_nodes,
 /// path, so running four in lockstep pipelines the divider without touching
 /// any chain's operand order. phi updates stay in ascending element order
 /// (they would commute anyway: unique-path features are distinct).
-template <class Traversal>
-inline void leaf_accumulate(const Traversal& tree, std::size_t node,
+inline void leaf_accumulate(const ExactTraversal& tree, std::size_t node,
                             const PathElement* path, int unique_depth,
                             double* phi) {
   const double leaf_value = tree.value[node];
@@ -309,8 +295,7 @@ inline void leaf_accumulate(const Traversal& tree, std::size_t node,
 /// values (the two cover divisions and the duplicate search per node, and
 /// one of the two path copies: a cold child extends its parent's slot in
 /// place, because the parent path is dead once the hot subtree returned).
-template <class Traversal>
-void fast_tree_shap(const Traversal& tree, const ShapMeta& meta,
+void fast_tree_shap(const ExactTraversal& tree, const ShapMeta& meta,
                     std::int32_t root, double* phi, PathElement* storage,
                     int stride, std::vector<FastFrame>& stack) {
   stack.clear();
@@ -360,12 +345,6 @@ void fast_tree_shap(const Traversal& tree, const ShapMeta& meta,
   }
 }
 
-/// Scratch sizing for one forest: a level-L path holds <= L+1 elements.
-std::size_t path_scratch_len(const FlatForest& forest) {
-  return static_cast<std::size_t>(forest.max_depth() + 1) *
-         static_cast<std::size_t>(forest.max_depth() + 2);
-}
-
 /// $DRCSHAP_SHAP_FAST=0 pins the batch engine to the reference recursion —
 /// the kill switch the byte-identity tests (and a CI leg) flip to prove the
 /// fast path changes no output bit.
@@ -375,6 +354,23 @@ bool shap_fast_from_env() {
   const std::string_view value(env);
   return !(value == "0" || value == "off" || value == "false" ||
            value == "OFF");
+}
+
+/// Structural FNV-1a over what determines phi: tree shapes live in the
+/// child topology, but covers + values + roots pin the ensemble well enough
+/// to keep one cache from serving another model's rows.
+std::uint64_t model_digest_of(const FlatForest& flat) {
+  const std::size_t n_nodes = flat.n_nodes();
+  const std::size_t n_trees = flat.n_trees();
+  std::uint64_t h = fnv1a(&n_nodes, sizeof(n_nodes));
+  h = fnv1a(&n_trees, sizeof(n_trees), h);
+  for (std::size_t t = 0; t < n_trees; ++t) {
+    const std::int32_t root = flat.root(t);
+    h = fnv1a(&root, sizeof(root), h);
+  }
+  h = fnv1a(flat.feature(), n_nodes * sizeof(std::int32_t), h);
+  h = fnv1a(flat.value(), n_nodes * sizeof(double), h);
+  return fnv1a(flat.cover(), n_nodes * sizeof(double), h);
 }
 
 // Trees per reduction block of the batch engine. The block partition is a
@@ -391,14 +387,12 @@ constexpr std::size_t kPartialBudget = 2048;
 
 namespace detail {
 
-/// Lazily-built structural metadata, one slot per layout. Shared (via
-/// shared_ptr) by every copy of an explainer, so the serving daemon's
-/// per-batch explainer snapshots reuse one build.
+/// Lazily-built structural metadata. Shared (via shared_ptr) by every copy
+/// of an explainer, so the serving daemon's per-batch explainer snapshots
+/// reuse one build.
 struct ShapMetaCell {
-  std::once_flag exact_once;
-  std::once_flag compiled_once;
-  ShapMeta exact;
-  ShapMeta compiled;
+  std::once_flag once;
+  ShapMeta meta;
 };
 
 }  // namespace detail
@@ -425,44 +419,7 @@ TreeShapExplainer::TreeShapExplainer(const RandomForestClassifier& forest) {
   compiled_ = forest.compiled_shared();
   meta_ = std::make_shared<detail::ShapMetaCell>();
   base_value_ = forest.expected_value();
-  model_digest_ = compute_model_digest();
-}
-
-bool TreeShapExplainer::use_compiled() const {
-  ForestEngine engine = engine_;
-  if (engine == ForestEngine::kAuto) engine = forest_engine_from_env();
-  if (engine == ForestEngine::kAuto) {
-    engine = compiled_ != nullptr ? ForestEngine::kCompiled
-                                  : ForestEngine::kExact;
-  }
-  return engine == ForestEngine::kCompiled && compiled_ != nullptr;
-}
-
-std::uint64_t TreeShapExplainer::compute_model_digest() const {
-  // Structural FNV-1a over what determines phi: tree shapes live in the
-  // child topology, but covers + values + roots pin the ensemble well
-  // enough to keep one cache from serving another model's rows.
-  const FlatForest& flat = *flat_;
-  std::uint64_t h = ExplanationCache::digest(nullptr, 0);
-  const auto fold = [&h](const void* bytes, std::size_t len) {
-    const auto* p = static_cast<const std::uint8_t*>(bytes);
-    for (std::size_t i = 0; i < len; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ull;
-    }
-  };
-  const std::size_t n_nodes = flat.n_nodes();
-  const std::size_t n_trees = flat.n_trees();
-  fold(&n_nodes, sizeof(n_nodes));
-  fold(&n_trees, sizeof(n_trees));
-  for (std::size_t t = 0; t < n_trees; ++t) {
-    const std::int32_t root = flat.root(t);
-    fold(&root, sizeof(root));
-  }
-  fold(flat.feature(), n_nodes * sizeof(std::int32_t));
-  fold(flat.value(), n_nodes * sizeof(double));
-  fold(flat.cover(), n_nodes * sizeof(double));
-  return h;
+  model_digest_ = model_digest_of(*flat_);
 }
 
 std::vector<double> TreeShapExplainer::shap_values(
@@ -476,19 +433,8 @@ std::vector<double> TreeShapExplainer::shap_values(
   std::vector<double> phi(flat.n_features(), 0.0);
   std::vector<PathElement> path(path_scratch_len(flat));
   const int stride = flat.max_depth() + 2;
-  if (use_compiled()) {
-    const CompiledForest& compiled = *compiled_;
-    std::vector<std::uint16_t> codes(flat.n_features());
-    compiled.quantize_sample(features.data(), codes.data());
-    for (std::size_t t = 0; t < flat.n_trees(); ++t) {
-      compiled_tree_shap(compiled, t, codes.data(), phi.data(), path.data(),
-                         stride);
-    }
-  } else {
-    for (std::size_t t = 0; t < flat.n_trees(); ++t) {
-      flat_tree_shap(flat, t, features.data(), phi.data(), path.data(),
-                     stride);
-    }
+  for (std::size_t t = 0; t < flat.n_trees(); ++t) {
+    flat_tree_shap(flat, t, features.data(), phi.data(), path.data(), stride);
   }
   const double inv = 1.0 / static_cast<double>(flat.n_trees());
   for (double& v : phi) v *= inv;
@@ -514,10 +460,6 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
   }
   DRCSHAP_OBS_TIMER("shap/values_batch");
   obs::counter_add("shap/batch_samples", n_rows);
-  // Pin the traversal engine once per batch; the note lets run reports show
-  // which layout served the explanation pass.
-  const CompiledForest* compiled = use_compiled() ? compiled_.get() : nullptr;
-  obs::note_set("shap/engine", compiled != nullptr ? "compiled" : "exact");
   const bool fast = shap_fast_from_env();
   obs::note_set("shap/fast_path", fast ? "on" : "off");
   ExplanationCache* cache =
@@ -531,8 +473,12 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
 
   ThreadPool& pool = ThreadPool::global();
 
-  // Quantize every row once up front under the compiled engine: the codes
-  // are both the traversal input and the dedupe/cache key.
+  // Quantize every row once up front into its u16 codes: the explanation
+  // key. Rows with equal codes fall in the same threshold bucket of every
+  // split feature, so they take the same branch at every split and their
+  // phi rows are bit-equal. An unquantizable forest keys on the raw float
+  // bytes instead (byte-equal rows are trivially explanation-equal).
+  const CompiledForest* compiled = compiled_.get();
   std::vector<std::uint16_t> codes;
   if (compiled != nullptr) {
     codes.resize(n_rows * n_features);
@@ -544,10 +490,6 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
         },
         /*grain=*/8, /*max_workers=*/n_threads);
   }
-
-  // --- Dedupe rows on their explanation key. Rows with byte-equal keys
-  // take the same branch at every split, so their phi rows are bit-equal:
-  // explain one representative, scatter to the rest.
   const std::size_t key_len = compiled != nullptr
                                   ? n_features * sizeof(std::uint16_t)
                                   : n_features * sizeof(float);
@@ -555,6 +497,9 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
     if (compiled != nullptr) return codes.data() + r * n_features;
     return features.data() + r * n_features;
   };
+
+  // --- Dedupe rows on their key: explain one representative, scatter to
+  // the rest.
   std::vector<std::uint32_t> rep(n_rows);
   std::vector<std::uint32_t> uniques;
   uniques.reserve(n_rows);
@@ -562,7 +507,7 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
     std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_digest;
     by_digest.reserve(n_rows * 2);
     for (std::size_t r = 0; r < n_rows; ++r) {
-      const std::uint64_t d = ExplanationCache::digest(key_ptr(r), key_len);
+      const std::uint64_t d = fnv1a(key_ptr(r), key_len);
       auto& chain = by_digest[d];
       const auto row32 = static_cast<std::uint32_t>(r);
       std::uint32_t found = row32;
@@ -613,34 +558,8 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
 
     const ShapMeta* meta = nullptr;
     if (fast) {
-      if (compiled != nullptr) {
-        std::call_once(meta_->compiled_once, [&] {
-          std::vector<std::int32_t> roots(compiled->n_trees());
-          for (std::size_t t = 0; t < compiled->n_trees(); ++t) {
-            roots[t] = compiled->root(t);
-          }
-          meta_->compiled = build_meta(
-              CompiledTraversal{compiled->feature(), compiled->qthreshold(),
-                                compiled->child(), compiled->value(),
-                                compiled->cover(), nullptr},
-              compiled->n_nodes(), compiled->n_trees(), roots.data(),
-              compiled->max_depth());
-        });
-        meta = &meta_->compiled;
-      } else {
-        std::call_once(meta_->exact_once, [&] {
-          std::vector<std::int32_t> roots(flat.n_trees());
-          for (std::size_t t = 0; t < flat.n_trees(); ++t) {
-            roots[t] = flat.root(t);
-          }
-          meta_->exact = build_meta(
-              ExactTraversal{flat.feature(), flat.threshold(), flat.left(),
-                             flat.right(), flat.value(), flat.cover(),
-                             nullptr},
-              flat.n_nodes(), flat.n_trees(), roots.data(), flat.max_depth());
-        });
-        meta = &meta_->exact;
-      }
+      std::call_once(meta_->once, [&] { meta_->meta = build_meta(flat); });
+      meta = &meta_->meta;
     }
 
     // One scratch slot per shared-pool worker: the Algorithm-2 path storage
@@ -680,64 +599,32 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
     obs::note_set("shap/walk",
                   !fast ? "reference" : (simd_walk ? "avx2" : "scalar"));
     // Accumulate trees [t_begin, t_end) for row `row` into `phi` in fixed
-    // tree order, over whichever layout the engine selected.
+    // tree order.
     auto accumulate_trees = [&](std::size_t row, double* phi,
                                 std::size_t t_begin, std::size_t t_end) {
       WorkerScratch& ws = worker_scratch();
-#if DRCSHAP_SIMD_ENABLED
-      if (simd_walk) ws.engine.init(stride, meta->max_leaves);
-#endif
-      if (compiled != nullptr) {
-        const std::uint16_t* qx = codes.data() + row * n_features;
-        if (meta != nullptr) {
-          const CompiledTraversal trav{
-              compiled->feature(), compiled->qthreshold(), compiled->child(),
-              compiled->value(),   compiled->cover(),      qx};
-#if DRCSHAP_SIMD_ENABLED
-          if (simd_walk) {
-            for (std::size_t t = t_begin; t < t_end; ++t) {
-              shap_detail::fast_tree_shap_avx2(trav, *meta, compiled->root(t),
-                                               phi, ws.path.data(), stride,
-                                               ws.stack, ws.engine);
-            }
-            return;
-          }
-#endif
-          for (std::size_t t = t_begin; t < t_end; ++t) {
-            fast_tree_shap(trav, *meta, compiled->root(t), phi,
-                           ws.path.data(), stride, ws.stack);
-          }
-        } else {
-          for (std::size_t t = t_begin; t < t_end; ++t) {
-            compiled_tree_shap(*compiled, t, qx, phi, ws.path.data(), stride);
-          }
+      const float* x = features.data() + row * n_features;
+      if (meta == nullptr) {
+        for (std::size_t t = t_begin; t < t_end; ++t) {
+          flat_tree_shap(flat, t, x, phi, ws.path.data(), stride);
         }
-      } else {
-        const float* x = features.data() + row * n_features;
-        if (meta != nullptr) {
-          const ExactTraversal trav{flat.feature(), flat.threshold(),
-                                    flat.left(),    flat.right(),
-                                    flat.value(),   flat.cover(),
-                                    x};
+        return;
+      }
+      const ExactTraversal trav = traversal(flat, x);
 #if DRCSHAP_SIMD_ENABLED
-          if (simd_walk) {
-            for (std::size_t t = t_begin; t < t_end; ++t) {
-              shap_detail::fast_tree_shap_avx2(trav, *meta, flat.root(t), phi,
-                                               ws.path.data(), stride,
-                                               ws.stack, ws.engine);
-            }
-            return;
-          }
-#endif
-          for (std::size_t t = t_begin; t < t_end; ++t) {
-            fast_tree_shap(trav, *meta, flat.root(t), phi, ws.path.data(),
-                           stride, ws.stack);
-          }
-        } else {
-          for (std::size_t t = t_begin; t < t_end; ++t) {
-            flat_tree_shap(flat, t, x, phi, ws.path.data(), stride);
-          }
+      if (simd_walk) {
+        ws.engine.init(stride, meta->max_leaves);
+        for (std::size_t t = t_begin; t < t_end; ++t) {
+          shap_detail::fast_tree_shap_avx2(trav, *meta, flat.root(t), phi,
+                                           ws.path.data(), stride, ws.stack,
+                                           ws.engine);
         }
+        return;
+      }
+#endif
+      for (std::size_t t = t_begin; t < t_end; ++t) {
+        fast_tree_shap(trav, *meta, flat.root(t), phi, ws.path.data(), stride,
+                       ws.stack);
       }
     };
 

@@ -19,21 +19,13 @@
 // vectors in fixed tree order — the accumulation structure depends only on
 // the ensemble, so results are bit-identical for any thread count.
 //
-// Like inference, the traversal itself is pluggable (core/forest_engine.hpp):
-// the explainer snapshots the forest's compiled breadth-first layout next to
-// the exact FlatForest one and, when available, walks the cached
-// child/feature arrays with the sample quantized once into u16 codes. The
-// monotone quantization preserves every split decision and both layouts
-// carry the same value/cover doubles, so SHAP outputs are byte-identical
-// whichever engine runs.
-//
 // The batch engine additionally runs a *fast path* that amortizes the
 // sample-independent half of Algorithm 2 across the whole batch. The key
 // observation: a sample enters the recursion only through the hot/cold
 // branch decision at each split. Everything else — the unique-path
 // composition after duplicate-feature folding, the unique depth at every
 // node, and the zero_fractions (products of cover ratios) — is a function
-// of the tree alone. A one-time structural DFS per layout precomputes, per
+// of the tree alone. A one-time structural DFS over the forest precomputes, per
 // node, the entry zero_fraction (with the exact op order of the original
 // recursion, so the doubles are bit-equal), the folded unique depth, and
 // the unique-path index of a duplicate split feature; the per-row walk then
@@ -47,13 +39,18 @@
 // (kept verbatim behind the single-sample shap_values and the
 // $DRCSHAP_SHAP_FAST=0 kill switch).
 //
-// On top of the fast path, shap_values_batch dedupes rows before compute:
-// rows with byte-equal keys (quantized code vectors under the compiled
-// engine, raw float rows under the exact one) provably share one phi row,
-// so each unique row is explained once and scattered to its duplicates.
-// With a shared ExplanationCache attached (core/explanation_cache.hpp),
-// unique rows are additionally served from — and inserted into — the cache,
-// carrying the dedupe across batches and serve requests.
+// Every walk — the reference recursion, the scalar fast walk and the AVX2
+// fast walk — runs over the exact FlatForest layout. The forest's compiled
+// layout (core/compiled_forest.hpp) plays one part here: shap_values_batch
+// quantizes each row once into its u16 threshold-bucket codes and uses them
+// as the row's explanation key. Rows with equal codes take the same branch
+// at every split, so they provably share one phi row: each unique row is
+// explained once and scattered to its duplicates, and rows differing only
+// inside a threshold bucket (or in unsplit features) share a cache entry.
+// A forest that cannot be quantized keys on the raw float row bytes. With a
+// shared ExplanationCache attached (core/explanation_cache.hpp), unique rows
+// are additionally served from — and inserted into — the cache, carrying
+// the dedupe across batches and serve requests.
 
 #include <cstddef>
 #include <cstdint>
@@ -68,7 +65,7 @@ namespace drcshap {
 class ExplanationCache;
 
 namespace detail {
-struct ShapMetaCell;  // lazily built per-layout structural metadata
+struct ShapMetaCell;  // lazily built structural metadata of the forest
 }  // namespace detail
 
 /// Row-major matrix of SHAP values: one row of n_features doubles per
@@ -85,16 +82,10 @@ struct ShapMatrix {
 
 class TreeShapExplainer {
  public:
-  /// Snapshots the forest's flattened SoA view (and its compiled layout
-  /// when one was built); the explainer stays valid even if the forest is
-  /// refit afterwards.
+  /// Snapshots the forest's flattened SoA view (and its compiled layout,
+  /// the key quantizer, when one was built); the explainer stays valid even
+  /// if the forest is refit afterwards.
   explicit TreeShapExplainer(const RandomForestClassifier& forest);
-
-  /// Selects the traversal engine for subsequent shap_values* calls.
-  /// kAuto (the default) defers to $DRCSHAP_FOREST_ENGINE and then prefers
-  /// the compiled layout when available; kCompiled without a compiled
-  /// layout falls back to exact. Outputs are byte-identical either way.
-  void set_engine(ForestEngine engine) { engine_ = engine; }
 
   /// Attaches a shared explanation cache consulted (and filled) by
   /// shap_values_batch for each unique row. Copies of the explainer share
@@ -137,23 +128,18 @@ class TreeShapExplainer {
                                               std::span<const float> features);
 
  private:
-  /// True when the next traversal should walk the compiled layout.
-  bool use_compiled() const;
-
-  /// One-time structural digest over the FlatForest snapshot (ctor only).
-  std::uint64_t compute_model_digest() const;
-
   std::shared_ptr<const FlatForest> flat_;
+  /// Quantizes rows into their u16 explanation keys; null when the forest
+  /// cannot be quantized (raw float bytes are the key then).
   std::shared_ptr<const CompiledForest> compiled_;
-  /// Shared lazily-initialized structural metadata of the fast batch path
-  /// (one slot per layout). Copies of the explainer — the serving daemon
-  /// snapshots one per batch — share the cell, so the one-time DFS cost is
-  /// paid once per loaded model, not once per batch.
+  /// Shared lazily-initialized structural metadata of the fast batch path.
+  /// Copies of the explainer — the serving daemon snapshots one per batch —
+  /// share the cell, so the one-time DFS cost is paid once per loaded model,
+  /// not once per batch.
   std::shared_ptr<detail::ShapMetaCell> meta_;
   std::shared_ptr<ExplanationCache> cache_;
   double base_value_;
   std::uint64_t model_digest_ = 0;
-  ForestEngine engine_ = ForestEngine::kAuto;
 };
 
 }  // namespace drcshap

@@ -256,8 +256,7 @@ void flush_tree(ShapJobEngine& je, double* phi) {
 /// partitioned by one_fraction, packed 4 per block into the leaf's shared
 /// pweight array. Padding lanes get zf = 1.0 (any finite value works —
 /// lanes are independent and padding totals are never applied).
-template <class Traversal>
-inline void emit_leaf(const Traversal& tree, std::size_t node,
+inline void emit_leaf(const ExactTraversal& tree, std::size_t node,
                       const PathElement* path, int ud, ShapJobEngine& je) {
   ShapJobEngine::Job& job = je.jobs[static_cast<std::size_t>(je.n_jobs++)];
   job.unique_depth = ud;
@@ -315,13 +314,20 @@ inline void emit_leaf(const Traversal& tree, std::size_t node,
   if (job.n0 < 0) job.n0 = 0;
 }
 
+}  // namespace
+
+bool simd_walk_available() {
+  static const bool cpu_ok = cpu_supports_avx2_fma();
+  return cpu_ok && !env_disables_simd();
+}
+
 /// Same traversal skeleton as the scalar fast walk (hot subtree first, cold
 /// frames on a LIFO stack, cold children extend the parent slot in place);
 /// only the leaf work is staged instead of computed inline.
-template <class Traversal>
-void fast_walk(const Traversal& tree, const ShapMeta& meta, std::int32_t root,
-               double* phi, PathElement* storage, int stride,
-               std::vector<FastFrame>& stack, ShapJobEngine& je) {
+void fast_tree_shap_avx2(const ExactTraversal& tree, const ShapMeta& meta,
+                         std::int32_t root, double* phi, PathElement* storage,
+                         int stride, std::vector<FastFrame>& stack,
+                         ShapJobEngine& je) {
   stack.clear();
   stack.push_back({root, 0, 0, -1, 1.0});
   while (!stack.empty()) {
@@ -368,27 +374,6 @@ void fast_walk(const Traversal& tree, const ShapMeta& meta, std::int32_t root,
     }
   }
   flush_tree(je, phi);
-}
-
-}  // namespace
-
-bool simd_walk_available() {
-  static const bool cpu_ok = cpu_supports_avx2_fma();
-  return cpu_ok && !env_disables_simd();
-}
-
-void fast_tree_shap_avx2(const ExactTraversal& tree, const ShapMeta& meta,
-                         std::int32_t root, double* phi, PathElement* storage,
-                         int stride, std::vector<FastFrame>& stack,
-                         ShapJobEngine& engine) {
-  fast_walk(tree, meta, root, phi, storage, stride, stack, engine);
-}
-
-void fast_tree_shap_avx2(const CompiledTraversal& tree, const ShapMeta& meta,
-                         std::int32_t root, double* phi, PathElement* storage,
-                         int stride, std::vector<FastFrame>& stack,
-                         ShapJobEngine& engine) {
-  fast_walk(tree, meta, root, phi, storage, stride, stack, engine);
 }
 
 }  // namespace drcshap::shap_detail

@@ -27,14 +27,8 @@ struct PathElement {
   double pweight = 0.0;
 };
 
-// The walks are generic over how the ensemble is laid out. Both traversals
-// expose the same split decisions — the compiled one compares the sample's
-// u16 codes against quantized thresholds, which the monotone bucketization
-// makes exactly equivalent to the float compare — and both read the same
-// value/cover doubles, so the SHAP arithmetic (and therefore every output
-// bit) is independent of which layout ran.
-
-/// FlatForest arrays + the raw sample: the exact reference traversal.
+/// FlatForest arrays + the raw sample: the one traversal every walk (the
+/// reference recursion and both fast walks) runs over.
 struct ExactTraversal {
   const std::int32_t* feature;
   const float* threshold;
@@ -53,32 +47,8 @@ struct ExactTraversal {
   std::int32_t right_child(std::size_t node) const { return right[node]; }
 };
 
-/// CompiledForest breadth-first child/feature arrays + the sample's
-/// quantized codes. Children are adjacent (one array instead of two) and a
-/// leaf self-loops, so the hot path touches fewer, denser cache lines.
-struct CompiledTraversal {
-  const std::int32_t* feature;
-  const std::int32_t* qthreshold;
-  const std::int32_t* child;
-  const double* value;
-  const double* cover;
-  const std::uint16_t* qx;
-
-  bool is_leaf(std::size_t node) const {
-    return child[node] == static_cast<std::int32_t>(node);
-  }
-  std::int32_t split_feature(std::size_t node) const { return feature[node]; }
-  bool goes_left(std::size_t node) const {
-    return static_cast<std::int32_t>(
-               qx[static_cast<std::size_t>(feature[node])]) <=
-           qthreshold[node];
-  }
-  std::int32_t left_child(std::size_t node) const { return child[node]; }
-  std::int32_t right_child(std::size_t node) const { return child[node] + 1; }
-};
-
-/// Structural per-node metadata of one layout (exact or compiled),
-/// node-indexed like the layout's own arrays.
+/// Structural per-node metadata of the forest, node-indexed like the
+/// FlatForest arrays.
 struct ShapMeta {
   /// zero_fraction of the edge into each node (1.0 at roots).
   std::vector<double> entry_zero_fraction;
@@ -252,10 +222,6 @@ inline constexpr int kSimdWalkMaxDepth = 190;
 /// tree and flushed into phi in reference DFS order. Byte-identical to the
 /// scalar walk (and therefore to the reference recursion).
 void fast_tree_shap_avx2(const ExactTraversal& tree, const ShapMeta& meta,
-                         std::int32_t root, double* phi, PathElement* storage,
-                         int stride, std::vector<FastFrame>& stack,
-                         ShapJobEngine& engine);
-void fast_tree_shap_avx2(const CompiledTraversal& tree, const ShapMeta& meta,
                          std::int32_t root, double* phi, PathElement* storage,
                          int stride, std::vector<FastFrame>& stack,
                          ShapJobEngine& engine);

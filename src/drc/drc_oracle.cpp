@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "obs/registry.hpp"
+#include "util/artifact.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -22,15 +23,6 @@ std::string to_string(DrcErrorType type) {
 namespace {
 
 double logistic(double x) { return 1.0 / (1.0 + std::exp(-x)); }
-
-std::uint64_t name_hash(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 /// Per-cause score breakdown; the dominant cause drives the violation type.
 struct CauseScores {
@@ -187,7 +179,7 @@ void emit_cell_violations(const Design& design, const TrackModel& track,
 std::vector<Rng> drc_cell_streams(const Design& design,
                                   const DrcOracleOptions& options,
                                   double* design_effect) {
-  Rng rng(options.seed ^ name_hash(design.name()));
+  Rng rng(options.seed ^ fnv1a(design.name()));
   const double effect = rng.normal(0.0, options.design_effect_sigma);
   if (design_effect != nullptr) *design_effect = effect;
 

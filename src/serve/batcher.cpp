@@ -186,11 +186,10 @@ void Batcher::serve_verb(const std::shared_ptr<const ServedModel>& model,
   obs::counter_add(verb == Verb::kExplain ? "serve/explain_rows"
                                           : "serve/global_explain_rows",
                    total_rows);
-  // The explainer snapshot inside ServedModel is immutable; a per-batch
-  // copy (a few shared_ptrs + scalars) carries the engine choice and shares
-  // the model's explanation cache.
-  TreeShapExplainer explainer = model->explainer;
-  explainer.set_engine(options_.engine);
+  // The explainer snapshot inside ServedModel is immutable and shares the
+  // model's explanation cache; the engine option selects the score backend
+  // only.
+  const TreeShapExplainer& explainer = model->explainer;
   const ExplanationCacheStats cache_before = model->explain_cache->stats();
   const ShapMatrix shap = explainer.shap_values_batch(
       std::span<const float>(matrix), total_rows, options_.n_threads);

@@ -36,7 +36,7 @@ namespace drcshap::serve {
 struct BatchOptions {
   std::size_t max_batch_rows = 256;  ///< flush when pending rows reach this
   std::uint32_t flush_us = 200;      ///< ...or this long after the oldest
-  ForestEngine engine = ForestEngine::kAuto;  ///< backend per batch
+  ForestEngine engine = ForestEngine::kAuto;  ///< score backend per batch
   std::size_t n_threads = 0;  ///< worker cap for the batch engines
 };
 

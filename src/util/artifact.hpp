@@ -110,6 +110,11 @@ class StatusOr {
 
 // ------------------------------------------------------------------ FNV-1a
 
+// Deliberately non-standard offset basis: the FNV-1a standard is
+// 0xcbf29ce484222325 (14695981039346656037), and this constant is that
+// decimal with its last digit dropped (0x14650fb0739d0383). DRC oracle seeds,
+// artifact checksums and every pinned dataset digest depend on it, so it
+// stays. This is the repo's one FNV-1a: every digest chains through fnv1a.
 inline constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
 inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 

@@ -11,9 +11,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <memory>
 
 #include "benchsuite/pipeline.hpp"
 #include "benchsuite/suite.hpp"
+#include "core/explanation_cache.hpp"
 #include "core/random_forest.hpp"
 #include "core/tree_shap.hpp"
 #include "features/feature_names.hpp"
@@ -53,28 +55,29 @@ RandomForestClassifier small_forest(const Dataset& d, int n_trees = 30,
   return forest;
 }
 
-/// Temporarily pins $DRCSHAP_FOREST_ENGINE, restoring on destruction.
-class ScopedEngineEnv {
+/// Temporarily pins one environment variable, restoring on destruction.
+class ScopedEnv {
  public:
-  explicit ScopedEngineEnv(const char* value) {
-    const char* old = std::getenv("DRCSHAP_FOREST_ENGINE");
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
     if (old != nullptr) saved_ = old;
     had_ = old != nullptr;
     if (value != nullptr) {
-      ::setenv("DRCSHAP_FOREST_ENGINE", value, 1);
+      ::setenv(name, value, 1);
     } else {
-      ::unsetenv("DRCSHAP_FOREST_ENGINE");
+      ::unsetenv(name);
     }
   }
-  ~ScopedEngineEnv() {
+  ~ScopedEnv() {
     if (had_) {
-      ::setenv("DRCSHAP_FOREST_ENGINE", saved_.c_str(), 1);
+      ::setenv(name_.c_str(), saved_.c_str(), 1);
     } else {
-      ::unsetenv("DRCSHAP_FOREST_ENGINE");
+      ::unsetenv(name_.c_str());
     }
   }
 
  private:
+  std::string name_;
   std::string saved_;
   bool had_ = false;
 };
@@ -218,22 +221,19 @@ TEST(CompiledForest, AdversarialHandBuiltForests) {
 
 TEST(CompiledForest, FallsBackToExactWhenUnquantizable) {
   // 65536 distinct thresholds on one feature exceeds the u16 code space, so
-  // try_compile must refuse and every call must serve exact instead.
-  std::vector<DecisionTree> trees(1);
-  std::vector<TreeNode> nodes;
+  // try_compile must refuse and every call must serve exact instead. One
+  // stump per threshold keeps the forest shallow enough to explain.
   const int n_splits =
       static_cast<int>(CompiledForest::kMaxCutsPerFeature) + 1;
-  // Right-leaning chain: node i splits at threshold i, left child is a leaf.
+  std::vector<DecisionTree> trees(static_cast<std::size_t>(n_splits));
   for (int i = 0; i < n_splits; ++i) {
-    const std::int32_t leaf = static_cast<std::int32_t>(nodes.size()) + 1;
-    const std::int32_t next = leaf + 1;
-    const bool last = i == n_splits - 1;
-    nodes.push_back({0, static_cast<float>(i), leaf,
-                     last ? leaf : next, 0.5,
-                     static_cast<double>(n_splits - i)});
-    nodes.push_back({-1, 0.0f, -1, -1, 0.25, 1.0});
+    const double left_cover = 1.0 + i % 3;
+    trees[static_cast<std::size_t>(i)].set_nodes(
+        {{0, static_cast<float>(i), 1, 2, 0.5, 4.0},
+         {-1, 0.0f, -1, -1, 0.25 + 0.125 * (i % 4), left_cover},
+         {-1, 0.0f, -1, -1, 0.75, 4.0 - left_cover}},
+        2);
   }
-  trees[0].set_nodes(std::move(nodes), 2);
 
   std::string reason;
   const FlatForest flat{std::span<const DecisionTree>(trees)};
@@ -248,26 +248,32 @@ TEST(CompiledForest, FallsBackToExactWhenUnquantizable) {
   const std::vector<float> x{3.5f, 0.0f};
   EXPECT_EQ(forest.predict_proba(x, ForestEngine::kCompiled),
             forest.predict_proba(x, ForestEngine::kExact));
-}
 
-TEST(CompiledForest, ShapValuesByteIdenticalAcrossEngines) {
-  const Dataset train = noisy_data(400, 6, 9);
-  const Dataset eval = noisy_data(50, 6, 10);
-  const RandomForestClassifier forest = small_forest(train, 20);
-  ASSERT_NE(forest.compiled(), nullptr);
-
-  TreeShapExplainer exact(forest);
-  exact.set_engine(ForestEngine::kExact);
-  TreeShapExplainer compiled(forest);
-  compiled.set_engine(ForestEngine::kCompiled);
-
-  for (std::size_t i = 0; i < 8; ++i) {
-    expect_bits_equal(exact.shap_values(eval.row(i)),
-                      compiled.shap_values(eval.row(i)));
+  // With no quantizer the explainer keys its dedupe and cache on the raw
+  // float bytes; phi must still equal the reference recursion bit for bit,
+  // cold and warm, at any thread count.
+  Dataset eval(2);
+  for (const float x0 : {3.5f, -1.0f, 40000.5f, 70000.0f, std::nanf("")}) {
+    eval.append_row(std::vector<float>{x0, 0.0f}, 0, 0);
   }
-  const ShapMatrix a = exact.shap_values_batch(eval);
-  const ShapMatrix b = compiled.shap_values_batch(eval);
-  expect_bits_equal(a.values, b.values);
+  eval.append_row(std::vector<float>{3.5f, 0.0f}, 0, 0);  // duplicate row
+  ShapMatrix reference;
+  {
+    ScopedEnv fast("DRCSHAP_SHAP_FAST", "0");
+    ScopedEnv cache_off("DRCSHAP_EXPLAIN_CACHE", "0");
+    reference = TreeShapExplainer(forest).shap_values_batch(eval, 1);
+  }
+  ScopedEnv cache_on("DRCSHAP_EXPLAIN_CACHE", "1");
+  TreeShapExplainer explainer(forest);
+  const auto cache = std::make_shared<ExplanationCache>();
+  explainer.set_cache(cache);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_bits_equal(reference.values,
+                      explainer.shap_values_batch(eval, threads).values);
+  }
+  EXPECT_EQ(cache->stats().misses, 5u);  // five distinct rows, explained once
+  EXPECT_EQ(cache->stats().hits, 5u);    // ...then all served warm
 }
 
 TEST(CompiledForest, LayoutDigestDeterministic) {
@@ -285,27 +291,27 @@ TEST(CompiledForest, LayoutDigestDeterministic) {
 
 TEST(ForestEngine, EnvParsing) {
   {
-    ScopedEngineEnv env(nullptr);
+    ScopedEnv env("DRCSHAP_FOREST_ENGINE", nullptr);
     EXPECT_EQ(forest_engine_from_env(), ForestEngine::kAuto);
   }
   {
-    ScopedEngineEnv env("");
+    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "");
     EXPECT_EQ(forest_engine_from_env(), ForestEngine::kAuto);
   }
   {
-    ScopedEngineEnv env("auto");
+    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "auto");
     EXPECT_EQ(forest_engine_from_env(), ForestEngine::kAuto);
   }
   {
-    ScopedEngineEnv env("exact");
+    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "exact");
     EXPECT_EQ(forest_engine_from_env(), ForestEngine::kExact);
   }
   {
-    ScopedEngineEnv env("compiled");
+    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "compiled");
     EXPECT_EQ(forest_engine_from_env(), ForestEngine::kCompiled);
   }
   {
-    ScopedEngineEnv env("vectorized");
+    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "vectorized");
     EXPECT_THROW(forest_engine_from_env(), std::invalid_argument);
   }
 }
@@ -315,23 +321,23 @@ TEST(ForestEngine, EnvSelectsBackend) {
   const RandomForestClassifier forest = small_forest(d, 10);
   ASSERT_NE(forest.compiled(), nullptr);
   {
-    ScopedEngineEnv env("exact");
+    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "exact");
     EXPECT_EQ(forest.resolve_engine(ForestEngine::kAuto),
               ForestEngine::kExact);
   }
   {
-    ScopedEngineEnv env("compiled");
+    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "compiled");
     EXPECT_EQ(forest.resolve_engine(ForestEngine::kAuto),
               ForestEngine::kCompiled);
   }
   {
-    ScopedEngineEnv env(nullptr);
+    ScopedEnv env("DRCSHAP_FOREST_ENGINE", nullptr);
     EXPECT_EQ(forest.resolve_engine(ForestEngine::kAuto),
               ForestEngine::kCompiled);
   }
   // An explicit per-call engine wins over the environment.
   {
-    ScopedEngineEnv env("compiled");
+    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "compiled");
     EXPECT_EQ(forest.resolve_engine(ForestEngine::kExact),
               ForestEngine::kExact);
   }

@@ -344,9 +344,9 @@ TEST_F(Obs, InstrumentedStagesAppearInSnapshot) {
   EXPECT_TRUE(snap.timers.contains("shap/values_batch"));
   EXPECT_EQ(snap.counters.at("forest/rows_scored"), 64u);
   EXPECT_EQ(snap.counters.at("shap/batch_samples"), 64u);
-  // The batch engine dedupes rows whose explanation keys coincide (under
-  // the compiled engine, rows that quantize identically), so traversals
-  // count unique rows — never more than rows * trees.
+  // The batch engine dedupes rows whose explanation keys coincide (rows
+  // whose u16 threshold-bucket codes are equal), so traversals count
+  // unique rows — never more than rows * trees.
   ASSERT_TRUE(snap.counters.contains("shap/batch_unique_rows"));
   const std::uint64_t unique_rows =
       snap.counters.at("shap/batch_unique_rows");

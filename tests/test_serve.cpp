@@ -355,7 +355,6 @@ TEST_F(BatcherFixture, ExplainMatchesDirectEngineExactly) {
   ASSERT_EQ(response.status, StatusCode::kOk) << response.message;
 
   TreeShapExplainer explainer = registry.current()->explainer;
-  explainer.set_engine(ForestEngine::kExact);
   const ShapMatrix direct =
       explainer.shap_values_batch(std::span<const float>(features), 4, 1);
   EXPECT_EQ(response.base_value, explainer.base_value());
@@ -380,7 +379,6 @@ TEST_F(BatcherFixture, GlobalExplainMatchesDirectSummary) {
   ASSERT_EQ(response.values.size(), kGlobalStatRows * 6u);
 
   TreeShapExplainer explainer = registry.current()->explainer;
-  explainer.set_engine(ForestEngine::kExact);
   GlobalShapSummary direct(6);
   direct.add(explainer.shap_values_batch(std::span<const float>(features),
                                          kRows, 1));
@@ -475,7 +473,6 @@ TEST_F(BatcherFixture, ConcurrentSubmitsAreByteIdenticalToSolo) {
               std::span<const float>(features), n_rows, ForestEngine::kExact);
         } else {
           TreeShapExplainer explainer = registry.current()->explainer;
-          explainer.set_engine(ForestEngine::kExact);
           expected = explainer
                          .shap_values_batch(std::span<const float>(features),
                                             n_rows, 1)
@@ -648,7 +645,6 @@ TEST_F(ServerFixture, ScoreAndExplainOverSocketMatchDirectCalls) {
       client.call(matrix_request(2, Verb::kExplain, 4, 6, features));
   ASSERT_EQ(explain.status, StatusCode::kOk) << explain.message;
   TreeShapExplainer explainer = model->explainer;
-  explainer.set_engine(ForestEngine::kExact);
   const ShapMatrix shap =
       explainer.shap_values_batch(std::span<const float>(features), 4, 1);
   EXPECT_EQ(explain.values, shap.values);

@@ -1,10 +1,9 @@
 // Byte-identity suite for the batched fast TreeSHAP path and the
 // explanation cache: whatever combination of walk (reference recursion /
-// scalar fast / AVX2 fast), traversal engine (exact / compiled), thread
-// count, and cache configuration runs, every phi double must match the
-// reference recursion bit for bit. The fast path is only allowed to change
-// speed, never a single output bit — same contract the compiled inference
-// backend makes, now for explanations.
+// scalar fast / AVX2 fast), thread count, and cache configuration runs,
+// every phi double must match the reference recursion bit for bit. The
+// fast path is only allowed to change speed, never a single output bit —
+// same contract the compiled inference backend makes, now for explanations.
 
 #include "core/tree_shap.hpp"
 
@@ -21,6 +20,7 @@
 #include "core/explanation_cache.hpp"
 #include "core/random_forest.hpp"
 #include "features/feature_names.hpp"
+#include "obs/registry.hpp"
 #include "util/rng.hpp"
 
 namespace drcshap {
@@ -120,12 +120,10 @@ Dataset adversarial_rows(const RandomForestClassifier& forest, std::size_t n,
 /// Ground truth: the reference recursion (fast path and SIMD disabled,
 /// no cache attached), single-threaded.
 ShapMatrix reference_phi(const RandomForestClassifier& forest,
-                         const Dataset& data, ForestEngine engine) {
+                         const Dataset& data) {
   ScopedEnv fast("DRCSHAP_SHAP_FAST", "0");
   ScopedEnv cache("DRCSHAP_EXPLAIN_CACHE", "0");
-  TreeShapExplainer explainer(forest);
-  explainer.set_engine(engine);
-  return explainer.shap_values_batch(data, 1);
+  return TreeShapExplainer(forest).shap_values_batch(data, 1);
 }
 
 void check_all_configs(const RandomForestClassifier& forest,
@@ -134,48 +132,41 @@ void check_all_configs(const RandomForestClassifier& forest,
   // DRCSHAP_EXPLAIN_CACHE=0 (the kill-switch leg); the env-disabled leg
   // below pins its own "0" scope.
   ScopedEnv cache_on("DRCSHAP_EXPLAIN_CACHE", "1");
-  for (const ForestEngine engine :
-       {ForestEngine::kExact, ForestEngine::kCompiled}) {
-    SCOPED_TRACE(engine == ForestEngine::kExact ? "engine=exact"
-                                                : "engine=compiled");
-    const ShapMatrix reference = reference_phi(forest, data, engine);
+  const ShapMatrix reference = reference_phi(forest, data);
 
-    TreeShapExplainer explainer(forest);
-    explainer.set_engine(engine);
-    const auto cache = std::make_shared<ExplanationCache>();
-    for (const bool with_cache : {false, true}) {
-      SCOPED_TRACE(with_cache ? "cache=on" : "cache=off");
-      explainer.set_cache(with_cache ? cache : nullptr);
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        expect_bits_equal(reference.values,
-                          explainer.shap_values_batch(data, threads).values);
-      }
+  TreeShapExplainer explainer(forest);
+  const auto cache = std::make_shared<ExplanationCache>();
+  for (const bool with_cache : {false, true}) {
+    SCOPED_TRACE(with_cache ? "cache=on" : "cache=off");
+    explainer.set_cache(with_cache ? cache : nullptr);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      expect_bits_equal(reference.values,
+                        explainer.shap_values_batch(data, threads).values);
     }
-    // Warm cache: every row now hits; the scatter must still reproduce the
-    // reference bits exactly.
-    explainer.set_cache(cache);
+  }
+  // Warm cache: every row now hits; the scatter must still reproduce the
+  // reference bits exactly.
+  explainer.set_cache(cache);
+  expect_bits_equal(reference.values,
+                    explainer.shap_values_batch(data, 2).values);
+  EXPECT_GT(cache->stats().hits, 0u);
+
+  {
+    // Scalar fast walk (SIMD kill switch): same bits again.
+    ScopedEnv simd("DRCSHAP_SIMD", "0");
+    const TreeShapExplainer scalar_explainer(forest);
     expect_bits_equal(reference.values,
-                      explainer.shap_values_batch(data, 2).values);
-    EXPECT_GT(cache->stats().hits, 0u);
-
-    {
-      // Scalar fast walk (SIMD kill switch): same bits again.
-      ScopedEnv simd("DRCSHAP_SIMD", "0");
-      TreeShapExplainer scalar_explainer(forest);
-      scalar_explainer.set_engine(engine);
-      expect_bits_equal(reference.values,
-                        scalar_explainer.shap_values_batch(data, 1).values);
-    }
-    {
-      // Cache attached but disabled by env: bypassed, bits unchanged.
-      ScopedEnv off("DRCSHAP_EXPLAIN_CACHE", "0");
-      const ExplanationCacheStats before = cache->stats();
-      expect_bits_equal(reference.values,
-                        explainer.shap_values_batch(data, 1).values);
-      const ExplanationCacheStats after = cache->stats();
-      EXPECT_EQ(before.hits + before.misses, after.hits + after.misses);
-    }
+                      scalar_explainer.shap_values_batch(data, 1).values);
+  }
+  {
+    // Cache attached but disabled by env: bypassed, bits unchanged.
+    ScopedEnv off("DRCSHAP_EXPLAIN_CACHE", "0");
+    const ExplanationCacheStats before = cache->stats();
+    expect_bits_equal(reference.values,
+                      explainer.shap_values_batch(data, 1).values);
+    const ExplanationCacheStats after = cache->stats();
+    EXPECT_EQ(before.hits + before.misses, after.hits + after.misses);
   }
 }
 
@@ -232,8 +223,8 @@ TEST(ShapFastPath, HandBuiltAdversarialTrees) {
 }
 
 /// The full 14-design suite at test scale, one fitted forest: reference
-/// recursion vs the fast path across engines, thread counts, and both
-/// cache configurations, byte-identical on every design's real feature
+/// recursion vs the fast path across thread counts and both cache
+/// configurations, byte-identical on every design's real feature
 /// distribution.
 TEST(ShapFastPathSuite, AllSuiteDesignsByteIdentical) {
   ScopedEnv cache_on("DRCSHAP_EXPLAIN_CACHE", "1");
@@ -263,21 +254,82 @@ TEST(ShapFastPathSuite, AllSuiteDesignsByteIdentical) {
     for (std::size_t r = 0; r < rows.size(); ++r) rows[r] = r;
     const Dataset d = designs[i].subset(rows);
 
-    const ShapMatrix reference = reference_phi(forest, d, ForestEngine::kExact);
-    for (const ForestEngine engine :
-         {ForestEngine::kExact, ForestEngine::kCompiled}) {
-      // Engines are byte-identical to each other, so one reference serves
-      // both (proved independently by the fuzz test above).
-      TreeShapExplainer explainer(forest);
-      explainer.set_engine(engine);
-      expect_bits_equal(reference.values,
-                        explainer.shap_values_batch(d, 3).values);
-      explainer.set_cache(cache);  // cold insert on first engine, hits later
+    const ShapMatrix reference = reference_phi(forest, d);
+    TreeShapExplainer explainer(forest);
+    expect_bits_equal(reference.values,
+                      explainer.shap_values_batch(d, 3).values);
+    explainer.set_cache(cache);
+    for (int pass = 0; pass < 2; ++pass) {  // cold inserts, then warm hits
       expect_bits_equal(reference.values,
                         explainer.shap_values_batch(d, 1).values);
     }
   }
   EXPECT_GT(cache->stats().hits, 0u);
+}
+
+/// Reads one obs counter (0 when absent or when obs is compiled out).
+std::uint64_t counter(const char* name) {
+  const obs::Snapshot snap = obs::snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+/// The explanation key is the row's u16 threshold-bucket codes, not its
+/// float bytes. Rows that differ in float bytes but sit in the same bucket
+/// of every split feature (a split feature moved inside its bucket, an
+/// unsplit feature perturbed) must collapse inside one batch and be served
+/// from the cache in the next. Raw-float keys fail every count below.
+TEST(ShapFastPath, CodeKeysShareSameBucketRows) {
+  ScopedEnv cache_on("DRCSHAP_EXPLAIN_CACHE", "1");
+  // f0 splits at 0.25 and 0.5, f1 at 0.5; no tree splits on f2.
+  std::vector<TreeNode> on_f0(5);
+  on_f0[0] = {0, 0.5f, 1, 2, 0.5, 100.0};
+  on_f0[1] = {0, 0.25f, 3, 4, 0.3, 60.0};
+  on_f0[2] = {-1, 0.0f, -1, -1, 0.8, 40.0};
+  on_f0[3] = {-1, 0.0f, -1, -1, 0.1, 25.0};
+  on_f0[4] = {-1, 0.0f, -1, -1, 0.45, 35.0};
+  std::vector<TreeNode> on_f1(3);
+  on_f1[0] = {1, 0.5f, 1, 2, 0.4, 100.0};
+  on_f1[1] = {-1, 0.0f, -1, -1, 0.2, 55.0};
+  on_f1[2] = {-1, 0.0f, -1, -1, 0.7, 45.0};
+  DecisionTree tree_f0;
+  tree_f0.set_nodes(on_f0, 3);
+  DecisionTree tree_f1;
+  tree_f1.set_nodes(on_f1, 3);
+  RandomForestClassifier forest(RandomForestOptions{});
+  forest.set_trees({tree_f0, tree_f1}, RandomForestOptions{});
+  ASSERT_NE(forest.compiled(), nullptr);
+
+  // Every row: f0 in (0.25, 0.5], f1 in (0.5, inf) — one bucket each.
+  Dataset first(3);
+  first.append_row(std::vector<float>{0.3f, 0.7f, 1.0f}, 0, 0);
+  first.append_row(std::vector<float>{0.4f, 0.6f, -5.0f}, 0, 0);
+  Dataset second(3);
+  second.append_row(std::vector<float>{0.5f, 0.9f, 2.0f}, 0, 0);
+  second.append_row(std::vector<float>{0.26f, 0.51f, 100.0f}, 0, 0);
+
+  TreeShapExplainer explainer(forest);
+  const auto cache = std::make_shared<ExplanationCache>();
+  explainer.set_cache(cache);
+  for (const Dataset* batch : {&first, &second}) {
+    const std::uint64_t unique_before = counter("shap/batch_unique_rows");
+    const ShapMatrix phi = explainer.shap_values_batch(*batch, 2);
+    if (obs::kEnabled) {
+      EXPECT_EQ(counter("shap/batch_unique_rows") - unique_before, 1u);
+    }
+    expect_bits_equal(reference_phi(forest, *batch).values, phi.values);
+    // Independently of any dedupe: each row's own single-sample recursion.
+    for (std::size_t r = 0; r < batch->n_rows(); ++r) {
+      const auto row = phi.row(r);
+      expect_bits_equal(explainer.shap_values(batch->row(r)),
+                        std::vector<double>(row.begin(), row.end()));
+    }
+  }
+  // The two in-batch rows of `first` collapsed into one lookup (a miss),
+  // and all of `second` was one hit: nothing was recomputed.
+  EXPECT_EQ(cache->stats().misses, 1u);
+  EXPECT_EQ(cache->stats().hits, 1u);
+  EXPECT_EQ(cache->stats().entries, 1u);
 }
 
 }  // namespace

@@ -13,27 +13,20 @@
 #include "benchsuite/suite.hpp"
 #include "route/grid_graph.hpp"
 #include "route/net_route.hpp"
+#include "util/artifact.hpp"
 
 namespace drcshap {
 namespace {
 
-/// FNV-1a over raw bytes; digests make mismatches cheap to compare and
-/// easy to report.
-std::uint64_t fnv1a(const void* data, std::size_t n_bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < n_bytes; ++i) {
-    h = (h ^ p[i]) * 0x100000001b3ull;
-  }
-  return h;
-}
-
+// FNV-1a digests (util::fnv1a) make mismatches cheap to compare and easy
+// to report.
 std::uint64_t features_digest(const DesignRun& run) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::uint64_t h = kFnvOffsetBasis;
   for (std::size_t r = 0; r < run.samples.n_rows(); ++r) {
     const auto row = run.samples.row(r);
-    h ^= fnv1a(row.data(), row.size() * sizeof(float));
-    h *= 0x100000001b3ull;
+    const std::uint64_t row_digest =
+        fnv1a(row.data(), row.size() * sizeof(float));
+    h = fnv1a(&row_digest, sizeof(row_digest), h);
   }
   return h;
 }

@@ -4,7 +4,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
 
+#include "util/artifact.hpp"
 #include "util/csv.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -219,6 +221,19 @@ TEST(Stopwatch, MeasuresNonNegativeMonotonicTime) {
   EXPECT_GE(t1, 0.0);
   EXPECT_GE(t2, t1);
   EXPECT_NEAR(sw.minutes() * 60.0, sw.seconds(), 0.1);
+}
+
+// -------------------------------------------------------------------- FNV-1a
+
+// Pins the repo's one FNV-1a, including its deliberately non-standard
+// offset basis (DRC seeds and artifact checksums depend on it).
+TEST(Fnv1a, PinnedDigests) {
+  EXPECT_EQ(kFnvOffsetBasis, 0x14650fb0739d0383ull);
+  EXPECT_EQ(fnv1a(""), 0x14650fb0739d0383ull);
+  EXPECT_EQ(fnv1a("a"), 0x44bd8ad473cd9906ull);
+  EXPECT_EQ(fnv1a("foobar"), 0x88fad7c0a8ff07f2ull);
+  // Chaining through `seed` equals hashing the concatenation.
+  EXPECT_EQ(fnv1a(std::string_view("bar"), fnv1a("foo")), fnv1a("foobar"));
 }
 
 }  // namespace

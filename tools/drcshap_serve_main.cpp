@@ -73,7 +73,8 @@ int usage(const char* argv0) {
       "  --max-batch ROWS    batcher row cap per dispatched batch\n"
       "  --flush-us US       batcher flush window in microseconds\n"
       "  --threads N         worker threads per batch (0 = whole pool)\n"
-      "  --engine E          forest engine: auto|exact|compiled\n"
+      "  --engine E          score backend: auto|exact|compiled (explain\n"
+      "                      always walks the exact forest)\n"
       "  --explain-cache M   on|off; exports DRCSHAP_EXPLAIN_CACHE\n"
       "  --eco-design NAME   benchmark-suite design to hold resident for\n"
       "                      the eco verb (requires a pipeline-schema model)\n"
@@ -84,7 +85,8 @@ int usage(const char* argv0) {
       "  DRCSHAP_EXPLAIN_CACHE=0   disable the explanation cache\n"
       "  DRCSHAP_SHAP_FAST=0       disable the batched TreeSHAP fast path\n"
       "  DRCSHAP_SIMD=0            disable AVX2 kernels (scalar fallback)\n"
-      "  DRCSHAP_FOREST_ENGINE=exact|compiled  override engine resolution\n"
+      "  DRCSHAP_FOREST_ENGINE=exact|compiled  override score-backend\n"
+      "                            resolution\n"
       "  DRCSHAP_THREADS=N         cap the shared thread pool (at startup)\n"
       "  DRCSHAP_RUNREPORT=PATH    write the exit run report here\n"
       "  DRCSHAP_RUNREPORT_PER_PROCESS=1  suffix the report with .pid\n",
