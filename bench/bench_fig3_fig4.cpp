@@ -101,7 +101,7 @@ void explain_hotspot(char tag, const char* description, const DesignRun& run,
             << fmt_fixed(by_block[2], 3) << "\n";
 
   const auto errors =
-      violations_in_gcell(run.design.grid(), cell, run.drc.violations);
+      violations_in_gcell(run.design.grid(), cell, run.drc.violations());
   std::cout << "  actual DRC errors after detailed routing (" << errors.size()
             << ", hidden from the model):\n";
   for (const DrcViolation& v : errors) {

@@ -69,15 +69,16 @@ int main(int argc, char** argv) {
               << run.congestion.ascii_heatmap(m) << "\n";
   }
 
+  const std::vector<DrcViolation> violations = run.drc.violations();
   std::cout << "DRC hotspots: " << run.drc.n_hotspots << " g-cells, "
-            << run.drc.violations.size() << " violations\n";
+            << violations.size() << " violations\n";
   // Violation type histogram.
   Table table({"violation type", "count"});
   for (const DrcErrorType type :
        {DrcErrorType::kShort, DrcErrorType::kEndOfLineSpacing,
         DrcErrorType::kDifferentNetSpacing, DrcErrorType::kViaEnclosure}) {
     std::size_t count = 0;
-    for (const DrcViolation& v : run.drc.violations) {
+    for (const DrcViolation& v : violations) {
       if (v.type == type) ++count;
     }
     table.add_row({to_string(type), std::to_string(count)});

@@ -23,7 +23,7 @@ namespace {
 
 void describe_actual_errors(const DesignRun& run, std::size_t cell) {
   const auto errors =
-      violations_in_gcell(run.design.grid(), cell, run.drc.violations);
+      violations_in_gcell(run.design.grid(), cell, run.drc.violations());
   std::cout << "  actual DRC errors after detailed routing (" << errors.size()
             << "):\n";
   for (const DrcViolation& v : errors) {

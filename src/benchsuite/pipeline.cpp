@@ -2,7 +2,6 @@
 
 #include <optional>
 
-#include "drc/track_model.hpp"
 #include "obs/registry.hpp"
 #include "util/failpoint.hpp"
 #include "util/log.hpp"
@@ -23,6 +22,27 @@ std::string design_unit(std::size_t index, const BenchmarkSpec& spec) {
 
 }  // namespace
 
+DesignState build_design_state(const Design& design,
+                               const GlobalRouterOptions& router,
+                               const DrcOracleOptions& drc,
+                               std::size_t n_threads, RouteTrace* record) {
+  GlobalRouteResult route = global_route(design, router, record);
+  DesignState state{.congestion = std::move(route.congestion),
+                    .edge_overflow = route.edge_overflow,
+                    .via_overflow = route.via_overflow};
+  // The per-g-cell aggregates feed both the DRC oracle and feature
+  // extraction; compute them once and share.
+  {
+    DRCSHAP_OBS_TIMER("features/aggregates");
+    state.aggregates = compute_gcell_aggregates(design);
+  }
+  state.drc = run_drc_oracle(design, state.congestion, state.aggregates, drc,
+                             n_threads);
+  const FeatureExtractor extractor(design, state.congestion, state.aggregates);
+  state.features = extractor.extract_all(n_threads);
+  return state;
+}
+
 DesignRun run_pipeline(const BenchmarkSpec& spec,
                        const PipelineOptions& options, int group_id) {
   DRCSHAP_FAILPOINT_KEYED("pipeline.design", spec.name);
@@ -37,42 +57,27 @@ DesignRun run_pipeline(const BenchmarkSpec& spec,
   placer_options.seed = spec.seed * 31 + 1;
   Design design = place_design(netlist, placer_options);
 
-  GlobalRouteResult route = global_route(design, options.router);
-
-  // The per-g-cell aggregates feed both the DRC oracle and feature
-  // extraction; compute them once and share (the extractor takes ownership
-  // after the oracle is done reading).
-  std::vector<GCellAggregate> agg;
-  {
-    DRCSHAP_OBS_TIMER("features/aggregates");
-    agg = compute_gcell_aggregates(design);
-  }
-
-  DrcReport drc = run_drc_oracle(design, route.congestion, agg, options.drc,
-                                 options.n_threads);
-
-  const FeatureExtractor extractor(design, route.congestion, std::move(agg));
-  const std::vector<float> matrix = extractor.extract_all(options.n_threads);
-  Dataset samples(FeatureSchema::kNumFeatures, FeatureSchema::names());
+  DesignState state = build_design_state(design, options.router, options.drc,
+                                         options.n_threads);
+  constexpr std::size_t kF = FeatureSchema::kNumFeatures;
+  Dataset samples(kF, FeatureSchema::names());
   for (std::size_t cell = 0; cell < design.grid().size(); ++cell) {
     samples.append_row(
-        std::span<const float>(
-            matrix.data() + cell * FeatureSchema::kNumFeatures,
-            FeatureSchema::kNumFeatures),
-        drc.hotspot[cell], group);
+        std::span<const float>(state.features.data() + cell * kF, kF),
+        state.drc.hotspot[cell], group);
   }
 
   log_info("pipeline ", spec.name, ": ", design.num_cells(), " cells, ",
-           design.grid().size(), " g-cells, ", drc.n_hotspots,
-           " hotspots, edge_ovf ", route.edge_overflow, ", via_ovf ",
-           route.via_overflow, " (", fmt_fixed(timer.seconds(), 1), "s)");
+           design.grid().size(), " g-cells, ", state.drc.n_hotspots,
+           " hotspots, edge_ovf ", state.edge_overflow, ", via_ovf ",
+           state.via_overflow, " (", fmt_fixed(timer.seconds(), 1), "s)");
 
   return DesignRun{spec,
                    std::move(design),
-                   std::move(route.congestion),
-                   route.edge_overflow,
-                   route.via_overflow,
-                   std::move(drc),
+                   std::move(state.congestion),
+                   state.edge_overflow,
+                   state.via_overflow,
+                   std::move(state.drc),
                    std::move(samples)};
 }
 

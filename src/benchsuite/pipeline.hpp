@@ -31,6 +31,31 @@ struct PipelineOptions {
   std::size_t n_threads = 0;
 };
 
+/// The design-side stages' outputs for one placed design, in the order of
+/// the paper's Fig. 1: global route -> per-g-cell aggregates -> DRC labels
+/// -> 387-feature matrix. run_pipeline exports it as a Dataset; EcoEngine
+/// keeps it resident and rescores it in place after each edit.
+struct DesignState {
+  CongestionMap congestion;
+  long edge_overflow = 0;
+  long via_overflow = 0;
+  std::vector<GCellAggregate> aggregates{};
+  DrcReport drc{};
+  /// Row-major g-cells x FeatureSchema::kNumFeatures.
+  std::vector<float> features{};
+};
+
+/// Runs the design-side stages over every g-cell of `design` — the one
+/// place they are wired together. `n_threads` caps the workers of DRC
+/// scoring and feature extraction (0 = whole shared pool, 1 = serial); the
+/// state is bit-identical at any value. `record`, if non-null, receives the
+/// route trace (empty on entry) for a later ECO replay.
+DesignState build_design_state(const Design& design,
+                               const GlobalRouterOptions& router,
+                               const DrcOracleOptions& drc,
+                               std::size_t n_threads,
+                               RouteTrace* record = nullptr);
+
 /// Everything produced for one design.
 struct DesignRun {
   BenchmarkSpec spec;

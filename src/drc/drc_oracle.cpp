@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <stdexcept>
 
 #include "obs/registry.hpp"
 #include "util/artifact.hpp"
@@ -106,14 +108,8 @@ CauseScores cause_scores(const Design& design, const TrackModel& track,
   return s;
 }
 
-}  // namespace
-
-double drc_difficulty(const Design& design, const TrackModel& track,
-                      const std::vector<GCellAggregate>& agg, std::size_t cell,
-                      const DrcOracleOptions& options) {
-  return cause_scores(design, track, agg, cell, options).total();
-}
-
+/// Scores one cell and appends its violations to `out`, drawing only from
+/// `cell_rng` (the cell's stream from drc_cell_streams).
 void emit_cell_violations(const Design& design, const TrackModel& track,
                           const std::vector<GCellAggregate>& agg,
                           std::size_t cell, const DrcOracleOptions& options,
@@ -176,12 +172,13 @@ void emit_cell_violations(const Design& design, const TrackModel& track,
   }
 }
 
+/// Derives the per-design effect and the per-cell rng streams: the effect
+/// is drawn first, then one serial fork per cell in cell order.
 std::vector<Rng> drc_cell_streams(const Design& design,
                                   const DrcOracleOptions& options,
-                                  double* design_effect) {
+                                  double& design_effect) {
   Rng rng(options.seed ^ fnv1a(design.name()));
-  const double effect = rng.normal(0.0, options.design_effect_sigma);
-  if (design_effect != nullptr) *design_effect = effect;
+  design_effect = rng.normal(0.0, options.design_effect_sigma);
 
   // One fork per cell keeps the stream independent of how many draws each
   // cell makes (stable labels under parameter tweaks elsewhere). The forks
@@ -197,72 +194,91 @@ std::vector<Rng> drc_cell_streams(const Design& design,
   return cell_rngs;
 }
 
-DrcReport run_drc_oracle(const Design& design, const CongestionMap& congestion,
-                         const DrcOracleOptions& options) {
-  return run_drc_oracle(design, congestion, compute_gcell_aggregates(design),
-                        options);
+}  // namespace
+
+double drc_difficulty(const Design& design, const TrackModel& track,
+                      const std::vector<GCellAggregate>& agg, std::size_t cell,
+                      const DrcOracleOptions& options) {
+  return cause_scores(design, track, agg, cell, options).total();
 }
 
 DrcReport run_drc_oracle(const Design& design, const CongestionMap& congestion,
                          const std::vector<GCellAggregate>& aggregates,
                          const DrcOracleOptions& options,
                          std::size_t n_threads) {
-  return run_drc_oracle_state(design, congestion, aggregates, options,
-                              n_threads)
-      .flatten();
+  DRCSHAP_OBS_TIMER("drc/oracle");
+  std::vector<std::size_t> all(design.grid().size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  DrcReport report;
+  rescore_drc(report, design, congestion, aggregates, all, options,
+              n_threads);
+  return report;
 }
 
-DrcOracleState run_drc_oracle_state(
-    const Design& design, const CongestionMap& congestion,
-    const std::vector<GCellAggregate>& aggregates,
-    const DrcOracleOptions& options, std::size_t n_threads) {
-  DRCSHAP_OBS_TIMER("drc/oracle");
+void rescore_drc(DrcReport& report, const Design& design,
+                 const CongestionMap& congestion,
+                 const std::vector<GCellAggregate>& aggregates,
+                 std::span<const std::size_t> cells,
+                 const DrcOracleOptions& options, std::size_t n_threads) {
   const GCellGrid& grid = design.grid();
+  std::vector<std::uint8_t> seen(grid.size(), 0);
+  for (const std::size_t cell : cells) {
+    if (cell >= grid.size() || seen[cell]++ != 0) {
+      throw std::invalid_argument(
+          "rescore_drc: cells must be distinct grid indices");
+    }
+  }
+  if (report.per_cell.empty()) {
+    report.per_cell.resize(grid.size());
+    report.coverage.assign(grid.size(), 0);
+    report.hotspot.assign(grid.size(), 0);
+  } else if (report.per_cell.size() != grid.size()) {
+    throw std::invalid_argument("rescore_drc: report does not match the grid");
+  }
   const TrackModel track(design, congestion);
-
   double design_effect = 0.0;
-  std::vector<Rng> cell_rngs =
-      drc_cell_streams(design, options, &design_effect);
+  std::vector<Rng> streams = drc_cell_streams(design, options, design_effect);
+  obs::counter_add("drc/cells_scored", cells.size());
 
-  obs::counter_add("drc/cells_scored", grid.size());
-  DrcOracleState state;
-  state.per_cell.resize(grid.size());
+  // Retire the cells' old boxes, re-emit each cell into its own bucket
+  // (cells are distinct, so the parallel writes never share a slot), then
+  // count the new boxes back in.
+  for (const std::size_t cell : cells) {
+    for (const DrcViolation& v : report.per_cell[cell]) {
+      for (const std::size_t covered : grid.cells_overlapping(v.box)) {
+        --report.coverage[covered];
+      }
+    }
+    report.per_cell[cell].clear();
+  }
   parallel_for_shared(
-      grid.size(),
-      [&](std::size_t cell) {
-        emit_cell_violations(design, track, aggregates, cell, options,
-                             design_effect, cell_rngs[cell],
-                             state.per_cell[cell]);
+      cells.size(),
+      [&](std::size_t i) {
+        emit_cell_violations(design, track, aggregates, cells[i], options,
+                             design_effect, streams[cells[i]],
+                             report.per_cell[cells[i]]);
       },
       n_threads);
-
-  state.coverage.assign(grid.size(), 0);
-  for (const std::vector<DrcViolation>& bucket : state.per_cell) {
-    for (const DrcViolation& v : bucket) {
-      for (const std::size_t cell : grid.cells_overlapping(v.box)) {
-        ++state.coverage[cell];
+  for (const std::size_t cell : cells) {
+    for (const DrcViolation& v : report.per_cell[cell]) {
+      for (const std::size_t covered : grid.cells_overlapping(v.box)) {
+        ++report.coverage[covered];
       }
     }
   }
-  state.hotspot.assign(grid.size(), 0);
-  state.n_hotspots = 0;
+  report.n_hotspots = 0;
   for (std::size_t cell = 0; cell < grid.size(); ++cell) {
-    if (state.coverage[cell] > 0) {
-      state.hotspot[cell] = 1;
-      ++state.n_hotspots;
-    }
+    report.hotspot[cell] = report.coverage[cell] > 0 ? 1 : 0;
+    report.n_hotspots += report.hotspot[cell];
   }
-  return state;
 }
 
-DrcReport DrcOracleState::flatten() const {
-  DrcReport report;
+std::vector<DrcViolation> DrcReport::violations() const {
+  std::vector<DrcViolation> out;
   for (const std::vector<DrcViolation>& bucket : per_cell) {
-    for (const DrcViolation& v : bucket) report.violations.push_back(v);
+    out.insert(out.end(), bucket.begin(), bucket.end());
   }
-  report.hotspot = hotspot;
-  report.n_hotspots = n_hotspots;
-  return report;
+  return out;
 }
 
 }  // namespace drcshap

@@ -17,11 +17,11 @@
 // This mirrors the three archetypes the paper validates in Fig. 3/4.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "drc/track_model.hpp"
-#include "util/rng.hpp"
 
 namespace drcshap {
 
@@ -69,79 +69,57 @@ struct DrcOracleOptions {
   double w_spacing = 0.8;          ///< tight mean pin spacing
 };
 
+/// The oracle's output, kept per cell: violations stay bucketed by the
+/// g-cell that emitted them so any subset of cells can be re-scored in
+/// place, and `coverage` counts how many violation boxes overlap each
+/// g-cell (a box can straddle into a neighbor), so retiring one cell's old
+/// boxes and adding its new ones keeps the hotspot flags exact without a
+/// global rescan.
 struct DrcReport {
-  std::vector<DrcViolation> violations;
-  /// Per g-cell hotspot flag: 1 iff the g-cell overlaps any violation box.
+  std::vector<std::vector<DrcViolation>> per_cell;
+  std::vector<std::uint32_t> coverage;
+  /// Per g-cell hotspot flag: 1 iff the g-cell overlaps any violation box
+  /// (coverage > 0).
   std::vector<std::uint8_t> hotspot;
   std::size_t n_hotspots = 0;
+
+  /// All violations flattened in cell order.
+  std::vector<DrcViolation> violations() const;
 };
 
-/// Runs the oracle. Deterministic for fixed (design, congestion, options):
-/// the per-design stream is seeded by options.seed combined with the design
-/// name. Computes the g-cell aggregates itself; callers that already have
-/// them (the pipeline shares one vector with feature extraction) should use
-/// the overload below.
-DrcReport run_drc_oracle(const Design& design, const CongestionMap& congestion,
-                         const DrcOracleOptions& options = {});
-
-/// Same oracle over precomputed aggregates. Cells are scored in parallel on
-/// the shared pool (`n_threads` caps the workers; 0 = whole pool, 1 =
-/// serial): the per-cell rng streams are forked serially up front — fork
-/// order is the only order-dependent draw — and each cell then samples only
-/// from its own stream into its own slot, so the violations, hotspot labels
-/// and every random draw are bit-identical to the serial oracle at any
-/// thread count.
+/// Runs the oracle over every g-cell: rescore_drc on an empty report with
+/// all cells. Deterministic for fixed (design, congestion, aggregates,
+/// options) — the per-design stream is seeded by options.seed combined with
+/// the design name — and bit-identical at any `n_threads`. `aggregates`
+/// must be compute_gcell_aggregates(design).
 DrcReport run_drc_oracle(const Design& design, const CongestionMap& congestion,
                          const std::vector<GCellAggregate>& aggregates,
                          const DrcOracleOptions& options = {},
                          std::size_t n_threads = 0);
+
+/// Re-scores `cells` (distinct g-cell indices) of `report` against the
+/// current congestion and aggregates: retires their old violation boxes
+/// from the coverage counts, re-emits them, adds the new boxes back and
+/// recounts the hotspot flags. An empty report is first sized to the grid.
+/// Each cell draws only from its own rng stream, re-derived exactly as a
+/// full run forks it (one serial fork per cell, in cell order), so the
+/// result equals a full run whenever `cells` covers every cell whose
+/// inputs changed — the cell's own track state and aggregates and its
+/// 4-neighbors' overflow. Cells are scored on the shared pool (`n_threads`
+/// caps the workers; 0 = whole pool, 1 = serial). Throws
+/// std::invalid_argument, leaving the report unchanged, on a repeated or
+/// out-of-grid cell or a report sized for another grid.
+void rescore_drc(DrcReport& report, const Design& design,
+                 const CongestionMap& congestion,
+                 const std::vector<GCellAggregate>& aggregates,
+                 std::span<const std::size_t> cells,
+                 const DrcOracleOptions& options = {},
+                 std::size_t n_threads = 0);
 
 /// The latent difficulty score of one g-cell *excluding* noise terms;
 /// exposed for calibration tools and tests (monotonicity properties).
 double drc_difficulty(const Design& design, const TrackModel& track,
                       const std::vector<GCellAggregate>& agg, std::size_t cell,
                       const DrcOracleOptions& options);
-
-/// Resident per-cell form of a DrcReport, kept by the incremental ECO
-/// engine: violations stay bucketed by the cell that emitted them so a
-/// single cell can be re-scored in place, and `coverage` counts how many
-/// violation boxes overlap each g-cell (a box can straddle into a
-/// neighbor), so removing one cell's old boxes and adding its new ones
-/// keeps the hotspot flags exact without a global rescan.
-struct DrcOracleState {
-  std::vector<std::vector<DrcViolation>> per_cell;
-  std::vector<std::uint32_t> coverage;
-  std::vector<std::uint8_t> hotspot;  ///< 1 iff coverage > 0
-  std::size_t n_hotspots = 0;
-
-  /// The report shape run_drc_oracle returns: violations flattened in cell
-  /// order, byte-identical to the non-resident oracle.
-  DrcReport flatten() const;
-};
-
-/// The oracle in resident form; run_drc_oracle (aggregates overload) is
-/// exactly run_drc_oracle_state(...).flatten().
-DrcOracleState run_drc_oracle_state(
-    const Design& design, const CongestionMap& congestion,
-    const std::vector<GCellAggregate>& aggregates,
-    const DrcOracleOptions& options = {}, std::size_t n_threads = 0);
-
-/// Derives the oracle's per-design effect and per-cell rng streams exactly
-/// as run_drc_oracle does (effect drawn first, then one serial fork per
-/// cell in cell order). Re-deriving the streams is O(cells), which is what
-/// lets the ECO engine re-score an arbitrary subset of cells with the exact
-/// draws a full run would give them.
-std::vector<Rng> drc_cell_streams(const Design& design,
-                                  const DrcOracleOptions& options,
-                                  double* design_effect);
-
-/// Scores one cell and appends its violations to `out`, drawing only from
-/// `cell_rng` (the cell's stream from drc_cell_streams). Shared by the
-/// serial, parallel, and incremental oracle drivers.
-void emit_cell_violations(const Design& design, const TrackModel& track,
-                          const std::vector<GCellAggregate>& agg,
-                          std::size_t cell, const DrcOracleOptions& options,
-                          double design_effect, Rng& cell_rng,
-                          std::vector<DrcViolation>& out);
 
 }  // namespace drcshap

@@ -75,6 +75,18 @@ std::vector<std::uint8_t> dilate_chebyshev1(
   return out;
 }
 
+std::shared_ptr<const RandomForestClassifier> checked_forest(
+    std::shared_ptr<const RandomForestClassifier> forest) {
+  if (forest == nullptr || !forest->fitted()) {
+    throw std::invalid_argument("EcoEngine: needs a fitted forest");
+  }
+  if (forest->flat().n_features() != FeatureSchema::kNumFeatures) {
+    throw std::invalid_argument(
+        "EcoEngine: forest feature count does not match the feature schema");
+  }
+  return forest;
+}
+
 }  // namespace
 
 EcoEngine::EcoEngine(Design design,
@@ -82,42 +94,14 @@ EcoEngine::EcoEngine(Design design,
                      TreeShapExplainer explainer, EcoOptions options)
     : design_(std::move(design)),
       options_(options),
-      forest_(std::move(forest)),
-      explainer_(std::move(explainer)) {
-  if (forest_ == nullptr || !forest_->fitted()) {
-    throw std::invalid_argument("EcoEngine: needs a fitted forest");
-  }
-  if (forest_->flat().n_features() != FeatureSchema::kNumFeatures) {
-    throw std::invalid_argument(
-        "EcoEngine: forest feature count does not match the feature schema");
-  }
-  rebuild_full();
-}
-
-void EcoEngine::rebuild_full() {
-  DRCSHAP_OBS_TIMER("eco/full_build");
-  trace_ = RouteTrace{};
-  GlobalRouteResult route =
-      global_route_traced(design_, options_.router, &trace_, nullptr);
-  edge_overflow_ = route.edge_overflow;
-  via_overflow_ = route.via_overflow;
-  congestion_.emplace(std::move(route.congestion));
-  agg_ = compute_gcell_aggregates(design_);
-  drc_ = run_drc_oracle_state(design_, *congestion_, agg_, options_.drc,
-                              options_.n_threads);
-
-  const FeatureExtractor extractor(design_, *congestion_, agg_);
-  features_ = extractor.extract_all(options_.n_threads);
-
-  const std::size_t n = design_.grid().size();
-  probs_ = forest_->predict_proba_all(
-      std::span<const float>(features_.data(), features_.size()), n,
-      ForestEngine::kAuto);
-  ShapMatrix shap = explainer_.shap_values_batch(
-      std::span<const float>(features_.data(), features_.size()), n,
-      options_.n_threads);
-  phi_ = std::move(shap.values);
-  last_route_stats_ = EcoStats{};
+      forest_(checked_forest(std::move(forest))),
+      explainer_(std::move(explainer)),
+      state_(build_design_state(design_, options_.router, options_.drc,
+                                options_.n_threads, &trace_)) {
+  const std::span<const float> rows(state_.features);
+  probs_ = forest_->predict_proba_all(rows, num_cells(), ForestEngine::kAuto);
+  phi_ = explainer_.shap_values_batch(rows, num_cells(), options_.n_threads)
+             .values;
 }
 
 EcoResult EcoEngine::apply(const EcoEdit& edit) {
@@ -161,27 +145,27 @@ EcoResult EcoEngine::apply(const EcoEdit& edit) {
   // becomes the base of the next apply.
   RouteTrace new_trace;
   GlobalRouteResult route =
-      global_route_traced(design_, options_.router, &new_trace, &replay);
-  edge_overflow_ = route.edge_overflow;
-  via_overflow_ = route.via_overflow;
-  last_route_stats_ = EcoStats{};
-  last_route_stats_.route_dirty_cells = route.replay_dirty_cells;
-  last_route_stats_.pattern_reused = route.pattern_reused;
-  last_route_stats_.maze_reused = route.maze_reused;
-  last_route_stats_.maze_recomputed = route.maze_recomputed;
+      global_route(design_, options_.router, &new_trace, &replay);
+  EcoResult result;
+  result.stats.route_dirty_cells = route.replay_dirty_cells;
+  result.stats.pattern_reused = route.pattern_reused;
+  result.stats.maze_reused = route.maze_reused;
+  result.stats.maze_recomputed = route.maze_recomputed;
 
   // Exact post-route divergence: congestion values plus placement-derived
   // aggregates. The aggregate pass is a cheap O(design) scan recomputed
   // whole and diffed per cell — the dirty tracking propagates *through* it
   // into features and labels, which is where the real cost sits.
   std::vector<std::uint8_t> changed =
-      congestion_diff_cells(*congestion_, route.congestion);
+      congestion_diff_cells(state_.congestion, route.congestion);
   std::vector<GCellAggregate> new_agg = compute_gcell_aggregates(design_);
   for (std::size_t cell = 0; cell < new_agg.size(); ++cell) {
-    if (!(new_agg[cell] == agg_[cell])) changed[cell] = 1;
+    if (!(new_agg[cell] == state_.aggregates[cell])) changed[cell] = 1;
   }
-  congestion_.emplace(std::move(route.congestion));
-  agg_ = std::move(new_agg);
+  state_.congestion = std::move(route.congestion);
+  state_.edge_overflow = route.edge_overflow;
+  state_.via_overflow = route.via_overflow;
+  state_.aggregates = std::move(new_agg);
   trace_ = std::move(new_trace);
 
   const std::size_t nx = design_.grid().nx();
@@ -192,68 +176,36 @@ EcoResult EcoEngine::apply(const EcoEdit& edit) {
   for (std::size_t cell = 0; cell < dirty_map.size(); ++cell) {
     if (dirty_map[cell] != 0) dirty.push_back(cell);
   }
-  return rescore_dirty(dirty);
+  rescore_dirty(dirty, result);
+  return result;
 }
 
-EcoResult EcoEngine::rescore_dirty(const std::vector<std::size_t>& dirty) {
-  const GCellGrid& grid = design_.grid();
+void EcoEngine::rescore_dirty(const std::vector<std::size_t>& dirty,
+                              EcoResult& result) {
   constexpr std::size_t kF = FeatureSchema::kNumFeatures;
-  EcoResult result;
-  result.stats = last_route_stats_;
   result.stats.dirty_cells = dirty.size();
   result.stats.rows_rescored = dirty.size();
   obs::counter_add("eco/dirty_cells", dirty.size());
-  if (dirty.empty()) return result;
+  if (dirty.empty()) return;
 
-  // --- labels: re-score exactly the dirty cells with re-derived streams --
+  // --- labels: rescore_drc, as a full oracle run, over the dirty cells --
   {
     DRCSHAP_OBS_TIMER("eco/drc_rescore");
-    const TrackModel track(design_, *congestion_);
-    double design_effect = 0.0;
-    std::vector<Rng> streams =
-        drc_cell_streams(design_, options_.drc, &design_effect);
-    // Retire the dirty cells' old violation boxes from the coverage counts,
-    // emit fresh ones, then add those back. Boxes can straddle into
-    // neighbor cells; the counts keep every flag exact without a rescan.
-    for (const std::size_t cell : dirty) {
-      for (const DrcViolation& v : drc_.per_cell[cell]) {
-        for (const std::size_t covered : grid.cells_overlapping(v.box)) {
-          --drc_.coverage[covered];
-        }
-      }
-    }
-    std::vector<std::vector<DrcViolation>> fresh(dirty.size());
-    parallel_for_shared(
-        dirty.size(),
-        [&](std::size_t i) {
-          emit_cell_violations(design_, track, agg_, dirty[i], options_.drc,
-                               design_effect, streams[dirty[i]], fresh[i]);
-        },
-        options_.n_threads);
-    for (std::size_t i = 0; i < dirty.size(); ++i) {
-      drc_.per_cell[dirty[i]] = std::move(fresh[i]);
-      for (const DrcViolation& v : drc_.per_cell[dirty[i]]) {
-        for (const std::size_t covered : grid.cells_overlapping(v.box)) {
-          ++drc_.coverage[covered];
-        }
-      }
-    }
-    drc_.n_hotspots = 0;
-    for (std::size_t cell = 0; cell < grid.size(); ++cell) {
-      drc_.hotspot[cell] = drc_.coverage[cell] > 0 ? 1 : 0;
-      if (drc_.hotspot[cell] != 0) ++drc_.n_hotspots;
-    }
+    rescore_drc(state_.drc, design_, state_.congestion, state_.aggregates,
+                dirty, options_.drc, options_.n_threads);
   }
 
   // --- features: per-cell recompute into the resident matrix ------------
   {
     DRCSHAP_OBS_TIMER("eco/feature_rescore");
-    const FeatureExtractor extractor(design_, *congestion_, agg_);
+    const FeatureExtractor extractor(design_, state_.congestion,
+                                     state_.aggregates);
+    std::vector<float>& features = state_.features;
     parallel_for_shared(
         dirty.size(),
         [&](std::size_t i) {
           extractor.extract_into(
-              dirty[i], std::span<float>(features_.data() + dirty[i] * kF, kF));
+              dirty[i], std::span<float>(features.data() + dirty[i] * kF, kF));
         },
         options_.n_threads);
   }
@@ -261,7 +213,8 @@ EcoResult EcoEngine::rescore_dirty(const std::vector<std::size_t>& dirty) {
   // --- predict + explain: dirty rows only, batched ----------------------
   std::vector<float> rows(dirty.size() * kF);
   for (std::size_t i = 0; i < dirty.size(); ++i) {
-    std::copy_n(features_.data() + dirty[i] * kF, kF, rows.data() + i * kF);
+    std::copy_n(state_.features.data() + dirty[i] * kF, kF,
+                rows.data() + i * kF);
   }
   std::vector<double> old_probs(dirty.size());
   std::vector<double> old_phi(dirty.size() * kF);
@@ -324,7 +277,6 @@ EcoResult EcoEngine::rescore_dirty(const std::vector<std::size_t>& dirty) {
     result.diff.entries.push_back(std::move(entry));
   }
   obs::counter_add("eco/diff_entries", result.diff.entries.size());
-  return result;
 }
 
 }  // namespace drcshap

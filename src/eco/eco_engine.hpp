@@ -4,20 +4,19 @@
 // probabilities and SHAP explanations only where they can have changed,
 // then report a before/after hotspot diff.
 //
-// The engine holds one design resident together with every intermediate
-// the one-shot pipeline normally throws away (route trace, congestion
-// snapshot, per-g-cell aggregates, per-cell DRC violations, the feature
-// matrix, probabilities and the full phi matrix). An apply() then flows an
-// edit through the stages with dirty tracking:
+// The engine holds one design resident together with its route trace, the
+// DesignState from build_design_state — the one-shot pipeline's own stage
+// function (congestion snapshot, per-g-cell aggregates, per-cell DRC
+// report, feature matrix) — and the probabilities and full phi matrix. An
+// apply() then flows an edit through the stages with dirty tracking:
 //
 //   route     memoized replay of the exact global-routing algorithm
 //             (route/route_trace.hpp) — byte-identical by construction;
 //   features  cells within Chebyshev distance 1 of any cell whose
 //             aggregates or incident congestion changed (the 3x3 feature
 //             window and the DRC causes both read exactly that far);
-//   labels    the same dirty set re-scored with re-derived per-cell rng
-//             streams; violation coverage counts keep straddling boxes'
-//             hotspot flags exact;
+//   labels    the same dirty set re-scored by rescore_drc, which a full
+//             oracle run also goes through;
 //   predict / explain
 //             only dirty rows, batched through the compiled forest engine
 //             and the TreeSHAP fast path (+ explanation cache). Per-row
@@ -30,15 +29,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "benchsuite/pipeline.hpp"
 #include "core/random_forest.hpp"
 #include "core/tree_shap.hpp"
-#include "drc/drc_oracle.hpp"
-#include "netlist/design.hpp"
-#include "route/global_router.hpp"
 
 namespace drcshap {
 
@@ -111,11 +107,11 @@ struct EcoOptions {
 
 class EcoEngine {
  public:
-  /// Builds the full resident state (route + features + labels + predict +
+  /// Builds the full resident state (build_design_state, then predict +
   /// explain over every g-cell) — the same work a one-shot pipeline run
   /// does, which is also the baseline apply() is benchmarked against.
-  /// The explainer must wrap `forest`; attach a cache / pin an engine on it
-  /// before handing it in.
+  /// The explainer must wrap `forest`; attach a cache to it before handing
+  /// it in.
   EcoEngine(Design design, std::shared_ptr<const RandomForestClassifier> forest,
             TreeShapExplainer explainer, EcoOptions options = {});
 
@@ -126,44 +122,33 @@ class EcoEngine {
 
   // --- resident state (post-edit), for tests, serving, and diff digests --
   const Design& design() const { return design_; }
-  const CongestionMap& congestion() const { return *congestion_; }
-  const std::vector<GCellAggregate>& aggregates() const { return agg_; }
+  /// Congestion, overflow counts, aggregates, DRC report and features.
+  const DesignState& state() const { return state_; }
   /// Row-major g-cells x FeatureSchema::kNumFeatures.
-  const std::vector<float>& features() const { return features_; }
+  const std::vector<float>& features() const { return state_.features; }
   /// Per-cell hotspot label (the oracle's ground truth).
-  const std::vector<std::uint8_t>& labels() const { return drc_.hotspot; }
-  const DrcOracleState& drc_state() const { return drc_; }
+  const std::vector<std::uint8_t>& labels() const { return state_.drc.hotspot; }
   const std::vector<double>& probabilities() const { return probs_; }
   /// Row-major g-cells x kNumFeatures SHAP matrix.
   const std::vector<double>& shap_values() const { return phi_; }
   double shap_base_value() const { return explainer_.base_value(); }
-  long edge_overflow() const { return edge_overflow_; }
-  long via_overflow() const { return via_overflow_; }
+  long edge_overflow() const { return state_.edge_overflow; }
+  long via_overflow() const { return state_.via_overflow; }
   std::size_t num_cells() const { return design_.grid().size(); }
 
  private:
-  void rebuild_full();
-  /// Re-scores features/labels/probs/phi for `dirty` cells against the
-  /// current congestion_/agg_, and fills the diff from the saved old rows.
-  EcoResult rescore_dirty(const std::vector<std::size_t>& dirty);
+  /// Re-scores labels/features/probs/phi for `dirty` cells against the
+  /// current state_, and fills result.diff from the saved old rows.
+  void rescore_dirty(const std::vector<std::size_t>& dirty, EcoResult& result);
 
   Design design_;
   EcoOptions options_;
   std::shared_ptr<const RandomForestClassifier> forest_;
   TreeShapExplainer explainer_;
-
-  RouteTrace trace_;
-  // optional only because CongestionMap is constructible solely via
-  // extract(); always engaged after construction.
-  std::optional<CongestionMap> congestion_;
-  std::vector<GCellAggregate> agg_;
-  DrcOracleState drc_;
-  std::vector<float> features_;
+  RouteTrace trace_;  // declared before state_: the build records into it
+  DesignState state_;
   std::vector<double> probs_;
   std::vector<double> phi_;
-  long edge_overflow_ = 0;
-  long via_overflow_ = 0;
-  EcoStats last_route_stats_;
 };
 
 }  // namespace drcshap

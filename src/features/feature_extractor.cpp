@@ -7,21 +7,6 @@
 
 namespace drcshap {
 
-namespace {
-
-// Timed wrapper so the per-design aggregate pass shows up as a feature
-// stage in run reports without touching the member-initializer shape.
-std::vector<GCellAggregate> timed_aggregates(const Design& design) {
-  DRCSHAP_OBS_TIMER("features/aggregates");
-  return compute_gcell_aggregates(design);
-}
-
-}  // namespace
-
-FeatureExtractor::FeatureExtractor(const Design& design,
-                                   const CongestionMap& congestion)
-    : FeatureExtractor(design, congestion, timed_aggregates(design)) {}
-
 FeatureExtractor::FeatureExtractor(const Design& design,
                                    const CongestionMap& congestion,
                                    std::vector<GCellAggregate> aggregates)

@@ -17,12 +17,9 @@ namespace drcshap {
 
 class FeatureExtractor {
  public:
-  /// Computes the per-g-cell aggregates itself.
-  FeatureExtractor(const Design& design, const CongestionMap& congestion);
-
-  /// Takes ownership of precomputed aggregates (must be
-  /// compute_gcell_aggregates(design) of the same design) so callers that
-  /// also feed the DRC oracle — the pipeline — compute them only once.
+  /// Takes ownership of the per-g-cell aggregates (must be
+  /// compute_gcell_aggregates(design) of the same design), which the DRC
+  /// oracle reads too — callers compute them once for both.
   FeatureExtractor(const Design& design, const CongestionMap& congestion,
                    std::vector<GCellAggregate> aggregates);
 

@@ -197,14 +197,9 @@ class ReplayDirty {
 }  // namespace
 
 GlobalRouteResult global_route(const Design& design,
-                               const GlobalRouterOptions& options) {
-  return global_route_traced(design, options, nullptr, nullptr);
-}
-
-GlobalRouteResult global_route_traced(const Design& design,
-                                      const GlobalRouterOptions& options,
-                                      RouteTrace* trace_out,
-                                      const RouteReplayInput* replay) {
+                               const GlobalRouterOptions& options,
+                               RouteTrace* trace_out,
+                               const RouteReplayInput* replay) {
   DRCSHAP_OBS_TIMER("route/global_route");
   GridGraph graph(design);
   const GCellGrid& grid = design.grid();

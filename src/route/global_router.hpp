@@ -43,20 +43,16 @@ struct GlobalRouteResult {
   std::size_t replay_dirty_cells = 0;
 };
 
-/// Routes all signal/clock nets of the placed design.
+/// Routes all signal/clock nets of the placed design. `trace_out`, if
+/// non-null, receives the run's recorded trajectory (see route_trace.hpp;
+/// the base for a future replay; must be empty on entry). `replay`, if
+/// non-null with a base trace, substitutes recorded pattern/maze results
+/// whose read sets are provably unchanged. The result is byte-identical
+/// with or without either.
 GlobalRouteResult global_route(const Design& design,
-                               const GlobalRouterOptions& options = {});
-
-/// The same algorithm with trace recording and memoized replay (see
-/// route_trace.hpp). `trace_out`, if non-null, receives the run's recorded
-/// trajectory (the base for a future replay; must be empty on entry).
-/// `replay`, if non-null with a base trace, substitutes recorded
-/// pattern/maze results whose read sets are provably unchanged; the result
-/// is byte-identical to global_route(design, options) regardless.
-GlobalRouteResult global_route_traced(const Design& design,
-                                      const GlobalRouterOptions& options,
-                                      RouteTrace* trace_out,
-                                      const RouteReplayInput* replay);
+                               const GlobalRouterOptions& options = {},
+                               RouteTrace* trace_out = nullptr,
+                               const RouteReplayInput* replay = nullptr);
 
 /// Decomposes a net's pin g-cells into MST 2-pin segments (pairs of distinct
 /// g-cell indices). Exposed for tests.

@@ -15,8 +15,9 @@
 // trace; byte-identity with a from-scratch rebuild is structural, not
 // statistical, and holds for arbitrary edits at any thread count.
 //
-// A trace is recorded by `global_route_traced` (both on a full run and on a
-// replay, so each ECO apply produces the base trace for the next one).
+// A trace is recorded by passing `trace_out` to `global_route` (both on a
+// full run and on a replay, so each ECO apply produces the base trace for
+// the next one).
 
 #include <cstdint>
 #include <vector>

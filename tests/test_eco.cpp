@@ -15,6 +15,7 @@
 
 #include "benchsuite/pipeline.hpp"
 #include "core/explanation_cache.hpp"
+#include "obs/registry.hpp"
 
 namespace drcshap {
 namespace {
@@ -99,14 +100,14 @@ void expect_violations_equal(const std::vector<DrcViolation>& a,
 void expect_engines_equal(const EcoEngine& got, const EcoEngine& want) {
   EXPECT_EQ(got.edge_overflow(), want.edge_overflow());
   EXPECT_EQ(got.via_overflow(), want.via_overflow());
-  expect_congestion_equal(got.congestion(), want.congestion());
-  EXPECT_TRUE(got.aggregates() == want.aggregates());
+  expect_congestion_equal(got.state().congestion, want.state().congestion);
+  EXPECT_TRUE(got.state().aggregates == want.state().aggregates);
   EXPECT_TRUE(got.features() == want.features()) << "feature matrix differs";
   EXPECT_EQ(got.labels(), want.labels());
-  EXPECT_EQ(got.drc_state().coverage, want.drc_state().coverage);
-  EXPECT_EQ(got.drc_state().n_hotspots, want.drc_state().n_hotspots);
-  expect_violations_equal(got.drc_state().flatten().violations,
-                          want.drc_state().flatten().violations);
+  EXPECT_EQ(got.state().drc.coverage, want.state().drc.coverage);
+  EXPECT_EQ(got.state().drc.n_hotspots, want.state().drc.n_hotspots);
+  expect_violations_equal(got.state().drc.violations(),
+                          want.state().drc.violations());
   EXPECT_TRUE(got.probabilities() == want.probabilities())
       << "probabilities differ";
   EXPECT_TRUE(got.shap_values() == want.shap_values()) << "phi matrix differs";
@@ -165,12 +166,12 @@ TEST_F(EcoDigest, InitialStateMatchesOneShotPipeline) {
   const EcoEngine engine = make_engine();
   const DesignRun run = run_pipeline(suite_spec("bridge32_a"), tiny_options());
   ASSERT_EQ(engine.num_cells(), run.samples.n_rows());
-  expect_congestion_equal(engine.congestion(), run.congestion);
+  expect_congestion_equal(engine.state().congestion, run.congestion);
   EXPECT_EQ(engine.edge_overflow(), run.edge_overflow);
   EXPECT_EQ(engine.via_overflow(), run.via_overflow);
   EXPECT_EQ(engine.labels(), run.drc.hotspot);
-  expect_violations_equal(engine.drc_state().flatten().violations,
-                          run.drc.violations);
+  expect_violations_equal(engine.state().drc.violations(),
+                          run.drc.violations());
   for (std::size_t cell = 0; cell < engine.num_cells(); ++cell) {
     const std::span<const float> row = run.samples.row(cell);
     for (std::size_t f = 0; f < FeatureSchema::kNumFeatures; ++f) {
@@ -574,6 +575,43 @@ TEST_F(EcoCache, KillSwitchEnvRunsByteIdenticalToCachedRuns) {
   EXPECT_EQ(stats.hits + stats.misses, 0u);
   // ...and changed nothing about the results.
   expect_engines_equal(cached, bypassed);
+}
+
+// ---------------------------------------------------------------------------
+// Instrumentation: the ECO full build is the one-shot pipeline's stages.
+// ---------------------------------------------------------------------------
+
+using EcoObs = EcoFixture;
+
+TEST_F(EcoObs, ConstructionRecordsPipelineStageTimers) {
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  const std::vector<std::string> stages = {
+      "route/global_route", "features/aggregates", "drc/oracle",
+      "features/extract"};
+  // Completed scopes per stage timer since `before`.
+  const auto stage_counts = [&](const obs::Snapshot& before) {
+    const obs::Snapshot after = obs::snapshot();
+    std::vector<std::uint64_t> counts;
+    for (const std::string& stage : stages) {
+      const auto count = [&](const obs::Snapshot& snap) -> std::uint64_t {
+        const auto it = snap.timers.find(stage);
+        return it == snap.timers.end() ? 0 : it->second.count;
+      };
+      counts.push_back(count(after) - count(before));
+    }
+    return counts;
+  };
+
+  const obs::Snapshot before_pipeline = obs::snapshot();
+  run_pipeline(suite_spec("bridge32_a"), tiny_options());
+  const std::vector<std::uint64_t> pipeline = stage_counts(before_pipeline);
+
+  const obs::Snapshot before_engine = obs::snapshot();
+  make_engine();
+  const std::vector<std::uint64_t> engine = stage_counts(before_engine);
+
+  EXPECT_EQ(pipeline, std::vector<std::uint64_t>(stages.size(), 1));
+  EXPECT_EQ(engine, pipeline);
 }
 
 }  // namespace

@@ -90,7 +90,8 @@ struct Fixture {
 TEST(FeatureExtractor, OutputSizeAndGridChecks) {
   Fixture fx;
   const CongestionMap cong = CongestionMap::extract(fx.graph);
-  const FeatureExtractor extractor(fx.design, cong);
+  const FeatureExtractor extractor(fx.design, cong,
+                                   compute_gcell_aggregates(fx.design));
   EXPECT_EQ(extractor.extract(0).size(), 387u);
   EXPECT_THROW(extractor.extract(25), std::out_of_range);
   std::vector<float> wrong(10);
@@ -100,7 +101,8 @@ TEST(FeatureExtractor, OutputSizeAndGridChecks) {
 TEST(FeatureExtractor, CenterScalarsOfMiddleCell) {
   Fixture fx;
   const CongestionMap cong = CongestionMap::extract(fx.graph);
-  const FeatureExtractor extractor(fx.design, cong);
+  const FeatureExtractor extractor(fx.design, cong,
+                                   compute_gcell_aggregates(fx.design));
   const std::size_t center = fx.design.grid().index(2, 2);
   const auto features = extractor.extract(center);
   EXPECT_FLOAT_EQ(features[FeatureSchema::index_of("x_o")], 0.5f);
@@ -117,7 +119,8 @@ TEST(FeatureExtractor, CenterScalarsOfMiddleCell) {
 TEST(FeatureExtractor, NeighborViewIsShifted) {
   Fixture fx;
   const CongestionMap cong = CongestionMap::extract(fx.graph);
-  const FeatureExtractor extractor(fx.design, cong);
+  const FeatureExtractor extractor(fx.design, cong,
+                                   compute_gcell_aggregates(fx.design));
   // From the cell north of the center, the dense cell is its S neighbor.
   const std::size_t north = fx.design.grid().index(2, 3);
   const auto features = extractor.extract(north);
@@ -128,7 +131,8 @@ TEST(FeatureExtractor, NeighborViewIsShifted) {
 TEST(FeatureExtractor, BoundaryPaddingIsZero) {
   Fixture fx;
   const CongestionMap cong = CongestionMap::extract(fx.graph);
-  const FeatureExtractor extractor(fx.design, cong);
+  const FeatureExtractor extractor(fx.design, cong,
+                                   compute_gcell_aggregates(fx.design));
   // Bottom-left corner: W, S, SW, NW, SE neighbors are off-layout.
   const auto features = extractor.extract(0);
   for (const char* pos : {"W", "S", "SW", "NW", "SE"}) {
@@ -149,7 +153,8 @@ TEST(FeatureExtractor, EdgeCongestionTriples) {
   const EdgeId e = *fx.graph.edge(4, fx.design.grid().index(2, 2), Dir::kEast);
   fx.graph.add_edge_load(e, 13);
   const CongestionMap cong = CongestionMap::extract(fx.graph);
-  const FeatureExtractor extractor(fx.design, cong);
+  const FeatureExtractor extractor(fx.design, cong,
+                                   compute_gcell_aggregates(fx.design));
   const auto features = extractor.extract(fx.design.grid().index(2, 2));
   const float cap = features[FeatureSchema::index_of("ecM5_7H")];
   const float load = features[FeatureSchema::index_of("elM5_7H")];
@@ -167,7 +172,8 @@ TEST(FeatureExtractor, ViaCongestionTriples) {
   const std::size_t east = fx.design.grid().index(3, 2);
   fx.graph.add_via_load(1, east, 35);  // V2 in the east neighbor
   const CongestionMap cong = CongestionMap::extract(fx.graph);
-  const FeatureExtractor extractor(fx.design, cong);
+  const FeatureExtractor extractor(fx.design, cong,
+                                   compute_gcell_aggregates(fx.design));
   const auto features = extractor.extract(fx.design.grid().index(2, 2));
   EXPECT_FLOAT_EQ(features[FeatureSchema::index_of("vlV2_E")], 35.0f);
   EXPECT_FLOAT_EQ(features[FeatureSchema::index_of("vdV2_E")],
@@ -177,7 +183,8 @@ TEST(FeatureExtractor, ViaCongestionTriples) {
 TEST(FeatureExtractor, ExtractAllMatchesPerCell) {
   Fixture fx;
   const CongestionMap cong = CongestionMap::extract(fx.graph);
-  const FeatureExtractor extractor(fx.design, cong);
+  const FeatureExtractor extractor(fx.design, cong,
+                                   compute_gcell_aggregates(fx.design));
   const auto matrix = extractor.extract_all();
   ASSERT_EQ(matrix.size(), 25u * 387u);
   for (const std::size_t cell : {0u, 7u, 24u}) {
@@ -192,7 +199,9 @@ TEST(FeatureExtractor, RejectsMismatchedGrid) {
   Fixture fx;
   const Design other("other", {0, 0, 50, 50}, 4, 4);
   const CongestionMap cong = CongestionMap::extract(GridGraph(other));
-  EXPECT_THROW(FeatureExtractor(fx.design, cong), std::invalid_argument);
+  EXPECT_THROW(
+      FeatureExtractor(fx.design, cong, compute_gcell_aggregates(fx.design)),
+      std::invalid_argument);
 }
 
 }  // namespace

@@ -118,7 +118,7 @@ TEST_F(IntegrationFixture, ScaledFeaturesWorkWithBaselines) {
 
 TEST_F(IntegrationFixture, HotspotLabelsConsistentWithViolations) {
   const auto labels =
-      hotspot_labels(test_->design.grid(), test_->drc.violations);
+      hotspot_labels(test_->design.grid(), test_->drc.violations());
   for (std::size_t i = 0; i < labels.size(); ++i) {
     EXPECT_EQ(labels[i], test_->samples.label(i) ? 1 : 0);
   }

@@ -78,7 +78,8 @@ TEST(ParallelSubstrate, ExtractAllMatchesSerial) {
   PipelineOptions options;
   options.generator.scale = 16.0;
   const DesignRun run = run_design("fft_b", 1);
-  const FeatureExtractor extractor(run.design, run.congestion);
+  const FeatureExtractor extractor(run.design, run.congestion,
+                                   compute_gcell_aggregates(run.design));
   const std::vector<float> serial = extractor.extract_all(1);
   const std::vector<float> parallel = extractor.extract_all(8);
   ASSERT_EQ(serial.size(), parallel.size());
@@ -87,23 +88,26 @@ TEST(ParallelSubstrate, ExtractAllMatchesSerial) {
                         serial.size() * sizeof(float)));
 }
 
-// The aggregates-sharing, thread-parallel oracle overload must reproduce
-// the original serial overload exactly: same violations in the same order,
-// same hotspot map.
-TEST(ParallelSubstrate, OracleOverloadsAgree) {
+// The thread-parallel oracle must reproduce the serial one exactly: same
+// violations in the same order, same coverage and hotspot map.
+TEST(ParallelSubstrate, OracleThreadCountsAgree) {
   const DesignRun run = run_design("des_perf_1", 1);
   const DrcOracleOptions options;
-  const DrcReport serial = run_drc_oracle(run.design, run.congestion, options);
+  const std::vector<GCellAggregate> agg = compute_gcell_aggregates(run.design);
+  const DrcReport serial =
+      run_drc_oracle(run.design, run.congestion, agg, options, 1);
   const DrcReport parallel =
-      run_drc_oracle(run.design, run.congestion,
-                     compute_gcell_aggregates(run.design), options, 8);
+      run_drc_oracle(run.design, run.congestion, agg, options, 8);
 
   EXPECT_EQ(serial.n_hotspots, parallel.n_hotspots);
   EXPECT_EQ(serial.hotspot, parallel.hotspot);
-  ASSERT_EQ(serial.violations.size(), parallel.violations.size());
-  for (std::size_t i = 0; i < serial.violations.size(); ++i) {
-    const DrcViolation& a = serial.violations[i];
-    const DrcViolation& b = parallel.violations[i];
+  EXPECT_EQ(serial.coverage, parallel.coverage);
+  const std::vector<DrcViolation> sv = serial.violations();
+  const std::vector<DrcViolation> pv = parallel.violations();
+  ASSERT_EQ(sv.size(), pv.size());
+  for (std::size_t i = 0; i < sv.size(); ++i) {
+    const DrcViolation& a = sv[i];
+    const DrcViolation& b = pv[i];
     EXPECT_EQ(a.type, b.type) << i;
     EXPECT_EQ(a.metal_layer, b.metal_layer) << i;
     EXPECT_DOUBLE_EQ(a.box.x_lo, b.box.x_lo) << i;
