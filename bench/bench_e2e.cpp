@@ -5,11 +5,14 @@
 // workers. Every stage is bit-identical across thread counts (tested in
 // test_parallel_experiments.cpp), so these numbers measure pure scheduling.
 //
-// Wall-clock scaling requires physical cores: on the single-core baseline
-// host the >1-thread legs only prove the parallel path adds no overhead.
-// Set DRCSHAP_THREADS=8 when recording so the 8-way legs really run 8
-// workers. CI gates the 1-thread legs (fully serial, so CPU time is stable
-// across runners) via tools/check_bench.py against BENCH_e2e.json.
+// Wall-clock scaling is capped by the host's hardware threads (recorded as
+// `hardware_threads` in the BENCH_e2e.json context, with the git sha and
+// build type); on a one-core host the >1-thread legs only prove the
+// parallel path adds no overhead. Set DRCSHAP_THREADS=8 when recording so
+// the 8-way legs really run 8 workers. The >1-thread suite legs also run
+// build_suite_dataset's schedule probe (heaviest design claimed first).
+// CI gates the 1-thread legs (fully serial, so CPU time is stable across
+// runners) via tools/check_bench.py against BENCH_e2e.json.
 
 #include <benchmark/benchmark.h>
 

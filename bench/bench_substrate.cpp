@@ -5,12 +5,12 @@
 //
 // Every stage is bit-identical across thread counts (the DRC oracle draws
 // its per-cell RNG streams serially up front; features are slot-per-row
-// writes), so the >1-thread legs measure pure scheduling. As with
-// bench_e2e, wall-clock scaling requires physical cores; on the single-core
-// baseline host the >1-thread legs only prove the parallel path adds no
-// overhead. CI gates the 1-thread legs (fully serial, so CPU time is
-// stable across runners) via tools/check_bench.py against
-// BENCH_substrate.json.
+// writes), so the >1-thread legs measure pure scheduling. Routing is serial
+// at every leg and is nearly all of BM_Pipeline, so the >1-thread pipeline
+// legs barely move even on a multi-core host (the BENCH_substrate.json
+// context records the host's hardware_threads, git sha and build type).
+// CI gates the 1-thread legs (fully serial, so CPU time is stable across
+// runners) via tools/check_bench.py against BENCH_substrate.json.
 
 #include <benchmark/benchmark.h>
 

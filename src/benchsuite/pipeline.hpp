@@ -95,7 +95,13 @@ struct SuiteBuildControl {
 /// `specs`) and concatenates the samples. Designs run in parallel on the
 /// shared thread pool (`n_threads` caps the workers; 0 = whole pool, 1 =
 /// serial) but samples are appended in spec order, so the result is
-/// bit-identical to a serial build at any thread count. `on_design`
+/// bit-identical to a serial build at any thread count. With more than one
+/// worker, every uncached design is first placed and scored by its
+/// pattern-stage overflow (timer `pipeline/schedule_probe`, note
+/// `pipeline/claim_order`), and the rest of the pipeline claims designs
+/// heaviest first so the slowest one does not start last; with one worker
+/// the probe is skipped (counter `pipeline/schedule_probe_skipped`). A
+/// quarantined design is dropped whichever pass it fails in. `on_design`
 /// (optional) observes each DesignRun, always from the calling thread and
 /// in spec order, e.g. to collect Table I statistics; on a resumed build it
 /// fires only for freshly computed designs (checkpointed shards carry the

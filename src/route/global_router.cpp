@@ -68,9 +68,6 @@ std::vector<std::pair<std::size_t, std::size_t>> decompose_net(
   return segments;
 }
 
-namespace {
-
-/// True if any resource used by `path` is overflowed in `graph`.
 bool touches_overflow(const GridGraph& graph, const RoutePath& path) {
   for (const EdgeId e : path.edges) {
     if (graph.edge_overflow(e) > 0) return true;
@@ -80,6 +77,8 @@ bool touches_overflow(const GridGraph& graph, const RoutePath& path) {
   }
   return false;
 }
+
+namespace {
 
 /// Conservative cell-granularity divergence set of a replay run vs its base
 /// trace. Invariant the reuse checks rely on: if a cell is clean, every
@@ -201,7 +200,7 @@ GlobalRouteResult global_route(const Design& design,
                                RouteTrace* trace_out,
                                const RouteReplayInput* replay) {
   DRCSHAP_OBS_TIMER("route/global_route");
-  GridGraph graph(design);
+  GridGraph graph(design, options.cost);
   const GCellGrid& grid = design.grid();
 
   const RouteTrace* base = (replay != nullptr) ? replay->base : nullptr;
@@ -300,7 +299,7 @@ GlobalRouteResult global_route(const Design& design,
         path = base->pattern[i];
         ++result.pattern_reused;
       } else {
-        path = pattern_route(g, s.a, s.b, options.cost);
+        path = pattern_route(g, s.a, s.b);
         if (base != nullptr && path != base->pattern[i]) {
           // This run and the base committed different demand here: both
           // versions' resources diverge from now on.
@@ -371,7 +370,6 @@ GlobalRouteResult global_route(const Design& design,
 
         uncommit(g, path);
         MazeResult mr;
-        bool reused = false;
         if (rec != nullptr && !forced &&
             dirty.box_clean(rec->col_lo, rec->col_hi, rec->row_lo,
                             rec->row_hi)) {
@@ -384,10 +382,9 @@ GlobalRouteResult global_route(const Design& design,
           mr.col_hi = rec->col_hi;
           mr.row_lo = rec->row_lo;
           mr.row_hi = rec->row_hi;
-          reused = true;
           ++result.maze_reused;
         } else {
-          mr = maze.route(s.a, s.b, options.cost);
+          mr = maze.route(s.a, s.b);
           if (replay != nullptr) ++result.maze_recomputed;
           if (base != nullptr) {
             if (rec != nullptr) {
@@ -420,7 +417,6 @@ GlobalRouteResult global_route(const Design& design,
           out_rec.row_lo = mr.row_lo;
           out_rec.row_hi = mr.row_hi;
         }
-        (void)reused;
         if (mr.found) {
           path = std::move(mr.path);
         }

@@ -15,6 +15,7 @@
 namespace drcshap {
 
 struct GlobalRouterOptions {
+  /// Cost model of the route's grid graph (both routers read its table).
   RouteCostParams cost;
   int max_ripup_iterations = 3;
   /// History added to each overflowed resource per iteration, scaled by its
@@ -53,6 +54,10 @@ GlobalRouteResult global_route(const Design& design,
                                const GlobalRouterOptions& options = {},
                                RouteTrace* trace_out = nullptr,
                                const RouteReplayInput* replay = nullptr);
+
+/// True if any resource used by `path` is overflowed in `graph`: the
+/// predicate that picks the segments rip-up reroutes.
+bool touches_overflow(const GridGraph& graph, const RoutePath& path);
 
 /// Decomposes a net's pin g-cells into MST 2-pin segments (pairs of distinct
 /// g-cell indices). Exposed for tests.

@@ -6,11 +6,12 @@
 
 namespace drcshap {
 
-GridGraph::GridGraph(const Design& design)
+GridGraph::GridGraph(const Design& design, const RouteCostParams& cost)
     : nx_(design.grid().nx()),
       ny_(design.grid().ny()),
       num_metal_(design.tech().num_metal_layers),
-      grid_(design.grid()) {
+      grid_(design.grid()),
+      cost_(cost) {
   edge_offset_.resize(static_cast<std::size_t>(num_metal_) + 1, 0);
   for (int m = 0; m < num_metal_; ++m) {
     const std::size_t count = Technology::is_horizontal(m)
@@ -26,6 +27,9 @@ GridGraph::GridGraph(const Design& design)
   vias_.assign(n_vias, ViaState{});
 
   apply_capacity_model(design);
+  edge_cost_.resize(edges_.size());
+  via_cost_.resize(vias_.size());
+  refresh_costs();
 }
 
 std::optional<std::size_t> GridGraph::neighbor(std::size_t cell, Dir dir) const {
@@ -65,6 +69,12 @@ void GridGraph::add_edge_load(EdgeId e, int delta) {
   s.load += delta;
   if (s.load < 0) throw std::logic_error("GridGraph: negative edge load");
   total_edge_overflow_ += (s.load > cap ? s.load - cap : 0) - before;
+  edge_cost_[e] = edge_route_cost(*this, e);
+}
+
+void GridGraph::add_edge_history(EdgeId e, double delta) {
+  edges_.at(e).history += delta;
+  edge_cost_[e] = edge_route_cost(*this, e);
 }
 
 int GridGraph::edge_metal(EdgeId e) const {
@@ -90,12 +100,14 @@ std::pair<std::size_t, std::size_t> GridGraph::edge_cells(EdgeId e) const {
 }
 
 void GridGraph::add_via_load(int via_layer, std::size_t cell, int delta) {
-  ViaState& s = vias_.at(via_index(via_layer, cell));
+  const std::size_t i = via_index(via_layer, cell);
+  ViaState& s = vias_[i];
   const int cap = s.capacity;
   const int before = s.load > cap ? s.load - cap : 0;
   s.load += delta;
   if (s.load < 0) throw std::logic_error("GridGraph: negative via load");
   total_via_overflow_ += (s.load > cap ? s.load - cap : 0) - before;
+  via_cost_[i] = via_route_cost(*this, via_layer, cell);
 }
 
 void GridGraph::reset_loads() {
@@ -103,6 +115,18 @@ void GridGraph::reset_loads() {
   for (ViaState& s : vias_) s.load = 0;
   total_edge_overflow_ = 0;
   total_via_overflow_ = 0;
+  refresh_costs();
+}
+
+void GridGraph::refresh_costs() {
+  for (std::size_t e = 0; e < edges_.size(); ++e) {
+    edge_cost_[e] = edge_route_cost(*this, static_cast<EdgeId>(e));
+  }
+  for (int v = 0; v < num_via_layers(); ++v) {
+    for (std::size_t cell = 0; cell < num_cells(); ++cell) {
+      via_cost_[via_index(v, cell)] = via_route_cost(*this, v, cell);
+    }
+  }
 }
 
 std::size_t GridGraph::via_index(int via_layer, std::size_t cell) const {

@@ -9,9 +9,11 @@
 // The graph tracks, per metal edge and per (via layer, g-cell):
 //   capacity  C  - max wires/vias, derated by blockages and cell density,
 //   load      L  - wires/vias currently routed through,
-//   history   h  - PathFinder-style accumulated congestion cost.
+//   history   h  - PathFinder-style accumulated congestion cost (edges),
+//   cost         - the route cost of one more wire/via under the graph's
+//                  RouteCostParams, cached and refreshed by every mutator.
 // The (C, L, C-L) triples are exactly what the paper's congestion-map
-// features consume.
+// features consume; the cost table is what the routers read.
 
 #include <cstdint>
 #include <optional>
@@ -26,7 +28,7 @@ using EdgeId = std::uint32_t;
 /// Direction of a step within a metal layer.
 enum class Dir : std::uint8_t { kEast, kWest, kNorth, kSouth };
 
-/// Routing state of one metal edge, interleaved so a cost evaluation
+/// Routing state of one metal edge, interleaved so a cost-table refresh
 /// touches a single cache line instead of three parallel arrays.
 struct EdgeState {
   int capacity = 0;
@@ -40,11 +42,23 @@ struct ViaState {
   int load = 0;
 };
 
+/// Congestion-aware cost model used by both routers (PathFinder-flavored:
+/// a base wire cost, a soft utilization slope, a hard overflow penalty
+/// scaled by accumulated history).
+struct RouteCostParams {
+  double base = 1.0;             ///< cost per grid edge
+  double via = 2.0;              ///< cost per via
+  double util_slope = 0.5;       ///< soft pressure as an edge fills up
+  double overflow_penalty = 16.0;///< per unit of (load+1) - capacity
+  double history_weight = 2.0;   ///< multiplier on accumulated history
+};
+
 class GridGraph {
  public:
-  /// Builds the graph for `design` and applies the capacity model
-  /// (blockage + density deration). Loads start at zero.
-  explicit GridGraph(const Design& design);
+  /// Builds the graph for `design`, applies the capacity model (blockage +
+  /// density deration) and fills the cost table under `cost`. Loads start
+  /// at zero.
+  explicit GridGraph(const Design& design, const RouteCostParams& cost = {});
 
   std::size_t nx() const { return nx_; }
   std::size_t ny() const { return ny_; }
@@ -81,6 +95,12 @@ class GridGraph {
     return static_cast<EdgeId>(edge_offset_[static_cast<std::size_t>(metal)]);
   }
 
+  /// Route cost of one more wire through `e`: the table entry, equal to
+  /// edge_route_cost(*this, e) at all times (every mutator below refreshes
+  /// the entries it changes). This one load is what the maze router pays
+  /// per relaxation.
+  double edge_cost(EdgeId e) const { return edge_cost_[e]; }
+
   void add_edge_load(EdgeId e, int delta);
   /// Removes previously added demand: the rip-up direction of
   /// add_edge_load, spelled out so call sites read as what they are.
@@ -88,7 +108,7 @@ class GridGraph {
   /// load; the shared underflow check throws otherwise). The O(1) overflow
   /// totals stay exact across any add/remove interleaving.
   void remove_edge_load(EdgeId e, int amount) { add_edge_load(e, -amount); }
-  void add_edge_history(EdgeId e, double delta) { edges_[e].history += delta; }
+  void add_edge_history(EdgeId e, double delta);
 
   /// Metal layer an edge belongs to.
   int edge_metal(EdgeId e) const;
@@ -109,6 +129,12 @@ class GridGraph {
     const ViaState& s = vias_[via_index(via_layer, cell)];
     return std::max(0, s.load - s.capacity);
   }
+  /// Via counterpart of edge_cost: equal to via_route_cost(*this,
+  /// via_layer, cell). Unchecked, like edge_cost; callers pass a valid
+  /// (via layer, cell) pair.
+  double via_cost(int via_layer, std::size_t cell) const {
+    return via_cost_[static_cast<std::size_t>(via_layer) * num_cells() + cell];
+  }
   void add_via_load(int via_layer, std::size_t cell, int delta);
   /// Via counterpart of remove_edge_load.
   void remove_via_load(int via_layer, std::size_t cell, int amount) {
@@ -126,12 +152,17 @@ class GridGraph {
   /// Clears every load (capacities and history are kept).
   void reset_loads();
 
+  /// The cost model the table is evaluated under.
+  const RouteCostParams& cost_params() const { return cost_; }
+
   /// Neighbor cell of `cell` in `dir`, or nullopt at the border.
   std::optional<std::size_t> neighbor(std::size_t cell, Dir dir) const;
 
  private:
   std::size_t via_index(int via_layer, std::size_t cell) const;
   void apply_capacity_model(const Design& design);
+  /// Re-evaluates every cost table entry (construction, reset_loads).
+  void refresh_costs();
 
   std::size_t nx_;
   std::size_t ny_;
@@ -140,10 +171,50 @@ class GridGraph {
   std::vector<std::size_t> edge_offset_;  ///< per metal layer
   std::vector<EdgeState> edges_;
   std::vector<ViaState> vias_;
+  RouteCostParams cost_;
+  // The cost table, parallel to edges_ / vias_.
+  std::vector<double> edge_cost_;
+  std::vector<double> via_cost_;
   // Running totals of positive (load - capacity); updated on every load
   // change (capacities are fixed after construction).
   long total_edge_overflow_ = 0;
   long total_via_overflow_ = 0;
 };
+
+/// Cost of one more wire or via on a resource with `load` of `capacity`
+/// used, on top of its `fixed` part (base + weighted history for a wire,
+/// the via cost for a via). The one implementation of the cost model.
+inline double route_step_cost(double fixed, int load, int capacity,
+                              const RouteCostParams& p) {
+  const int next = load + 1;
+  double cost = fixed;
+  if (capacity <= 0) {
+    cost += p.overflow_penalty * next;
+  } else if (next > capacity) {
+    cost += p.overflow_penalty * static_cast<double>(next - capacity);
+  } else {
+    cost += p.util_slope * static_cast<double>(next) /
+            static_cast<double>(capacity);
+  }
+  return cost;
+}
+
+/// Cost of pushing one more wire through metal edge `e`, evaluated from its
+/// current state (what GridGraph::edge_cost caches).
+inline double edge_route_cost(const GridGraph& g, EdgeId e) {
+  const EdgeState& s = g.edge_state(e);
+  const RouteCostParams& p = g.cost_params();
+  return route_step_cost(p.base + p.history_weight * s.history, s.load,
+                         s.capacity, p);
+}
+
+/// Cost of pushing one more via through (via layer, cell), evaluated from
+/// its current state (what GridGraph::via_cost caches).
+inline double via_route_cost(const GridGraph& g, int via_layer,
+                             std::size_t cell) {
+  const ViaState& s = g.via_state(via_layer, cell);
+  return route_step_cost(g.cost_params().via, s.load, s.capacity,
+                         g.cost_params());
+}
 
 }  // namespace drcshap

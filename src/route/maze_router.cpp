@@ -85,8 +85,7 @@ MazeRouter::OpenKey MazeRouter::heap_pop() {
   return top;
 }
 
-MazeResult MazeRouter::route(std::size_t cell_a, std::size_t cell_b,
-                             const RouteCostParams& params) {
+MazeResult MazeRouter::route(std::size_t cell_a, std::size_t cell_b) {
   MazeResult result;
   result.col_lo = col_of_[cell_a];
   result.col_hi = col_of_[cell_a];
@@ -101,6 +100,7 @@ MazeResult MazeRouter::route(std::size_t cell_a, std::size_t cell_b,
   const std::size_t ny = g_.ny();
   const std::size_t num_cells = g_.num_cells();
   const int num_metal = g_.num_metal_layers();
+  const double base_cost = g_.cost_params().base;
   open_.clear();
 
   // Admissible heuristic: remaining Manhattan distance in cells times the
@@ -114,7 +114,7 @@ MazeResult MazeRouter::route(std::size_t cell_a, std::size_t cell_b,
                              : static_cast<double>(cb - c);
     const double dy = r > rb ? static_cast<double>(r - rb)
                              : static_cast<double>(rb - r);
-    const double h = params.base * (dx + dy);
+    const double h = base_cost * (dx + dy);
     h_stamp_[cell] = current_stamp_;
     h_cache_[cell] = h;
     return h;
@@ -168,41 +168,36 @@ MazeResult MazeRouter::route(std::size_t cell_a, std::size_t cell_b,
       const EdgeId row = base + static_cast<EdgeId>(r * (nx - 1));
       if (c + 1 < nx) {
         relax(node + 1, cell + 1,
-              g_cost + edge_route_cost(g_, row + static_cast<EdgeId>(c),
-                                       params),
-              node, heuristic(cell + 1));
+              g_cost + g_.edge_cost(row + static_cast<EdgeId>(c)), node,
+              heuristic(cell + 1));
       }
       if (c > 0) {
         relax(node - 1, cell - 1,
-              g_cost + edge_route_cost(g_, row + static_cast<EdgeId>(c - 1),
-                                       params),
-              node, heuristic(cell - 1));
+              g_cost + g_.edge_cost(row + static_cast<EdgeId>(c - 1)), node,
+              heuristic(cell - 1));
       }
     } else {
       if (r + 1 < ny) {
         relax(node + nx, cell + nx,
-              g_cost + edge_route_cost(
-                           g_, base + static_cast<EdgeId>(r * nx + c), params),
+              g_cost + g_.edge_cost(base + static_cast<EdgeId>(r * nx + c)),
               node, heuristic(cell + nx));
       }
       if (r > 0) {
         relax(node - nx, cell - nx,
-              g_cost + edge_route_cost(
-                           g_, base + static_cast<EdgeId>((r - 1) * nx + c),
-                           params),
+              g_cost +
+                  g_.edge_cost(base + static_cast<EdgeId>((r - 1) * nx + c)),
               node, heuristic(cell - nx));
       }
     }
     // Layer changes (the heuristic ignores layers, so h is the cell's).
     const double h_cell = heuristic(cell);
     if (metal + 1 < num_metal) {
-      relax(node + num_cells, cell,
-            g_cost + via_route_cost(g_, metal, cell, params), node, h_cell);
+      relax(node + num_cells, cell, g_cost + g_.via_cost(metal, cell), node,
+            h_cell);
     }
     if (metal > 0) {
-      relax(node - num_cells, cell,
-            g_cost + via_route_cost(g_, metal - 1, cell, params), node,
-            h_cell);
+      relax(node - num_cells, cell, g_cost + g_.via_cost(metal - 1, cell),
+            node, h_cell);
     }
   }
   obs::counter_add("route/maze_expansions", expansions);

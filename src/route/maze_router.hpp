@@ -6,6 +6,13 @@
 // (history + overflow penalties), which lets them detour in x, y, and layer.
 // Paths start and terminate on M1 at the endpoint g-cells (pin access).
 //
+// Step costs are not evaluated here: each relaxation reads one double from
+// the graph's cost table (GridGraph::edge_cost / via_cost), which the graph
+// keeps current as loads and history change. Between two route() calls of
+// a rip-up pass only the ~20 resources of the last commit change, so the
+// cost model runs once per changed resource instead of once per
+// relaxation.
+//
 // The search state (distance/parent stamps, the open list, the per-cell
 // heuristic cache) is owned by the router and reused across calls, so a
 // rip-up pass issuing tens of thousands of route() calls performs no
@@ -27,10 +34,11 @@ struct MazeResult {
   double cost = 0.0;
   bool found = false;
   /// Inclusive column/row bounding box of every g-cell the search expanded
-  /// (popped non-stale). The cost model only ever reads edges and vias
-  /// incident to expanded cells, so the search outcome is a pure function
-  /// of the graph state restricted to this box — the locality fact the ECO
-  /// replay's reuse check is built on.
+  /// (popped non-stale). The search only reads cost-table entries of edges
+  /// and vias incident to expanded cells, and each entry depends only on
+  /// its own resource, so the outcome is a pure function of the graph state
+  /// restricted to this box — the locality fact the ECO replay's reuse
+  /// check is built on.
   std::uint32_t col_lo = 0;
   std::uint32_t col_hi = 0;
   std::uint32_t row_lo = 0;
@@ -41,11 +49,11 @@ class MazeRouter {
  public:
   explicit MazeRouter(const GridGraph& graph);
 
-  /// Cheapest path between the two g-cells under `params`. The graph state
-  /// is read, never written (commit separately). Returns found == false only
-  /// if the grid is degenerate (should not happen on a connected grid).
-  MazeResult route(std::size_t cell_a, std::size_t cell_b,
-                   const RouteCostParams& params);
+  /// Cheapest path between the two g-cells under the graph's cost table.
+  /// The graph state is read, never written (commit separately). Returns
+  /// found == false only if the grid is degenerate (should not happen on a
+  /// connected grid).
+  MazeResult route(std::size_t cell_a, std::size_t cell_b);
 
  private:
   /// Open-list entry, packed into one 128-bit integer that sorts exactly

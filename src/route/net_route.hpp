@@ -38,49 +38,4 @@ inline void uncommit(GridGraph& g, const RoutePath& path) {
   for (const auto& [layer, cell] : path.vias) g.add_via_load(layer, cell, -1);
 }
 
-/// Congestion-aware cost model used by both routers (PathFinder-flavored:
-/// a base wire cost, a soft utilization slope, a hard overflow penalty
-/// scaled by accumulated history).
-struct RouteCostParams {
-  double base = 1.0;             ///< cost per grid edge
-  double via = 2.0;              ///< cost per via
-  double util_slope = 0.5;       ///< soft pressure as an edge fills up
-  double overflow_penalty = 16.0;///< per unit of (load+1) - capacity
-  double history_weight = 2.0;   ///< multiplier on accumulated history
-};
-
-/// Cost of pushing one more wire through metal edge `e`.
-inline double edge_route_cost(const GridGraph& g, EdgeId e,
-                              const RouteCostParams& p) {
-  const EdgeState& s = g.edge_state(e);
-  const int cap = s.capacity;
-  const int next = s.load + 1;
-  double cost = p.base + p.history_weight * s.history;
-  if (cap <= 0) {
-    cost += p.overflow_penalty * next;
-  } else if (next > cap) {
-    cost += p.overflow_penalty * static_cast<double>(next - cap);
-  } else {
-    cost += p.util_slope * static_cast<double>(next) / static_cast<double>(cap);
-  }
-  return cost;
-}
-
-/// Cost of pushing one more via through (via layer, cell).
-inline double via_route_cost(const GridGraph& g, int via_layer,
-                             std::size_t cell, const RouteCostParams& p) {
-  const ViaState& s = g.via_state(via_layer, cell);
-  const int cap = s.capacity;
-  const int next = s.load + 1;
-  double cost = p.via;
-  if (cap <= 0) {
-    cost += p.overflow_penalty * next;
-  } else if (next > cap) {
-    cost += p.overflow_penalty * static_cast<double>(next - cap);
-  } else {
-    cost += p.util_slope * static_cast<double>(next) / static_cast<double>(cap);
-  }
-  return cost;
-}
-
 }  // namespace drcshap

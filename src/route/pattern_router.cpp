@@ -44,18 +44,17 @@ void append_via_stack(RoutePath& path, int metal_lo, int metal_hi,
   }
 }
 
-double path_cost(const GridGraph& graph, const RoutePath& path,
-                 const RouteCostParams& params) {
+double path_cost(const GridGraph& graph, const RoutePath& path) {
   double cost = 0.0;
-  for (const EdgeId e : path.edges) cost += edge_route_cost(graph, e, params);
+  for (const EdgeId e : path.edges) cost += graph.edge_cost(e);
   for (const auto& [layer, cell] : path.vias) {
-    cost += via_route_cost(graph, layer, cell, params);
+    cost += graph.via_cost(layer, cell);
   }
   return cost;
 }
 
 RoutePath pattern_route(const GridGraph& graph, std::size_t cell_a,
-                        std::size_t cell_b, const RouteCostParams& params) {
+                        std::size_t cell_b) {
   if (cell_a == cell_b) return {};
   const std::size_t nx = graph.nx();
   const std::size_t ca = cell_a % nx, ra = cell_a / nx;
@@ -70,7 +69,7 @@ RoutePath pattern_route(const GridGraph& graph, std::size_t cell_a,
   RoutePath best;
   double best_cost = std::numeric_limits<double>::infinity();
   auto consider = [&](RoutePath&& candidate) {
-    const double c = path_cost(graph, candidate, params);
+    const double c = path_cost(graph, candidate);
     if (c < best_cost) {
       best_cost = c;
       best = std::move(candidate);

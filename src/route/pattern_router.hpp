@@ -16,14 +16,15 @@ namespace drcshap {
 void append_via_stack(RoutePath& path, int metal_lo, int metal_hi,
                       std::size_t cell);
 
-/// Cost of a candidate path in the current graph state (loads NOT committed).
-double path_cost(const GridGraph& graph, const RoutePath& path,
-                 const RouteCostParams& params);
+/// Cost of a candidate path in the current graph state (loads NOT
+/// committed), summed from the graph's cost table.
+double path_cost(const GridGraph& graph, const RoutePath& path);
 
-/// Cheapest L/straight pattern between two g-cells. For cell_a == cell_b
-/// returns an empty path. Never fails: some pattern always exists on a grid
-/// with >= 1 row and column, though it may be overflowed.
+/// Cheapest L/straight pattern between two g-cells under the graph's cost
+/// table. For cell_a == cell_b returns an empty path. Never fails: some
+/// pattern always exists on a grid with >= 1 row and column, though it may
+/// be overflowed.
 RoutePath pattern_route(const GridGraph& graph, std::size_t cell_a,
-                        std::size_t cell_b, const RouteCostParams& params);
+                        std::size_t cell_b);
 
 }  // namespace drcshap

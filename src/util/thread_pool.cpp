@@ -62,9 +62,8 @@ void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn,
                               std::size_t grain, std::size_t max_workers) {
   if (n == 0) return;
-  std::size_t width = size();
-  if (max_workers != 0) width = std::min(width, max_workers);
-  if (width <= 1 || in_parallel_region()) {
+  const std::size_t width = this->width(max_workers);
+  if (width <= 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
@@ -122,6 +121,11 @@ void ThreadPool::parallel_for(std::size_t n,
   if (first_error) std::rethrow_exception(first_error);
 }
 
+std::size_t ThreadPool::width(std::size_t max_workers) const {
+  if (in_parallel_region()) return 1;
+  return max_workers == 0 ? size() : std::min(size(), max_workers);
+}
+
 int ThreadPool::current_worker_index() { return tl_worker_index; }
 
 void ThreadPool::worker_loop(std::size_t worker_index) {
@@ -143,6 +147,10 @@ void parallel_for_shared(std::size_t n,
                          const std::function<void(std::size_t)>& fn,
                          std::size_t n_threads, std::size_t grain) {
   ThreadPool::global().parallel_for(n, fn, grain, n_threads);
+}
+
+std::size_t shared_width(std::size_t n_threads) {
+  return ThreadPool::global().width(n_threads);
 }
 
 }  // namespace drcshap

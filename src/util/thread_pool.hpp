@@ -1,8 +1,9 @@
 #pragma once
 // Minimal fixed-size thread pool used to parallelize embarrassingly parallel
 // work (random-forest tree training, batched SHAP/inference, per-design
-// pipelines, CV folds, grid-search candidates). On a single-core host it
-// degrades gracefully to near-serial execution.
+// pipelines, CV folds, grid-search candidates). The pool has one worker per
+// hardware thread by default; with DRCSHAP_THREADS=1 (or one worker) every
+// parallel_for runs inline on the caller.
 //
 // Process-wide sharing and nesting policy: ThreadPool::global() is a single
 // lazily-constructed pool every library hot path runs on — no code spawns
@@ -42,6 +43,12 @@ class ThreadPool {
   static ThreadPool& global();
 
   std::size_t size() const { return workers_.size(); }
+
+  /// How many workers parallel_for(..., max_workers) would run on from the
+  /// calling thread: min(max_workers, size()) (max_workers == 0 means the
+  /// whole pool), or 1 when the caller is itself a pool worker (nested
+  /// calls run inline, see the header comment).
+  std::size_t width(std::size_t max_workers = 0) const;
 
   /// Enqueue a task; returns a future for its completion.
   std::future<void> submit(std::function<void()> task);
@@ -93,5 +100,9 @@ class ThreadPool {
 void parallel_for_shared(std::size_t n,
                          const std::function<void(std::size_t)>& fn,
                          std::size_t n_threads = 0, std::size_t grain = 0);
+
+/// ThreadPool::global().width(n_threads): the workers a
+/// parallel_for_shared(..., n_threads) from this thread would get.
+std::size_t shared_width(std::size_t n_threads = 0);
 
 }  // namespace drcshap

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "route/net_route.hpp"
 #include "util/rng.hpp"
 
 namespace drcshap {
@@ -268,6 +271,88 @@ TEST(GridGraph, IncrementalOverflowMatchesBruteForceUnderAddRemove) {
   }
   EXPECT_EQ(g.total_edge_overflow(), 0);
   EXPECT_EQ(g.total_via_overflow(), 0);
+}
+
+// The cost table is a cache of edge_route_cost / via_route_cost, kept
+// current by the graph's mutators. Drive a seeded random mix of path
+// commits and uncommits (loads well past capacity), history bumps and load
+// resets over a graph with zero-capacity and derated resources, and after
+// every step require every entry to be bit-equal to a fresh evaluation.
+TEST(GridGraph, CostTableMatchesFreshEvaluationUnderMutation) {
+  Design d = empty_design(6, 5);
+  d.add_blockage({{0, 0, 60, 10}, 0, 4});   // bottom row: zero capacity
+  d.add_blockage({{20, 20, 35, 50}, 2, 3});  // M3/M4 partly derated
+  RouteCostParams params;
+  params.history_weight = 3.0;
+  params.overflow_penalty = 8.0;
+  GridGraph g(d, params);
+
+  std::size_t zero_cap = 0;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    zero_cap += g.edge_capacity(e) == 0 ? 1 : 0;
+  }
+  ASSERT_GT(zero_cap, 0u);
+
+  const auto expect_coherent = [&](int step) {
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      const double fresh = edge_route_cost(g, e);
+      const double cached = g.edge_cost(e);
+      ASSERT_EQ(0, std::memcmp(&fresh, &cached, sizeof(double)))
+          << "step " << step << " edge " << e << ": " << cached << " vs "
+          << fresh;
+    }
+    for (int v = 0; v < g.num_via_layers(); ++v) {
+      for (std::size_t c = 0; c < g.num_cells(); ++c) {
+        const double fresh = via_route_cost(g, v, c);
+        const double cached = g.via_cost(v, c);
+        ASSERT_EQ(0, std::memcmp(&fresh, &cached, sizeof(double)))
+            << "step " << step << " via " << v << "/" << c << ": " << cached
+            << " vs " << fresh;
+      }
+    }
+  };
+  expect_coherent(-1);
+
+  Rng rng(0xc057);
+  std::vector<RoutePath> committed;
+  long over_capacity_steps = 0;
+  for (int step = 0; step < 1500; ++step) {
+    const double pick = rng.uniform();
+    if (pick < 0.45 || committed.empty()) {
+      RoutePath path;
+      const std::size_t n_edges = 1 + rng.index(6);
+      for (std::size_t i = 0; i < n_edges; ++i) {
+        path.edges.push_back(static_cast<EdgeId>(rng.index(g.num_edges())));
+      }
+      const std::size_t n_vias = rng.index(4);
+      for (std::size_t i = 0; i < n_vias; ++i) {
+        path.vias.emplace_back(
+            static_cast<int>(rng.index(
+                static_cast<std::size_t>(g.num_via_layers()))),
+            rng.index(g.num_cells()));
+      }
+      commit(g, path);
+      committed.push_back(std::move(path));
+    } else if (pick < 0.8) {
+      const std::size_t i = rng.index(committed.size());
+      uncommit(g, committed[i]);
+      committed.erase(committed.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (pick < 0.995) {
+      g.add_edge_history(static_cast<EdgeId>(rng.index(g.num_edges())),
+                         0.5 * static_cast<double>(1 + rng.index(4)));
+    } else {
+      g.reset_loads();
+      committed.clear();
+    }
+    if (g.total_edge_overflow() > 0 && g.total_via_overflow() > 0) {
+      ++over_capacity_steps;
+    }
+    expect_coherent(step);
+    if (HasFatalFailure()) return;
+  }
+  // The walk must actually have exercised the overflow branch of the
+  // cost model on both resource kinds.
+  EXPECT_GT(over_capacity_steps, 100);
 }
 
 }  // namespace

@@ -92,16 +92,15 @@ TEST_P(RoutingProperties, MazeNeverCostsMoreThanPattern) {
   const Design d = random_instance(GetParam());
   GridGraph g(d);
   MazeRouter maze(g);
-  const RouteCostParams params;
   Rng rng(GetParam().seed + 1);
   for (int trial = 0; trial < 10; ++trial) {
     const std::size_t a = rng.index(g.num_cells());
     const std::size_t b = rng.index(g.num_cells());
     if (a == b) continue;
-    const RoutePath pattern = pattern_route(g, a, b, params);
-    const MazeResult mr = maze.route(a, b, params);
+    const RoutePath pattern = pattern_route(g, a, b);
+    const MazeResult mr = maze.route(a, b);
     ASSERT_TRUE(mr.found);
-    EXPECT_LE(mr.cost, path_cost(g, pattern, params) + 1e-9);
+    EXPECT_LE(mr.cost, path_cost(g, pattern) + 1e-9);
   }
 }
 

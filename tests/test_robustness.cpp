@@ -348,6 +348,136 @@ TEST(Resume, SuiteBuildReusesCommittedShards) {
   EXPECT_EQ(fresh, specs.size());
 }
 
+// --------------------------------------------------- heaviest-first schedule
+
+/// Light designs first, the heaviest (by rip-up time) last: the order a
+/// spec-order claim handles worst.
+std::vector<BenchmarkSpec> heavy_last_designs() {
+  return {suite_spec("bridge32_b"), suite_spec("fft_a"), suite_spec("fft_2"),
+          suite_spec("des_perf_1")};
+}
+
+std::uint64_t obs_counter(const obs::Snapshot& snap, const std::string& name) {
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+// The claim order changes which worker builds which design and when, never
+// what is built: the dataset is byte-identical at 1 and 4 threads, and
+// on_design still fires in spec order.
+TEST(SuiteSchedule, HeavyLastSpecListIsByteIdenticalAcrossWidths) {
+  const PipelineOptions options = tiny_pipeline();
+  const auto specs = heavy_last_designs();
+  std::vector<std::string> seen_serial, seen_parallel;
+
+  if (obs::kEnabled) obs::reset();
+  const Dataset serial = build_suite_dataset(
+      specs, options,
+      [&](const DesignRun& run) { seen_serial.push_back(run.spec.name); }, 1);
+  const Dataset parallel = build_suite_dataset(
+      specs, options,
+      [&](const DesignRun& run) { seen_parallel.push_back(run.spec.name); },
+      4);
+
+  EXPECT_EQ(parallel.features_flat(), serial.features_flat());
+  EXPECT_EQ(parallel.labels(), serial.labels());
+  EXPECT_EQ(parallel.groups(), serial.groups());
+  const std::vector<std::string> spec_order{"bridge32_b", "fft_a", "fft_2",
+                                            "des_perf_1"};
+  EXPECT_EQ(seen_serial, spec_order);
+  EXPECT_EQ(seen_parallel, spec_order);
+
+  if (obs::kEnabled && shared_width(4) > 1) {
+    // The probe ran for the 4-thread build and put the heavy design first.
+    const obs::Snapshot snap = obs::snapshot();
+    ASSERT_TRUE(snap.notes.count("pipeline/claim_order"));
+    EXPECT_EQ(snap.notes.at("pipeline/claim_order").rfind("des_perf_1:", 0),
+              0u)
+        << snap.notes.at("pipeline/claim_order");
+    ASSERT_TRUE(snap.timers.count("pipeline/schedule_probe"));
+    EXPECT_EQ(snap.timers.at("pipeline/schedule_probe").count, 1u);
+  }
+}
+
+// At width 1 the claim order cannot matter, so the probe must cost
+// nothing: no probe timer, no claim-order note, and a skip counter.
+TEST(SuiteSchedule, ProbeSkippedAtWidthOne) {
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  const PipelineOptions options = tiny_pipeline();
+  obs::reset();
+  (void)build_suite_dataset(heavy_last_designs(), options, nullptr, 1);
+  const obs::Snapshot snap = obs::snapshot();
+  EXPECT_EQ(obs_counter(snap, "pipeline/schedule_probe_skipped"), 1u);
+  EXPECT_FALSE(snap.timers.count("pipeline/schedule_probe"));
+  EXPECT_FALSE(snap.notes.count("pipeline/claim_order"));
+  EXPECT_EQ(obs_counter(snap, "pipeline/designs"), 4u);
+
+  // A suite build nested inside a parallel region runs inline, so it is
+  // width 1 too.
+  obs::reset();
+  parallel_for_shared(
+      2,
+      [&](std::size_t i) {
+        if (i == 0) {
+          (void)build_suite_dataset(heavy_last_designs(), options, nullptr, 4);
+        }
+      },
+      2, 1);
+  EXPECT_EQ(obs_counter(obs::snapshot(), "pipeline/schedule_probe_skipped"),
+            1u);
+}
+
+// Checkpointed designs skip both passes: a full resume neither probes nor
+// builds anything, one missing shard is built without a probe, and two
+// missing shards are probed and built alone.
+TEST(SuiteSchedule, CachedDesignsSkipBothPasses) {
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  if (shared_width(4) < 2) GTEST_SKIP() << "shared pool has one worker";
+  const PipelineOptions options = tiny_pipeline();
+  const auto specs = three_designs();
+  const TempDir dir("schedule_cache");
+  const CheckpointStore store(dir.path(), suite_config_digest(options));
+  SuiteBuildControl control;
+  control.checkpoint = &store;
+  const Dataset full = build_suite_dataset(specs, options, control, nullptr, 4);
+
+  obs::reset();
+  EXPECT_EQ(dataset_digest(
+                build_suite_dataset(specs, options, control, nullptr, 4)),
+            dataset_digest(full));
+  obs::Snapshot snap = obs::snapshot();
+  EXPECT_EQ(obs_counter(snap, "pipeline/designs"), 0u);
+  EXPECT_EQ(obs_counter(snap, "pipeline/schedule_probe_skipped"), 1u);
+  EXPECT_FALSE(snap.timers.count("route/global_route"));
+
+  spit(store.unit_path("design1-fft_2"), "garbage");
+  obs::reset();
+  EXPECT_EQ(dataset_digest(
+                build_suite_dataset(specs, options, control, nullptr, 4)),
+            dataset_digest(full));
+  snap = obs::snapshot();
+  EXPECT_EQ(obs_counter(snap, "pipeline/designs"), 1u);
+  EXPECT_EQ(obs_counter(snap, "pipeline/schedule_probe_skipped"), 1u);
+  EXPECT_EQ(snap.timers.at("route/global_route").count, 1u);
+
+  spit(store.unit_path("design0-fft_1"), "garbage");
+  spit(store.unit_path("design1-fft_2"), "garbage");
+  obs::reset();
+  EXPECT_EQ(dataset_digest(
+                build_suite_dataset(specs, options, control, nullptr, 4)),
+            dataset_digest(full));
+  snap = obs::snapshot();
+  EXPECT_EQ(obs_counter(snap, "pipeline/designs"), 2u);
+  EXPECT_EQ(obs_counter(snap, "pipeline/schedule_probe_skipped"), 0u);
+  // One pattern-only probe route and one full route per rebuilt design.
+  EXPECT_EQ(snap.timers.at("route/global_route").count, 4u);
+  ASSERT_TRUE(snap.notes.count("pipeline/claim_order"));
+  const std::string& claims = snap.notes.at("pipeline/claim_order");
+  EXPECT_NE(claims.find("fft_1:"), std::string::npos) << claims;
+  EXPECT_NE(claims.find("fft_2:"), std::string::npos) << claims;
+  EXPECT_EQ(claims.find("des_perf_1"), std::string::npos) << claims;
+}
+
 /// x0 correlates with the label; `n_groups` groups of 120 rows.
 Dataset grouped_data(int n_groups = 3, std::uint64_t seed = 4242) {
   Dataset d(3);
@@ -687,6 +817,62 @@ TEST(Quarantine, PoisonedDesignIsSkippedAndRecorded) {
     ASSERT_TRUE(snap.notes.count("quarantine/fft_2"));
     EXPECT_NE(snap.notes.at("quarantine/fft_2").find("pipeline.design"),
               std::string::npos);
+  }
+}
+
+// With the schedule probe on, a design can fail in either pass. It must be
+// quarantined exactly once: a design that failed in the probe is never
+// built, and the result equals the full build minus the failed groups.
+TEST(Quarantine, PoisonedDesignIsQuarantinedOnceInEitherPass) {
+  SKIP_WITHOUT_FAILPOINTS();
+  if (shared_width(4) < 2) GTEST_SKIP() << "shared pool has one worker";
+  const PipelineOptions options = tiny_pipeline();
+  const auto specs = three_designs();
+  const Dataset full = build_suite_dataset(specs, options, nullptr, 1);
+  SuiteBuildControl control;
+  control.quarantine_failures = true;
+
+  // Fails in the probe (pass 1): fft_2 is never built, so the site is hit
+  // three times in the probe and twice in the build.
+  {
+    if (obs::kEnabled) obs::reset();
+    const ScopedFailpoints armed("pipeline.design=throw@fft_2");
+    std::vector<std::string> built;
+    const Dataset partial = build_suite_dataset(
+        specs, options, control,
+        [&](const DesignRun& run) { built.push_back(run.spec.name); }, 4);
+    EXPECT_EQ(failpoint_hits("pipeline.design"), 5u);
+    EXPECT_EQ(built, (std::vector<std::string>{"fft_1", "des_perf_1"}));
+    const std::vector<int> gone{1};
+    const Dataset reference = full.subset(full.rows_not_in_groups(gone));
+    EXPECT_EQ(partial.features_flat(), reference.features_flat());
+    EXPECT_EQ(partial.groups(), reference.groups());
+    if (obs::kEnabled) {
+      const obs::Snapshot snap = obs::snapshot();
+      EXPECT_EQ(obs_counter(snap, "pipeline/designs_quarantined"), 1u);
+      EXPECT_TRUE(snap.notes.count("quarantine/fft_2"));
+    }
+  }
+
+  // Fails from the second hit on: two designs fail in the probe, the one
+  // that passed it fails in the build (pass 2). Each is quarantined once
+  // and the build pass runs only the survivor: 3 + 1 hits.
+  {
+    if (obs::kEnabled) obs::reset();
+    const ScopedFailpoints armed("pipeline.design=fail@2");
+    std::size_t built = 0;
+    const Dataset partial = build_suite_dataset(
+        specs, options, control, [&](const DesignRun&) { ++built; }, 4);
+    EXPECT_EQ(failpoint_hits("pipeline.design"), 4u);
+    EXPECT_EQ(built, 0u);
+    EXPECT_EQ(partial.n_rows(), 0u);
+    if (obs::kEnabled) {
+      const obs::Snapshot snap = obs::snapshot();
+      EXPECT_EQ(obs_counter(snap, "pipeline/designs_quarantined"), 3u);
+      for (const BenchmarkSpec& spec : specs) {
+        EXPECT_TRUE(snap.notes.count("quarantine/" + spec.name)) << spec.name;
+      }
+    }
   }
 }
 

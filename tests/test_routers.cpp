@@ -41,14 +41,12 @@ void expect_path_connects(const GridGraph& g, const RoutePath& path,
 
 TEST(PatternRouter, SameCellIsEmpty) {
   const GridGraph g(empty_design());
-  const RouteCostParams params;
-  EXPECT_TRUE(pattern_route(g, 3, 3, params).empty());
+  EXPECT_TRUE(pattern_route(g, 3, 3).empty());
 }
 
 TEST(PatternRouter, StraightHorizontal) {
   const GridGraph g(empty_design());
-  const RouteCostParams params;
-  const RoutePath p = pattern_route(g, 0, 3, params);
+  const RoutePath p = pattern_route(g, 0, 3);
   EXPECT_EQ(p.edges.size(), 3u);
   for (const EdgeId e : p.edges) {
     EXPECT_TRUE(Technology::is_horizontal(g.edge_metal(e)));
@@ -58,8 +56,7 @@ TEST(PatternRouter, StraightHorizontal) {
 
 TEST(PatternRouter, StraightVerticalUsesVerticalLayer) {
   const GridGraph g(empty_design());
-  const RouteCostParams params;
-  const RoutePath p = pattern_route(g, 0, 12, params);  // two rows up
+  const RoutePath p = pattern_route(g, 0, 12);  // two rows up
   EXPECT_EQ(p.edges.size(), 2u);
   for (const EdgeId e : p.edges) {
     EXPECT_FALSE(Technology::is_horizontal(g.edge_metal(e)));
@@ -69,9 +66,8 @@ TEST(PatternRouter, StraightVerticalUsesVerticalLayer) {
 
 TEST(PatternRouter, LShapeLengthAndConnectivity) {
   const GridGraph g(empty_design());
-  const RouteCostParams params;
   const std::size_t a = 0, b = 3 + 4 * 6;  // (0,0) -> (3,4)
-  const RoutePath p = pattern_route(g, a, b, params);
+  const RoutePath p = pattern_route(g, a, b);
   EXPECT_EQ(p.edges.size(), 7u);  // manhattan distance
   expect_path_connects(g, p, a, b);
   EXPECT_FALSE(p.vias.empty());  // layer changes require vias
@@ -80,13 +76,12 @@ TEST(PatternRouter, LShapeLengthAndConnectivity) {
 TEST(PatternRouter, AvoidsCongestedLayer) {
   Design d = empty_design();
   GridGraph g(d);
-  const RouteCostParams params;
   // Saturate M1 along row 0 so the router should prefer M3/M5.
   for (std::size_t c = 0; c + 1 < 6; ++c) {
     const auto e = g.edge(0, c, Dir::kEast);
     g.add_edge_load(*e, g.edge_capacity(*e) + 5);
   }
-  const RoutePath p = pattern_route(g, 0, 5, params);
+  const RoutePath p = pattern_route(g, 0, 5);
   for (const EdgeId e : p.edges) {
     EXPECT_NE(g.edge_metal(e), 0) << "went through saturated M1";
   }
@@ -94,9 +89,8 @@ TEST(PatternRouter, AvoidsCongestedLayer) {
 
 TEST(PatternRouter, CostMatchesPathCost) {
   const GridGraph g(empty_design());
-  const RouteCostParams params;
-  const RoutePath p = pattern_route(g, 0, 8, params);
-  EXPECT_GT(path_cost(g, p, params), 0.0);
+  const RoutePath p = pattern_route(g, 0, 8);
+  EXPECT_GT(path_cost(g, p), 0.0);
 }
 
 TEST(PatternRouter, ViaStackHelper) {
@@ -117,8 +111,7 @@ TEST(MazeRouter, FindsPathSameAsManhattanWhenUncongested) {
   const Design d = empty_design();
   GridGraph g(d);
   MazeRouter maze(g);
-  const RouteCostParams params;
-  const MazeResult r = maze.route(0, 3 + 4 * 6, params);
+  const MazeResult r = maze.route(0, 3 + 4 * 6);
   ASSERT_TRUE(r.found);
   EXPECT_EQ(r.path.edges.size(), 7u);
   expect_path_connects(g, r.path, 0, 3 + 4 * 6);
@@ -128,16 +121,16 @@ TEST(MazeRouter, SameCellTrivial) {
   const Design d = empty_design();
   GridGraph g(d);
   MazeRouter maze(g);
-  const MazeResult r = maze.route(4, 4, {});
+  const MazeResult r = maze.route(4, 4);
   EXPECT_TRUE(r.found);
   EXPECT_TRUE(r.path.empty());
 }
 
 TEST(MazeRouter, DetoursAroundOverflow) {
   const Design d = empty_design();
-  GridGraph g(d);
   RouteCostParams params;
   params.overflow_penalty = 1000.0;
+  GridGraph g(d, params);
   // Block the direct horizontal corridors on row 0 in all H layers between
   // cells 2 and 3.
   for (const int m : {0, 2, 4}) {
@@ -145,7 +138,7 @@ TEST(MazeRouter, DetoursAroundOverflow) {
     g.add_edge_load(*e, g.edge_capacity(*e) + 10);
   }
   MazeRouter maze(g);
-  const MazeResult r = maze.route(0, 5, params);
+  const MazeResult r = maze.route(0, 5);
   ASSERT_TRUE(r.found);
   // The detour must be longer than the straight 5-edge path.
   EXPECT_GT(r.path.edges.size(), 5u);
@@ -159,10 +152,9 @@ TEST(MazeRouter, CostIsSumOfStepCosts) {
   const Design d = empty_design();
   GridGraph g(d);
   MazeRouter maze(g);
-  const RouteCostParams params;
-  const MazeResult r = maze.route(0, 2, params);
+  const MazeResult r = maze.route(0, 2);
   ASSERT_TRUE(r.found);
-  EXPECT_NEAR(r.cost, path_cost(g, r.path, params), 1e-9);
+  EXPECT_NEAR(r.cost, path_cost(g, r.path), 1e-9);
 }
 
 TEST(MazeRouter, ReusableAcrossCalls) {
@@ -170,7 +162,7 @@ TEST(MazeRouter, ReusableAcrossCalls) {
   GridGraph g(d);
   MazeRouter maze(g);
   for (std::size_t target = 1; target < 30; ++target) {
-    const MazeResult r = maze.route(0, target, {});
+    const MazeResult r = maze.route(0, target);
     EXPECT_TRUE(r.found) << target;
     expect_path_connects(g, r.path, 0, target);
   }

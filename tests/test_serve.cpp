@@ -44,6 +44,14 @@
 namespace drcshap::serve {
 namespace {
 
+/// Per-process scratch path under /tmp for the fixtures. ctest runs every
+/// test in its own process, several at once, so tests of one fixture
+/// sharing a fixed path would remove or overwrite each other's model files
+/// and sockets.
+std::string tmp_path(const std::string& name) {
+  return "/tmp/drcshap_serve_" + std::to_string(::getpid()) + "_" + name;
+}
+
 RandomForestClassifier train_forest(std::uint64_t seed,
                                     std::size_t n_features = 6,
                                     int n_trees = 12) {
@@ -315,7 +323,7 @@ TEST(ServeRegistry, ReloadRetiresAndDrains) {
 
 struct BatcherFixture : ::testing::Test {
   void SetUp() override {
-    path = "/tmp/drcshap_serve_batcher.forest";
+    path = tmp_path("batcher.forest");
     save_forest_file(train_forest(21), path);
     ASSERT_TRUE(registry.load(path).ok());
   }
@@ -515,7 +523,7 @@ TEST_F(BatcherFixture, HotSwapUnderLoadNeverTears) {
   // between two models. Every reply must exactly equal one of the two
   // models' full answers — a mixed (torn) reply fails, as does a dropped
   // one. This is the TSan target for the swap/drain machinery.
-  const std::string path_b = "/tmp/drcshap_serve_batcher_b.forest";
+  const std::string path_b = tmp_path("batcher_b.forest");
   save_forest_file(train_forest(22), path_b);
 
   BatchOptions options;
@@ -604,8 +612,8 @@ struct ServeClient {
 
 struct ServerFixture : ::testing::Test {
   void SetUp() override {
-    model_path = "/tmp/drcshap_serve_server.forest";
-    socket_path = "/tmp/drcshap_serve_server.sock";
+    model_path = tmp_path("server.forest");
+    socket_path = tmp_path("server.sock");
     save_forest_file(train_forest(41), model_path);
     ServerOptions options;
     options.model_path = model_path;
@@ -667,7 +675,7 @@ TEST_F(ServerFixture, StatsReloadAndShutdownVerbs) {
   // Reload from an explicit path (a retrained model) swaps the version.
   const std::string version_before =
       doc.at("model").at("version").as_string();
-  const std::string new_path = "/tmp/drcshap_serve_server_v2.forest";
+  const std::string new_path = tmp_path("server_v2.forest");
   save_forest_file(train_forest(42), new_path);
   Request reload_request;
   reload_request.id = 2;
@@ -815,14 +823,14 @@ struct EcoServerFixture : ::testing::Test {
     forest_options.n_trees = 25;
     RandomForestClassifier forest(forest_options);
     forest.fit(train);
-    save_forest_file(forest, kModelPath);
+    save_forest_file(forest, model_path());
   }
-  static void TearDownTestSuite() { std::remove(kModelPath); }
+  static void TearDownTestSuite() { std::remove(model_path().c_str()); }
 
   void SetUp() override {
-    socket_path = "/tmp/drcshap_serve_eco.sock";
+    socket_path = tmp_path("eco.sock");
     ServerOptions options;
-    options.model_path = kModelPath;
+    options.model_path = model_path();
     options.socket_path = socket_path;
     options.batch.flush_us = 100;
     options.eco_design = "bridge32_a";
@@ -845,7 +853,7 @@ struct EcoServerFixture : ::testing::Test {
     return request;
   }
 
-  static constexpr const char* kModelPath = "/tmp/drcshap_serve_eco.forest";
+  static std::string model_path() { return tmp_path("eco.forest"); }
   std::string socket_path;
   std::unique_ptr<Server> server;
   std::thread runner;

@@ -1,7 +1,8 @@
 // Bit-identity and correctness tests for the parallel EDA substrate: the
 // feature matrices and DRC labels a pipeline run produces must be
 // byte-identical at any thread count (the dataset contract every
-// downstream experiment relies on), and the GridGraph's O(1) incremental
+// downstream experiment relies on), the routed paths of three suite designs
+// match pinned golden digests, and the GridGraph's O(1) incremental
 // overflow totals must agree with a brute-force rescan.
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 
 #include "benchsuite/pipeline.hpp"
 #include "benchsuite/suite.hpp"
+#include "obs/registry.hpp"
 #include "route/grid_graph.hpp"
 #include "route/net_route.hpp"
 #include "util/artifact.hpp"
@@ -73,6 +75,82 @@ TEST_P(SubstrateDigest, SerialAndParallelRunsAreByteIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(Suite, SubstrateDigest,
                          ::testing::Values("fft_1", "fft_b", "des_perf_1"));
+
+/// Digest of every routed path of every net, in net and segment order:
+/// metal edges, then (via layer, cell) pairs, with explicit widths so the
+/// digest does not depend on struct padding.
+std::uint64_t routes_digest(const std::vector<NetRoute>& routes) {
+  std::uint64_t h = kFnvOffsetBasis;
+  for (const NetRoute& net : routes) {
+    for (const RoutePath& path : net.segments) {
+      const std::uint64_t sizes[2] = {path.edges.size(), path.vias.size()};
+      h = fnv1a(sizes, sizeof(sizes), h);
+      h = fnv1a(path.edges.data(), path.edges.size() * sizeof(EdgeId), h);
+      for (const auto& [layer, cell] : path.vias) {
+        const std::uint64_t via[2] = {static_cast<std::uint64_t>(layer), cell};
+        h = fnv1a(via, sizeof(via), h);
+      }
+    }
+  }
+  return h;
+}
+
+struct RouteGolden {
+  const char* design;
+  std::uint64_t paths_digest;
+  long edge_overflow;
+  long via_overflow;
+  std::uint64_t maze_expansions;
+};
+
+void PrintTo(const RouteGolden& golden, std::ostream* os) {
+  *os << golden.design;
+}
+
+class RouteDigest : public ::testing::TestWithParam<RouteGolden> {};
+
+// Pinned results of the full global route (pattern stage + rip-up) at scale
+// 16. SubstrateDigest only compares two runs of the same build, so a kernel
+// change that alters paths the same way in both passes it; this test does
+// not. The expansion count pins the maze search itself: a change to the
+// open list's pop order or the cost model shows up here first.
+TEST_P(RouteDigest, MatchesPinnedGolden) {
+  const RouteGolden& golden = GetParam();
+  PipelineOptions options;
+  options.generator.scale = 16.0;
+  const BenchmarkSpec spec = suite_spec(golden.design);
+  NetlistSpec netlist = generate_netlist(spec, options.generator);
+  PlacerOptions placer = options.placer;
+  placer.row_height = options.generator.row_height;
+  placer.seed = spec.seed * 31 + 1;
+  const Design design = place_design(netlist, placer);
+
+  const obs::Snapshot before = obs::snapshot();
+  const GlobalRouteResult route = global_route(design, options.router);
+  const obs::Snapshot after = obs::snapshot();
+
+  EXPECT_EQ(routes_digest(route.routes), golden.paths_digest)
+      << std::hex << routes_digest(route.routes);
+  EXPECT_EQ(route.edge_overflow, golden.edge_overflow);
+  EXPECT_EQ(route.via_overflow, golden.via_overflow);
+  if (obs::kEnabled) {
+    const auto count = [](const obs::Snapshot& s) {
+      const auto it = s.counters.find("route/maze_expansions");
+      return it == s.counters.end() ? std::uint64_t{0} : it->second;
+    };
+    EXPECT_EQ(count(after) - count(before), golden.maze_expansions);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Suite, RouteDigest,
+    ::testing::Values(
+        RouteGolden{"fft_1", 0x3e291edf7769e877ULL, 98, 96, 1249133},
+        RouteGolden{"fft_b", 0x0d3fa4a713d10104ULL, 180, 79, 8543483},
+        RouteGolden{"des_perf_1", 0xec8a1c3c167d5b44ULL, 562, 239, 9984642}),
+    [](const ::testing::TestParamInfo<RouteGolden>& info) {
+      return std::string(info.param.design);
+    });
 
 TEST(ParallelSubstrate, ExtractAllMatchesSerial) {
   PipelineOptions options;
