@@ -399,10 +399,8 @@ int main(int argc, char** argv) {
           if (stats.status == drcshap::StatusCode::kOk) {
             const auto doc = drcshap::obs::JsonValue::parse(stats.text);
             const auto& cache = doc.at("explain_cache");
-            std::printf("%-22s cache: enabled=%d hits=%.0f misses=%.0f "
-                        "hit_rate=%.3f\n",
-                        name.c_str(), cache.at("enabled").as_bool() ? 1 : 0,
-                        cache.at("hits").as_number(),
+            std::printf("%-22s cache: hits=%.0f misses=%.0f hit_rate=%.3f\n",
+                        name.c_str(), cache.at("hits").as_number(),
                         cache.at("misses").as_number(),
                         cache.at("hit_rate").as_number());
           }

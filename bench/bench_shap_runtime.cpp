@@ -7,7 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -137,7 +136,7 @@ BENCHMARK(BM_TreeShapBatch_Threads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 
 // ---- fast path vs reference recursion, and the explanation cache ---------
 // Three serial per-row legs (1 thread, CPU-time comparable across runs):
-//   SerialReference — the Algorithm-2 recursion (DRCSHAP_SHAP_FAST=0),
+//   SerialReference — the Algorithm-2 recursion (ShapWalk::kReference),
 //                     no cache: the pre-fast-path cold baseline.
 //   SerialFastCold  — the batch-amortized fast walk, no cache: the pure
 //                     engine speedup on never-seen rows.
@@ -152,7 +151,6 @@ BENCHMARK(BM_TreeShapBatch_Threads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 // runner-fleet drift in a way absolute gates are not.
 
 void BM_ShapExplainSerialReference(benchmark::State& state) {
-  ::setenv("DRCSHAP_SHAP_FAST", "0", 1);
   const Dataset& data = paper_scale_data();
   const TreeShapExplainer explainer(paper_scale_forest());
   const auto n_rows = static_cast<std::size_t>(state.range(0));
@@ -160,9 +158,10 @@ void BM_ShapExplainSerialReference(benchmark::State& state) {
   std::iota(rows.begin(), rows.end(), 0);
   const Dataset batch = data.subset(rows);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(explainer.shap_values_batch(batch, 1));
+    benchmark::DoNotOptimize(explainer.shap_values_batch(
+        std::span<const float>(batch.features_flat()), n_rows, 1,
+        ShapWalk::kReference));
   }
-  ::unsetenv("DRCSHAP_SHAP_FAST");
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * n_rows));
 }

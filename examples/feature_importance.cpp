@@ -5,7 +5,7 @@
 // feature block (placement / edge congestion / via congestion) and by
 // window position (central cell vs neighbors).
 //
-// Usage: feature_importance [scale] [--explain-cache on|off]
+// Usage: feature_importance [scale]
 
 #include <cstdlib>
 #include <cstring>
@@ -21,9 +21,7 @@ using namespace drcshap;
 namespace {
 
 int usage() {
-  std::cerr << "usage: feature_importance [scale]\n"
-               "         [--explain-cache on|off]  explanation cache "
-               "(default: $DRCSHAP_EXPLAIN_CACHE)\n";
+  std::cerr << "usage: feature_importance [scale]\n";
   return 2;
 }
 
@@ -33,19 +31,8 @@ int main(int argc, char** argv) {
   double scale = 8.0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--explain-cache" && i + 1 < argc) {
-      // Flag form of $DRCSHAP_EXPLAIN_CACHE (re-read per explain call).
-      const std::string name = argv[++i];
-      if (name == "on") ::setenv("DRCSHAP_EXPLAIN_CACHE", "1", 1);
-      else if (name == "off") ::setenv("DRCSHAP_EXPLAIN_CACHE", "0", 1);
-      else return usage();
-    } else if (arg == "--help" || arg == "-h") {
-      return usage();
-    } else if (!arg.empty() && arg[0] != '-') {
-      scale = std::atof(arg.c_str());
-    } else {
-      return usage();
-    }
+    if (arg.empty() || arg[0] == '-') return usage();
+    scale = std::atof(arg.c_str());
   }
   PipelineOptions pipeline;
   pipeline.generator.scale = scale;

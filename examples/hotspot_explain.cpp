@@ -5,7 +5,7 @@
 // against the "actual" DRC errors the oracle produced there — which are, as
 // in the paper, not available at prediction/explanation time.
 //
-// Usage: hotspot_explain [test_design] [scale] [--explain-cache on|off]
+// Usage: hotspot_explain [test_design] [scale]
 
 #include <algorithm>
 #include <cstdlib>
@@ -40,16 +40,8 @@ int main(int argc, char** argv) {
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--explain-cache" && i + 1 < argc) {
-      // Flag form of $DRCSHAP_EXPLAIN_CACHE (re-read per explain call).
-      const std::string name = argv[++i];
-      if (name == "on") ::setenv("DRCSHAP_EXPLAIN_CACHE", "1", 1);
-      else if (name == "off") ::setenv("DRCSHAP_EXPLAIN_CACHE", "0", 1);
-      else { std::cerr << "--explain-cache wants on|off\n"; return 2; }
-    } else if (arg == "--help" || arg == "-h" ||
-               (!arg.empty() && arg[0] == '-')) {
-      std::cerr << "usage: hotspot_explain [test_design] [scale]\n"
-                   "         [--explain-cache on|off]\n";
+    if (!arg.empty() && arg[0] == '-') {
+      std::cerr << "usage: hotspot_explain [test_design] [scale]\n";
       return arg == "--help" || arg == "-h" ? 0 : 2;
     } else if (positional == 0) {
       test_name = arg;

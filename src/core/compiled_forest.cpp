@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
-#include <string_view>
 
 #include "util/artifact.hpp"
 
@@ -46,13 +44,6 @@ namespace {
 
 constexpr std::int32_t kLeafThreshold =
     std::numeric_limits<std::int32_t>::max();
-
-bool env_disables_simd() {
-  const char* env = std::getenv("DRCSHAP_SIMD");
-  if (env == nullptr) return false;
-  const std::string_view v(env);
-  return v == "0" || v == "off" || v == "OFF" || v == "false" || v == "FALSE";
-}
 
 /// Chains the length and then the bytes of `v` into `hash`.
 template <class T>
@@ -229,9 +220,11 @@ void CompiledForest::predict_batch(const float* rows, std::size_t n_rows,
 }
 
 bool CompiledForest::simd_available() {
-#if DRCSHAP_SIMD_ENABLED
-  static const bool cpu_ok = detail::cpu_supports_avx2();
-  return cpu_ok && !env_disables_simd();
+#if DRCSHAP_SIMD_ENABLED && (defined(__x86_64__) || defined(__i386__))
+  // FMA rides along for the TreeSHAP leaf kernels; every AVX2 core has it.
+  static const bool cpu_ok =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return cpu_ok;
 #else
   return false;
 #endif

@@ -23,8 +23,8 @@
 //  3. *Batch-of-8 evaluation.* Eight samples descend one tree in lockstep,
 //     amortizing every node-array cache line eight ways. The inner step is
 //     four gathers and an add: with AVX2 (DRCSHAP_SIMD build option +
-//     runtime cpuid + $DRCSHAP_SIMD kill switch) it runs as one vector op
-//     per gather; the scalar block kernel — always compiled — performs the
+//     runtime cpuid, see simd_available) it runs as one vector op per
+//     gather; the scalar block kernel — always compiled — performs the
 //     identical per-lane arithmetic, so SIMD on/off is bit-identical.
 //
 // Per-lane leaf values accumulate in tree order with the same double adds
@@ -70,8 +70,6 @@ void predict_block8_scalar(const CompiledForestView& forest,
 /// AVX2 twin of predict_block8_scalar: same arithmetic, vector gathers.
 void predict_block8_avx2(const CompiledForestView& forest,
                          const std::int32_t* blockq, double* sums);
-/// Runtime cpuid guard (false on non-x86 or pre-AVX2 hardware).
-bool cpu_supports_avx2();
 #endif
 
 }  // namespace detail
@@ -137,9 +135,11 @@ class CompiledForest {
   void predict_batch(const float* rows, std::size_t n_rows, double* out,
                      Simd simd = Simd::kAuto) const;
 
-  /// True when the AVX2 kernel was compiled in, the CPU supports it and
-  /// $DRCSHAP_SIMD is not "0"/"off"/"false". The scalar block kernel is the
-  /// bit-identical fallback whenever this is false.
+  /// True when the AVX2 kernels were compiled in and this CPU runs them
+  /// (cpuid reports AVX2 and FMA). The one SIMD guard of the library: the
+  /// compiled forest's block kernel and the TreeSHAP vector walk both
+  /// check it, and their scalar twins are the bit-identical fallback
+  /// whenever it is false.
   static bool simd_available();
   /// True when the build compiled the AVX2 kernel (DRCSHAP_SIMD=ON and the
   /// compiler/arch supported -mavx2).

@@ -1,7 +1,7 @@
 // AVX2 block kernel for the compiled forest backend. This translation unit
 // is the only one compiled with -mavx2 (see src/CMakeLists.txt), and it is
-// only ever entered after the runtime cpuid guard below says the host can
-// execute it; everything else in the library stays baseline-ISA so the
+// only ever entered after CompiledForest::simd_available() says the host
+// can execute it; everything else in the library stays baseline-ISA so the
 // binary runs on pre-AVX2 hardware with the scalar block kernel.
 //
 // The arithmetic mirrors predict_block8_scalar lane for lane: integer
@@ -18,14 +18,6 @@
 #include <algorithm>
 
 namespace drcshap::detail {
-
-bool cpu_supports_avx2() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
 
 namespace {
 

@@ -1,9 +1,7 @@
 #include "core/explanation_cache.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
-#include <string_view>
 
 #include "util/artifact.hpp"
 
@@ -18,14 +16,6 @@ ExplanationCache::ExplanationCache(std::size_t capacity, std::size_t n_shards) {
   for (std::size_t i = 0; i < n_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-}
-
-bool ExplanationCache::enabled_by_env() {
-  const char* env = std::getenv("DRCSHAP_EXPLAIN_CACHE");
-  if (env == nullptr) return true;
-  const std::string_view value(env);
-  return !(value == "0" || value == "off" || value == "false" ||
-           value == "OFF" || value == "FALSE");
 }
 
 namespace {

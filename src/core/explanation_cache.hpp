@@ -23,9 +23,8 @@
 // ServedModel owns a fresh cache, so stale entries die with the retired
 // model instead of being invalidated in place (version-keyed by identity).
 //
-// $DRCSHAP_EXPLAIN_CACHE=0 is the kill switch (mirroring $DRCSHAP_SIMD):
-// explainers skip an attached cache entirely, for A/B runs and for proving
-// the fast path correct with caching out of the picture.
+// The cache is opt-in per explainer: TreeShapExplainer::set_cache attaches
+// one, and an explainer without one computes every unique row.
 
 #include <atomic>
 #include <cstddef>
@@ -87,11 +86,6 @@ class ExplanationCache {
 
   ExplanationCacheStats stats() const;
   std::size_t capacity() const { return capacity_; }
-
-  /// False when $DRCSHAP_EXPLAIN_CACHE is "0"/"off"/"false" — explainers
-  /// then bypass any attached cache. Unset or anything else means enabled;
-  /// re-read on every call so tests can flip it per scope.
-  static bool enabled_by_env();
 
  private:
   struct Entry {

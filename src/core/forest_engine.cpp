@@ -1,9 +1,5 @@
 #include "core/forest_engine.hpp"
 
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
-
 namespace drcshap {
 
 std::string_view forest_engine_name(ForestEngine engine) {
@@ -16,18 +12,6 @@ std::string_view forest_engine_name(ForestEngine engine) {
       return "compiled";
   }
   return "auto";
-}
-
-ForestEngine forest_engine_from_env() {
-  const char* env = std::getenv("DRCSHAP_FOREST_ENGINE");
-  if (env == nullptr) return ForestEngine::kAuto;
-  const std::string_view value(env);
-  if (value.empty() || value == "auto") return ForestEngine::kAuto;
-  if (value == "exact") return ForestEngine::kExact;
-  if (value == "compiled") return ForestEngine::kCompiled;
-  throw std::invalid_argument(
-      "DRCSHAP_FOREST_ENGINE must be 'exact', 'compiled' or 'auto', got '" +
-      std::string(value) + "'");
 }
 
 }  // namespace drcshap

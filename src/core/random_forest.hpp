@@ -10,7 +10,7 @@
 // CompiledForest layout (quantized thresholds, breadth-first branch-free
 // descent, batch-of-8 SIMD kernel). Both return byte-identical
 // probabilities; see core/forest_engine.hpp for how a backend is chosen
-// per call or via $DRCSHAP_FOREST_ENGINE.
+// per call.
 
 #include <memory>
 
@@ -50,12 +50,11 @@ class RandomForestClassifier final : public BinaryClassifier {
   /// options().n_threads workers), each accumulating its trees in fixed
   /// order, so the result is identical to the per-row loop for any thread
   /// count. Cross-validation and grid search call this on every fold.
-  /// Served by the engine $DRCSHAP_FOREST_ENGINE selects (default: compiled
-  /// when available); the engine note/counters in the run report record
-  /// which backend ran.
+  /// Served by resolve_engine(kAuto): compiled when the model quantizes;
+  /// the engine note/counters in the run report record which backend ran.
   std::vector<double> predict_proba_all(const Dataset& data) const override;
 
-  /// Same, with the backend pinned per call (kAuto = env/default rules).
+  /// Same, with the backend pinned per call (kAuto = resolve_engine rules).
   /// Every engine returns byte-identical probabilities.
   std::vector<double> predict_proba_all(const Dataset& data,
                                         ForestEngine engine) const;
@@ -68,13 +67,15 @@ class RandomForestClassifier final : public BinaryClassifier {
                                         std::size_t n_rows,
                                         ForestEngine engine) const;
 
-  /// Single-sample scoring with the backend pinned per call.
+  /// Single-sample scoring with the backend pinned per call. kAuto serves
+  /// exact here: one descent does not repay quantizing every feature.
   double predict_proba(std::span<const float> features,
                        ForestEngine engine) const;
 
-  /// The backend a request for `requested` would actually run: applies the
-  /// $DRCSHAP_FOREST_ENGINE default to kAuto and falls back to kExact when
-  /// the fitted model has no compiled layout.
+  /// The batch score backend predict_proba_all runs for `requested`: kAuto
+  /// means compiled when the fitted model has a compiled layout, and
+  /// kCompiled falls back to kExact when it has none. Single-sample
+  /// predict_proba resolves kAuto to exact instead (see there).
   ForestEngine resolve_engine(ForestEngine requested) const;
 
   std::size_t n_parameters() const override;

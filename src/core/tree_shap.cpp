@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
-#include <string_view>
 #include <unordered_map>
 
 #include "core/explanation_cache.hpp"
@@ -345,17 +343,6 @@ void fast_tree_shap(const ExactTraversal& tree, const ShapMeta& meta,
   }
 }
 
-/// $DRCSHAP_SHAP_FAST=0 pins the batch engine to the reference recursion —
-/// the kill switch the byte-identity tests (and a CI leg) flip to prove the
-/// fast path changes no output bit.
-bool shap_fast_from_env() {
-  const char* env = std::getenv("DRCSHAP_SHAP_FAST");
-  if (env == nullptr) return true;
-  const std::string_view value(env);
-  return !(value == "0" || value == "off" || value == "false" ||
-           value == "OFF");
-}
-
 /// Structural FNV-1a over what determines phi: tree shapes live in the
 /// child topology, but covers + values + roots pin the ensemble well enough
 /// to keep one cache from serving another model's rows.
@@ -452,7 +439,8 @@ ShapMatrix TreeShapExplainer::shap_values_batch(const Dataset& data,
 
 ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
                                                 std::size_t n_rows,
-                                                std::size_t n_threads) const {
+                                                std::size_t n_threads,
+                                                ShapWalk walk) const {
   const FlatForest& flat = *flat_;
   const std::size_t n_features = flat.n_features();
   if (features.size() != n_rows * n_features) {
@@ -460,11 +448,7 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
   }
   DRCSHAP_OBS_TIMER("shap/values_batch");
   obs::counter_add("shap/batch_samples", n_rows);
-  const bool fast = shap_fast_from_env();
-  obs::note_set("shap/fast_path", fast ? "on" : "off");
-  ExplanationCache* cache =
-      (cache_ != nullptr && ExplanationCache::enabled_by_env()) ? cache_.get()
-                                                                : nullptr;
+  ExplanationCache* cache = cache_.get();
   ShapMatrix out;
   out.n_rows = n_rows;
   out.n_features = n_features;
@@ -546,7 +530,7 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
 
   // --- Compute the remaining rows with the same block/merge structure as
   // ever (bit-identical at any thread count), through the fast walk unless
-  // the kill switch pinned the reference recursion.
+  // the caller pinned the reference recursion.
   if (!pending.empty()) {
     const std::size_t n_trees = flat.n_trees();
     const std::size_t n_blocks =
@@ -557,7 +541,7 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
     obs::counter_add("shap/tree_traversals", pending.size() * n_trees);
 
     const ShapMeta* meta = nullptr;
-    if (fast) {
+    if (walk != ShapWalk::kReference) {
       std::call_once(meta_->once, [&] { meta_->meta = build_meta(flat); });
       meta = &meta_->meta;
     }
@@ -586,18 +570,18 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
       return ws;
     };
     // The AVX2+FMA walk batches each tree's leaf chains through vector
-    // kernels; it is byte-identical to the scalar walk, entered only behind
-    // the build flag + runtime cpuid + $DRCSHAP_SIMD, and bounded by the
-    // reciprocal table depth.
+    // kernels; it is byte-identical to the scalar walk, taken by kAuto only
+    // behind the build flag + runtime cpuid, and bounded by the reciprocal
+    // table depth.
 #if DRCSHAP_SIMD_ENABLED
     const bool simd_walk =
-        fast && shap_detail::simd_walk_available() &&
+        walk == ShapWalk::kAuto && CompiledForest::simd_available() &&
         flat.max_depth() <= shap_detail::kSimdWalkMaxDepth;
 #else
     const bool simd_walk = false;
 #endif
     obs::note_set("shap/walk",
-                  !fast ? "reference" : (simd_walk ? "avx2" : "scalar"));
+                  !meta ? "reference" : (simd_walk ? "avx2" : "scalar"));
     // Accumulate trees [t_begin, t_end) for row `row` into `phi` in fixed
     // tree order.
     auto accumulate_trees = [&](std::size_t row, double* phi,

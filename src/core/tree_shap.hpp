@@ -36,8 +36,8 @@
 // at each leaf so the division unit pipelines instead of stalling. Every
 // floating-point op that contributes to phi keeps its original operands and
 // order, so fast-path phi is byte-identical to the reference recursion
-// (kept verbatim behind the single-sample shap_values and the
-// $DRCSHAP_SHAP_FAST=0 kill switch).
+// (kept verbatim behind the single-sample shap_values and
+// ShapWalk::kReference).
 //
 // Every walk — the reference recursion, the scalar fast walk and the AVX2
 // fast walk — runs over the exact FlatForest layout. The forest's compiled
@@ -68,6 +68,14 @@ namespace detail {
 struct ShapMetaCell;  // lazily built structural metadata of the forest
 }  // namespace detail
 
+/// Per-tree walk of shap_values_batch. kAuto is the production walk: the
+/// AVX2 fast walk when CompiledForest::simd_available() and the forest fits
+/// its depth bound, else the scalar fast walk. kScalar pins the scalar fast
+/// walk and kReference the Algorithm-2 recursion under the same block/merge
+/// structure; they are the byte-identity oracles of tests and benches, the
+/// way CompiledForest::Simd::kScalar is for the compiled kernel.
+enum class ShapWalk { kAuto, kScalar, kReference };
+
 /// Row-major matrix of SHAP values: one row of n_features doubles per
 /// explained sample.
 struct ShapMatrix {
@@ -90,8 +98,7 @@ class TreeShapExplainer {
   /// Attaches a shared explanation cache consulted (and filled) by
   /// shap_values_batch for each unique row. Copies of the explainer share
   /// the cache, so the serving daemon's per-batch explainer snapshots all
-  /// hit one store. nullptr detaches. $DRCSHAP_EXPLAIN_CACHE=0 bypasses an
-  /// attached cache without detaching it.
+  /// hit one store. nullptr detaches.
   void set_cache(std::shared_ptr<ExplanationCache> cache) {
     cache_ = std::move(cache);
   }
@@ -118,10 +125,12 @@ class TreeShapExplainer {
   ShapMatrix shap_values_batch(const Dataset& data,
                                std::size_t n_threads = 0) const;
 
-  /// Same, over a row-major matrix of n_rows x n_features floats.
+  /// Same, over a row-major matrix of n_rows x n_features floats. `walk`
+  /// pins the per-tree walk of rows computed here (cache hits and in-batch
+  /// duplicates are copied, not walked); every walk returns the same bytes.
   ShapMatrix shap_values_batch(std::span<const float> features,
-                               std::size_t n_rows,
-                               std::size_t n_threads = 0) const;
+                               std::size_t n_rows, std::size_t n_threads = 0,
+                               ShapWalk walk = ShapWalk::kAuto) const;
 
   /// SHAP values for a single tree (used by tests and RUSBoost reuse).
   static std::vector<double> tree_shap_values(const DecisionTree& tree,

@@ -1,7 +1,7 @@
 // AVX2+FMA leaf kernels of the fast TreeSHAP batch walk. This TU is the
 // only one compiled with -mavx2 -mfma (plus -ffp-contract=off so no scalar
 // expression silently turns into an FMA and changes a bit); everything is
-// entered behind a runtime cpuid + $DRCSHAP_SIMD check.
+// entered behind CompiledForest::simd_available(), the runtime cpuid guard.
 //
 // What vectorizes, and why it stays byte-identical:
 //
@@ -37,28 +37,11 @@
 
 #include <immintrin.h>
 
-#include <cstdlib>
 #include <cstring>
-#include <string_view>
 
 namespace drcshap::shap_detail {
 
 namespace {
-
-bool env_disables_simd() {
-  const char* env = std::getenv("DRCSHAP_SIMD");
-  if (env == nullptr) return false;
-  const std::string_view v(env);
-  return v == "0" || v == "off" || v == "OFF" || v == "false" || v == "FALSE";
-}
-
-bool cpu_supports_avx2_fma() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
 
 /// Correctly-rounded reciprocals of the small integers the kernels divide
 /// by (unique_depth+1 and j+1 are bounded by tree depth + 1).
@@ -315,11 +298,6 @@ inline void emit_leaf(const ExactTraversal& tree, std::size_t node,
 }
 
 }  // namespace
-
-bool simd_walk_available() {
-  static const bool cpu_ok = cpu_supports_avx2_fma();
-  return cpu_ok && !env_disables_simd();
-}
 
 /// Same traversal skeleton as the scalar fast walk (hot subtree first, cold
 /// frames on a LIFO stack, cold children extend the parent slot in place);

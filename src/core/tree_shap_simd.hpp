@@ -208,10 +208,6 @@ struct ShapJobEngine {
 
 #if DRCSHAP_SIMD_ENABLED
 
-/// True when this CPU can run the vector walk (AVX2 + FMA) and
-/// $DRCSHAP_SIMD does not disable SIMD. Defined in tree_shap_avx2.cpp.
-bool simd_walk_available();
-
 /// Depth ceiling of the vector walk: the correctly-rounded FMA division
 /// replacement draws reciprocals from a fixed table of integer divisors up
 /// to this depth. Deeper forests fall back to the scalar fast walk.

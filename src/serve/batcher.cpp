@@ -162,7 +162,7 @@ void Batcher::serve_verb(const std::shared_ptr<const ServedModel>& model,
     }
     obs::counter_add("serve/score_rows", total_rows);
     const std::vector<double> probs = model->forest.predict_proba_all(
-        std::span<const float>(matrix), total_rows, options_.engine);
+        std::span<const float>(matrix), total_rows, ForestEngine::kAuto);
     std::size_t offset = 0;
     for (Pending* pending : items) {
       Response& response = pending->response;
@@ -187,8 +187,7 @@ void Batcher::serve_verb(const std::shared_ptr<const ServedModel>& model,
                                           : "serve/global_explain_rows",
                    total_rows);
   // The explainer snapshot inside ServedModel is immutable and shares the
-  // model's explanation cache; the engine option selects the score backend
-  // only.
+  // model's explanation cache.
   const TreeShapExplainer& explainer = model->explainer;
   const ExplanationCacheStats cache_before = model->explain_cache->stats();
   const ShapMatrix shap = explainer.shap_values_batch(

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -54,33 +53,6 @@ RandomForestClassifier small_forest(const Dataset& d, int n_trees = 30,
   forest.fit(d);
   return forest;
 }
-
-/// Temporarily pins one environment variable, restoring on destruction.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(name_.c_str(), saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string saved_;
-  bool had_ = false;
-};
 
 TEST(CompiledForest, BuiltForEveryBinnedFit) {
   const Dataset d = noisy_data(300, 6, 1);
@@ -257,13 +229,9 @@ TEST(CompiledForest, FallsBackToExactWhenUnquantizable) {
     eval.append_row(std::vector<float>{x0, 0.0f}, 0, 0);
   }
   eval.append_row(std::vector<float>{3.5f, 0.0f}, 0, 0);  // duplicate row
-  ShapMatrix reference;
-  {
-    ScopedEnv fast("DRCSHAP_SHAP_FAST", "0");
-    ScopedEnv cache_off("DRCSHAP_EXPLAIN_CACHE", "0");
-    reference = TreeShapExplainer(forest).shap_values_batch(eval, 1);
-  }
-  ScopedEnv cache_on("DRCSHAP_EXPLAIN_CACHE", "1");
+  const ShapMatrix reference = TreeShapExplainer(forest).shap_values_batch(
+      std::span<const float>(eval.features_flat()), eval.n_rows(), 1,
+      ShapWalk::kReference);
   TreeShapExplainer explainer(forest);
   const auto cache = std::make_shared<ExplanationCache>();
   explainer.set_cache(cache);
@@ -289,57 +257,21 @@ TEST(CompiledForest, LayoutDigestDeterministic) {
             other.compiled()->layout_digest());
 }
 
-TEST(ForestEngine, EnvParsing) {
-  {
-    ScopedEnv env("DRCSHAP_FOREST_ENGINE", nullptr);
-    EXPECT_EQ(forest_engine_from_env(), ForestEngine::kAuto);
-  }
-  {
-    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "");
-    EXPECT_EQ(forest_engine_from_env(), ForestEngine::kAuto);
-  }
-  {
-    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "auto");
-    EXPECT_EQ(forest_engine_from_env(), ForestEngine::kAuto);
-  }
-  {
-    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "exact");
-    EXPECT_EQ(forest_engine_from_env(), ForestEngine::kExact);
-  }
-  {
-    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "compiled");
-    EXPECT_EQ(forest_engine_from_env(), ForestEngine::kCompiled);
-  }
-  {
-    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "vectorized");
-    EXPECT_THROW(forest_engine_from_env(), std::invalid_argument);
-  }
-}
-
-TEST(ForestEngine, EnvSelectsBackend) {
+TEST(ForestEngine, AutoResolvesByModelAndCallShape) {
   const Dataset d = noisy_data(300, 4, 12);
   const RandomForestClassifier forest = small_forest(d, 10);
   ASSERT_NE(forest.compiled(), nullptr);
-  {
-    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "exact");
-    EXPECT_EQ(forest.resolve_engine(ForestEngine::kAuto),
-              ForestEngine::kExact);
-  }
-  {
-    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "compiled");
-    EXPECT_EQ(forest.resolve_engine(ForestEngine::kAuto),
-              ForestEngine::kCompiled);
-  }
-  {
-    ScopedEnv env("DRCSHAP_FOREST_ENGINE", nullptr);
-    EXPECT_EQ(forest.resolve_engine(ForestEngine::kAuto),
-              ForestEngine::kCompiled);
-  }
-  // An explicit per-call engine wins over the environment.
-  {
-    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "compiled");
-    EXPECT_EQ(forest.resolve_engine(ForestEngine::kExact),
-              ForestEngine::kExact);
+  // Batches of a quantizable model score compiled; an explicit engine wins.
+  EXPECT_EQ(forest.resolve_engine(ForestEngine::kAuto),
+            ForestEngine::kCompiled);
+  EXPECT_EQ(forest.resolve_engine(ForestEngine::kExact), ForestEngine::kExact);
+  EXPECT_EQ(forest.resolve_engine(ForestEngine::kCompiled),
+            ForestEngine::kCompiled);
+  // Whatever backend each call shape resolves to, the bytes are the same.
+  const std::vector<double> batch = forest.predict_proba_all(d);
+  for (std::size_t r = 0; r < d.n_rows(); ++r) {
+    const double single = forest.predict_proba(d.row(r));
+    ASSERT_EQ(std::memcmp(&single, &batch[r], sizeof(double)), 0) << r;
   }
 }
 

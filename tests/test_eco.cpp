@@ -543,6 +543,8 @@ TEST_F(EcoCache, RevertedEditHitsCacheAndRestoresOriginalState) {
   expect_engines_equal(engine, fresh);
 }
 
+// The cache's off switch is detaching it: set_cache(nullptr) on an explainer
+// that had one attached.
 TEST_F(EcoCache, KillSwitchEnvRunsByteIdenticalToCachedRuns) {
   EcoOptions options;
   options.router = tiny_options().router;
@@ -553,10 +555,10 @@ TEST_F(EcoCache, KillSwitchEnvRunsByteIdenticalToCachedRuns) {
   EcoEngine cached(make_design("bridge32_a"), forest(),
                    std::move(cached_explainer), options);
 
-  ::setenv("DRCSHAP_EXPLAIN_CACHE", "0", 1);
   auto dead_cache = std::make_shared<ExplanationCache>();
   TreeShapExplainer bypassed_explainer(*forest());
   bypassed_explainer.set_cache(dead_cache);
+  bypassed_explainer.set_cache(nullptr);
   EcoEngine bypassed(make_design("bridge32_a"), forest(),
                      std::move(bypassed_explainer), options);
 
@@ -568,9 +570,8 @@ TEST_F(EcoCache, KillSwitchEnvRunsByteIdenticalToCachedRuns) {
   edit.dy = dy;
   cached.apply(edit);
   bypassed.apply(edit);
-  ::unsetenv("DRCSHAP_EXPLAIN_CACHE");
 
-  // The kill switch really bypassed the attached cache...
+  // Detaching really bypassed the cache...
   const ExplanationCacheStats stats = dead_cache->stats();
   EXPECT_EQ(stats.hits + stats.misses, 0u);
   // ...and changed nothing about the results.

@@ -79,29 +79,6 @@ std::vector<float> random_rows(std::uint64_t seed, std::size_t n_rows,
   return features;
 }
 
-/// Pins DRCSHAP_EXPLAIN_CACHE for one scope: the cache-behaviour tests
-/// must pass even in the CI leg that exports the kill switch ("0").
-class ScopedCacheEnv {
- public:
-  explicit ScopedCacheEnv(const char* value) {
-    const char* old = std::getenv("DRCSHAP_EXPLAIN_CACHE");
-    had_ = old != nullptr;
-    if (had_) saved_ = old;
-    ::setenv("DRCSHAP_EXPLAIN_CACHE", value, 1);
-  }
-  ~ScopedCacheEnv() {
-    if (had_) {
-      ::setenv("DRCSHAP_EXPLAIN_CACHE", saved_.c_str(), 1);
-    } else {
-      ::unsetenv("DRCSHAP_EXPLAIN_CACHE");
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_ = false;
-};
-
 Request matrix_request(std::uint64_t id, Verb verb, std::uint32_t n_rows,
                        std::uint32_t n_features, std::vector<float> features) {
   Request request;
@@ -334,28 +311,30 @@ struct BatcherFixture : ::testing::Test {
 };
 
 TEST_F(BatcherFixture, ScoreMatchesDirectEngineExactly) {
-  BatchOptions options;
-  options.engine = ForestEngine::kExact;
-  Batcher batcher(registry, options);
+  Batcher batcher(registry, {});
 
   const std::vector<float> features = random_rows(31, 5, 6);
   const Response response =
       batcher.submit(matrix_request(1, Verb::kScore, 5, 6, features));
   ASSERT_EQ(response.status, StatusCode::kOk) << response.message;
 
-  const std::vector<double> direct = registry.current()->forest
-      .predict_proba_all(std::span<const float>(features), 5,
-                         ForestEngine::kExact);
-  ASSERT_EQ(response.values.size(), direct.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(response.values[i], direct[i]) << "row " << i;  // bytes, not ~=
+  // The batcher scores on the production (kAuto) backend; the exact walk is
+  // the oracle both must match.
+  const auto model = registry.current();
+  for (const ForestEngine engine :
+       {ForestEngine::kAuto, ForestEngine::kExact}) {
+    SCOPED_TRACE(forest_engine_name(engine));
+    const std::vector<double> direct = model->forest.predict_proba_all(
+        std::span<const float>(features), 5, engine);
+    ASSERT_EQ(response.values.size(), direct.size());
+    for (std::size_t i = 0; i < direct.size(); ++i) {
+      EXPECT_EQ(response.values[i], direct[i]) << "row " << i;  // bytes
+    }
   }
 }
 
 TEST_F(BatcherFixture, ExplainMatchesDirectEngineExactly) {
-  BatchOptions options;
-  options.engine = ForestEngine::kExact;
-  Batcher batcher(registry, options);
+  Batcher batcher(registry, {});
 
   const std::vector<float> features = random_rows(32, 4, 6);
   const Response response =
@@ -373,9 +352,7 @@ TEST_F(BatcherFixture, ExplainMatchesDirectEngineExactly) {
 }
 
 TEST_F(BatcherFixture, GlobalExplainMatchesDirectSummary) {
-  BatchOptions options;
-  options.engine = ForestEngine::kExact;
-  Batcher batcher(registry, options);
+  Batcher batcher(registry, {});
 
   constexpr std::uint32_t kRows = 6;
   const std::vector<float> features = random_rows(36, kRows, 6);
@@ -401,10 +378,7 @@ TEST_F(BatcherFixture, GlobalExplainMatchesDirectSummary) {
 }
 
 TEST_F(BatcherFixture, ExplainCacheCountersAccumulateInStats) {
-  ScopedCacheEnv cache_on("1");
-  BatchOptions options;
-  options.engine = ForestEngine::kExact;
-  Batcher batcher(registry, options);
+  Batcher batcher(registry, {});
 
   const std::vector<float> features = random_rows(37, 4, 6);
   const Request request = matrix_request(6, Verb::kExplain, 4, 6, features);
@@ -422,10 +396,7 @@ TEST_F(BatcherFixture, ExplainCacheCountersAccumulateInStats) {
 }
 
 TEST_F(BatcherFixture, HotSwapGetsFreshExplanationCache) {
-  ScopedCacheEnv cache_on("1");
-  BatchOptions options;
-  options.engine = ForestEngine::kExact;
-  Batcher batcher(registry, options);
+  Batcher batcher(registry, {});
 
   const std::vector<float> features = random_rows(38, 3, 6);
   const Request request = matrix_request(7, Verb::kExplain, 3, 6, features);
@@ -453,7 +424,6 @@ TEST_F(BatcherFixture, ConcurrentSubmitsAreByteIdenticalToSolo) {
   // requests land in shared batches at arbitrary row offsets, and each
   // reply must still equal the solo run bit for bit.
   BatchOptions options;
-  options.engine = ForestEngine::kExact;
   options.max_batch_rows = 64;
   options.flush_us = 1000;
   Batcher batcher(registry, options);
@@ -478,7 +448,7 @@ TEST_F(BatcherFixture, ConcurrentSubmitsAreByteIdenticalToSolo) {
         std::vector<double> expected;
         if (verb == Verb::kScore) {
           expected = registry.current()->forest.predict_proba_all(
-              std::span<const float>(features), n_rows, ForestEngine::kExact);
+              std::span<const float>(features), n_rows, ForestEngine::kAuto);
         } else {
           TreeShapExplainer explainer = registry.current()->explainer;
           expected = explainer
@@ -527,7 +497,6 @@ TEST_F(BatcherFixture, HotSwapUnderLoadNeverTears) {
   save_forest_file(train_forest(22), path_b);
 
   BatchOptions options;
-  options.engine = ForestEngine::kExact;
   options.max_batch_rows = 32;
   options.flush_us = 300;
   Batcher batcher(registry, options);
@@ -536,10 +505,10 @@ TEST_F(BatcherFixture, HotSwapUnderLoadNeverTears) {
   const std::vector<float> features = random_rows(35, kRows, 6);
   const std::vector<double> expected_a =
       registry.current()->forest.predict_proba_all(
-          std::span<const float>(features), kRows, ForestEngine::kExact);
+          std::span<const float>(features), kRows, ForestEngine::kAuto);
   const std::vector<double> expected_b =
       load_forest_file(path_b).predict_proba_all(
-          std::span<const float>(features), kRows, ForestEngine::kExact);
+          std::span<const float>(features), kRows, ForestEngine::kAuto);
   ASSERT_NE(expected_a, expected_b);  // the swap must be observable
 
   std::atomic<bool> stop{false};
@@ -618,7 +587,6 @@ struct ServerFixture : ::testing::Test {
     ServerOptions options;
     options.model_path = model_path;
     options.socket_path = socket_path;
-    options.batch.engine = ForestEngine::kExact;
     options.batch.flush_us = 100;
     server = std::make_unique<Server>(options);
     ASSERT_TRUE(server->start().ok());
@@ -646,7 +614,7 @@ TEST_F(ServerFixture, ScoreAndExplainOverSocketMatchDirectCalls) {
   ASSERT_EQ(score.status, StatusCode::kOk) << score.message;
   const auto model = server->registry().current();
   const std::vector<double> direct = model->forest.predict_proba_all(
-      std::span<const float>(features), 4, ForestEngine::kExact);
+      std::span<const float>(features), 4, ForestEngine::kAuto);
   EXPECT_EQ(score.values, direct);  // byte-identical through the wire
 
   const Response explain =
@@ -670,6 +638,9 @@ TEST_F(ServerFixture, StatsReloadAndShutdownVerbs) {
   const auto doc = obs::JsonValue::parse(stats.text);
   EXPECT_EQ(doc.at("model").at("n_features").as_number(), 6.0);
   EXPECT_EQ(doc.at("model").at("swaps").as_number(), 0.0);
+  // The fixture forest quantizes, so batches score on the compiled layout.
+  ASSERT_NE(server->registry().current()->forest.compiled(), nullptr);
+  EXPECT_EQ(doc.at("model").at("engine").as_string(), "compiled");
   EXPECT_TRUE(doc.at("latency_ms").at("score").contains("p99_ms"));
 
   // Reload from an explicit path (a retrained model) swaps the version.
@@ -705,7 +676,6 @@ TEST_F(ServerFixture, StatsReloadAndShutdownVerbs) {
 }
 
 TEST_F(ServerFixture, GlobalExplainAndCacheStatsOverSocket) {
-  ScopedCacheEnv cache_on("1");
   ServeClient client(socket_path);
   const std::vector<float> features = random_rows(55, 5, 6);
 
@@ -742,7 +712,6 @@ TEST_F(ServerFixture, GlobalExplainAndCacheStatsOverSocket) {
   ASSERT_EQ(stats.status, StatusCode::kOk);
   const auto doc = obs::JsonValue::parse(stats.text);
   const auto& cache = doc.at("explain_cache");
-  EXPECT_TRUE(cache.at("enabled").as_bool());
   EXPECT_GE(cache.at("hits").as_number(), 5.0);
   EXPECT_GE(cache.at("misses").as_number(), 5.0);
   EXPECT_GT(cache.at("hit_rate").as_number(), 0.0);

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -31,33 +30,6 @@ void expect_bits_equal(const std::vector<double>& a,
   ASSERT_EQ(a.size(), b.size());
   ASSERT_TRUE(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
-
-/// Temporarily pins one environment variable, restoring on destruction.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) saved_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(name_.c_str(), saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string saved_;
-  bool had_ = false;
-};
 
 Dataset random_data(std::size_t n, std::size_t n_features,
                     std::uint64_t seed) {
@@ -117,21 +89,24 @@ Dataset adversarial_rows(const RandomForestClassifier& forest, std::size_t n,
   return d;
 }
 
-/// Ground truth: the reference recursion (fast path and SIMD disabled,
-/// no cache attached), single-threaded.
+/// `data` explained by a fresh explainer (no cache attached) with the
+/// per-tree walk pinned.
+ShapMatrix pinned_walk_phi(const RandomForestClassifier& forest,
+                           const Dataset& data, ShapWalk walk,
+                           std::size_t threads = 1) {
+  return TreeShapExplainer(forest).shap_values_batch(
+      std::span<const float>(data.features_flat()), data.n_rows(), threads,
+      walk);
+}
+
+/// Ground truth: the reference recursion, single-threaded.
 ShapMatrix reference_phi(const RandomForestClassifier& forest,
                          const Dataset& data) {
-  ScopedEnv fast("DRCSHAP_SHAP_FAST", "0");
-  ScopedEnv cache("DRCSHAP_EXPLAIN_CACHE", "0");
-  return TreeShapExplainer(forest).shap_values_batch(data, 1);
+  return pinned_walk_phi(forest, data, ShapWalk::kReference);
 }
 
 void check_all_configs(const RandomForestClassifier& forest,
                        const Dataset& data) {
-  // The cache-on legs must work even when the CI job under test exports
-  // DRCSHAP_EXPLAIN_CACHE=0 (the kill-switch leg); the env-disabled leg
-  // below pins its own "0" scope.
-  ScopedEnv cache_on("DRCSHAP_EXPLAIN_CACHE", "1");
   const ShapMatrix reference = reference_phi(forest, data);
 
   TreeShapExplainer explainer(forest);
@@ -152,22 +127,21 @@ void check_all_configs(const RandomForestClassifier& forest,
                     explainer.shap_values_batch(data, 2).values);
   EXPECT_GT(cache->stats().hits, 0u);
 
-  {
-    // Scalar fast walk (SIMD kill switch): same bits again.
-    ScopedEnv simd("DRCSHAP_SIMD", "0");
-    const TreeShapExplainer scalar_explainer(forest);
-    expect_bits_equal(reference.values,
-                      scalar_explainer.shap_values_batch(data, 1).values);
+  // Scalar fast walk (the only walk on non-AVX2 hosts): same bits again.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    expect_bits_equal(
+        reference.values,
+        pinned_walk_phi(forest, data, ShapWalk::kScalar, threads).values);
   }
-  {
-    // Cache attached but disabled by env: bypassed, bits unchanged.
-    ScopedEnv off("DRCSHAP_EXPLAIN_CACHE", "0");
-    const ExplanationCacheStats before = cache->stats();
-    expect_bits_equal(reference.values,
-                      explainer.shap_values_batch(data, 1).values);
-    const ExplanationCacheStats after = cache->stats();
-    EXPECT_EQ(before.hits + before.misses, after.hits + after.misses);
-  }
+
+  // Warm cache detached: every row is computed again, the cache sees no
+  // traffic, and the bits are unchanged.
+  explainer.set_cache(nullptr);
+  const ExplanationCacheStats before = cache->stats();
+  expect_bits_equal(reference.values,
+                    explainer.shap_values_batch(data, 1).values);
+  const ExplanationCacheStats after = cache->stats();
+  EXPECT_EQ(before.hits + before.misses, after.hits + after.misses);
 }
 
 TEST(ShapFastPath, FuzzForestsByteIdenticalAcrossAllConfigs) {
@@ -223,11 +197,10 @@ TEST(ShapFastPath, HandBuiltAdversarialTrees) {
 }
 
 /// The full 14-design suite at test scale, one fitted forest: reference
-/// recursion vs the fast path across thread counts and both cache
-/// configurations, byte-identical on every design's real feature
-/// distribution.
+/// recursion vs the scalar and production fast walks across thread counts
+/// and both cache configurations, byte-identical on every design's real
+/// feature distribution.
 TEST(ShapFastPathSuite, AllSuiteDesignsByteIdentical) {
-  ScopedEnv cache_on("DRCSHAP_EXPLAIN_CACHE", "1");
   PipelineOptions tiny;
   tiny.generator.scale = 16.0;
 
@@ -255,6 +228,8 @@ TEST(ShapFastPathSuite, AllSuiteDesignsByteIdentical) {
     const Dataset d = designs[i].subset(rows);
 
     const ShapMatrix reference = reference_phi(forest, d);
+    expect_bits_equal(reference.values,
+                      pinned_walk_phi(forest, d, ShapWalk::kScalar).values);
     TreeShapExplainer explainer(forest);
     expect_bits_equal(reference.values,
                       explainer.shap_values_batch(d, 3).values);
@@ -280,7 +255,6 @@ std::uint64_t counter(const char* name) {
 /// unsplit feature perturbed) must collapse inside one batch and be served
 /// from the cache in the next. Raw-float keys fail every count below.
 TEST(ShapFastPath, CodeKeysShareSameBucketRows) {
-  ScopedEnv cache_on("DRCSHAP_EXPLAIN_CACHE", "1");
   // f0 splits at 0.25 and 0.5, f1 at 0.5; no tree splits on f2.
   std::vector<TreeNode> on_f0(5);
   on_f0[0] = {0, 0.5f, 1, 2, 0.5, 100.0};
