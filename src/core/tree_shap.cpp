@@ -21,6 +21,7 @@ using shap_detail::PathElement;
 using shap_detail::ExactTraversal;
 using shap_detail::ShapMeta;
 using shap_detail::FastFrame;
+using shap_detail::LeafMemo;
 using shap_detail::extend_path_01;
 using shap_detail::unwind_path;
 
@@ -236,16 +237,16 @@ ShapMeta build_meta(const FlatForest& forest) {
   return meta;
 }
 
-/// Leaf attribution with the per-feature UNWOUND_PATH_SUM chains
+/// Leaf attribution products w·(o−z)·v for unique-path elements 1..ud,
+/// written to prod[0..ud), with the per-feature UNWOUND_PATH_SUM chains
 /// interleaved four wide. Each chain is a serial recurrence through two
 /// divisions per step (~40 cycles of latency the divider spends mostly
 /// idle); the chains for different path elements only share the read-only
 /// path, so running four in lockstep pipelines the divider without touching
-/// any chain's operand order. phi updates stay in ascending element order
-/// (they would commute anyway: unique-path features are distinct).
-inline void leaf_accumulate(const ExactTraversal& tree, std::size_t node,
-                            const PathElement* path, int unique_depth,
-                            double* phi) {
+/// any chain's operand order.
+inline void leaf_products(const ExactTraversal& tree, std::size_t node,
+                          const PathElement* path, int unique_depth,
+                          double* prod) {
   const double leaf_value = tree.value[node];
   const double top_pweight = path[unique_depth].pweight;
   int i = 1;
@@ -275,13 +276,12 @@ inline void leaf_accumulate(const ExactTraversal& tree, std::size_t node,
       }
     }
     for (int k = 0; k < 4; ++k) {
-      phi[static_cast<std::size_t>(path[i + k].feature_index)] +=
-          total[k] * (of[k] - zf[k]) * leaf_value;
+      prod[i + k - 1] = total[k] * (of[k] - zf[k]) * leaf_value;
     }
   }
   for (; i <= unique_depth; ++i) {
     const double w = unwound_path_sum(path, unique_depth, i);
-    phi[static_cast<std::size_t>(path[i].feature_index)] +=
+    prod[i - 1] =
         w * (path[i].one_fraction - path[i].zero_fraction) * leaf_value;
   }
 }
@@ -295,9 +295,10 @@ inline void leaf_accumulate(const ExactTraversal& tree, std::size_t node,
 /// place, because the parent path is dead once the hot subtree returned).
 void fast_tree_shap(const ExactTraversal& tree, const ShapMeta& meta,
                     std::int32_t root, double* phi, PathElement* storage,
-                    int stride, std::vector<FastFrame>& stack) {
+                    int stride, std::vector<FastFrame>& stack,
+                    LeafMemo& memo) {
   stack.clear();
-  stack.push_back({root, 0, 0, -1, 1.0});
+  stack.push_back({root, 0, 0, -1, 1.0, 0});
   while (!stack.empty()) {
     FastFrame frame = stack.back();
     stack.pop_back();
@@ -306,16 +307,36 @@ void fast_tree_shap(const ExactTraversal& tree, const ShapMeta& meta,
     int unique_depth = frame.unique_depth;
     double one_fraction = frame.one_fraction;
     int feature = frame.feature;
+    std::uint64_t history = frame.history;
     PathElement* path = storage + static_cast<std::size_t>(slot) *
                                       static_cast<std::size_t>(stride);
     for (;;) {
       const auto node = static_cast<std::size_t>(node_index);
-      extend_path_01(path, unique_depth, meta.entry_zero_fraction[node],
-                     one_fraction, feature);
       if (tree.is_leaf(node)) {
-        leaf_accumulate(tree, node, path, unique_depth, phi);
+        // A memo hit needs no path, so the leaf's own EXTEND runs only on a
+        // miss. The adds go in ascending unique-path order either way.
+        if (unique_depth > 0) {
+          bool hit = false;
+          const std::int32_t off =
+              memo.find_or_reserve(node_index, history, unique_depth, hit);
+          std::int32_t* feat = memo.feat.data() + off;
+          double* prod = memo.prod.data() + off;
+          if (!hit) {
+            extend_path_01(path, unique_depth, meta.entry_zero_fraction[node],
+                           one_fraction, feature);
+            leaf_products(tree, node, path, unique_depth, prod);
+            for (int i = 1; i <= unique_depth; ++i) {
+              feat[i - 1] = path[i].feature_index;
+            }
+          }
+          for (int k = 0; k < unique_depth; ++k) {
+            phi[static_cast<std::size_t>(feat[k])] += prod[k];
+          }
+        }
         break;
       }
+      extend_path_01(path, unique_depth, meta.entry_zero_fraction[node],
+                     one_fraction, feature);
       feature = tree.split_feature(node);
       const int path_index = meta.dup_index[node];
       double incoming_one_fraction = 1.0;
@@ -330,7 +351,8 @@ void fast_tree_shap(const ExactTraversal& tree, const ShapMeta& meta,
       const bool goes_left = tree.goes_left(node);
       const std::int32_t hot = goes_left ? left : right;
       const std::int32_t cold = goes_left ? right : left;
-      stack.push_back({cold, slot, depth_after + 1, feature, 0.0});
+      stack.push_back(
+          {cold, slot, depth_after + 1, feature, 0.0, history << 1});
       PathElement* hot_path = storage + static_cast<std::size_t>(slot + 1) *
                                             static_cast<std::size_t>(stride);
       for (int i = 0; i <= depth_after; ++i) hot_path[i] = path[i];
@@ -339,13 +361,14 @@ void fast_tree_shap(const ExactTraversal& tree, const ShapMeta& meta,
       ++slot;
       unique_depth = depth_after + 1;
       one_fraction = incoming_one_fraction;
+      history = (history << 1) | (incoming_one_fraction != 0.0 ? 1u : 0u);
     }
   }
 }
 
-/// Structural FNV-1a over what determines phi: tree shapes live in the
-/// child topology, but covers + values + roots pin the ensemble well enough
-/// to keep one cache from serving another model's rows.
+/// FNV-1a over every FlatForest array phi depends on: roots, split
+/// features and thresholds, child links, values and covers. Two models that
+/// differ anywhere, a single threshold included, get different salts.
 std::uint64_t model_digest_of(const FlatForest& flat) {
   const std::size_t n_nodes = flat.n_nodes();
   const std::size_t n_trees = flat.n_trees();
@@ -356,6 +379,9 @@ std::uint64_t model_digest_of(const FlatForest& flat) {
     h = fnv1a(&root, sizeof(root), h);
   }
   h = fnv1a(flat.feature(), n_nodes * sizeof(std::int32_t), h);
+  h = fnv1a(flat.threshold(), n_nodes * sizeof(float), h);
+  h = fnv1a(flat.left(), n_nodes * sizeof(std::int32_t), h);
+  h = fnv1a(flat.right(), n_nodes * sizeof(std::int32_t), h);
   h = fnv1a(flat.value(), n_nodes * sizeof(double), h);
   return fnv1a(flat.cover(), n_nodes * sizeof(double), h);
 }
@@ -369,6 +395,9 @@ constexpr std::size_t kTreesPerBlock = 64;
 // Samples per in-flight slab when tree blocks force a partial buffer;
 // bounds partial memory at ~kPartialBudget doubles per feature.
 constexpr std::size_t kPartialBudget = 2048;
+
+// Most rows sharing one leaf memo (G in LeafMemo's memory bound).
+constexpr std::size_t kGroupRows = 128;
 
 }  // namespace
 
@@ -546,17 +575,19 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
       meta = &meta_->meta;
     }
 
-    // One scratch slot per shared-pool worker: the Algorithm-2 path storage
-    // plus the fast walk's frame stack. Ranges may also run inline on the
-    // calling thread (worker index -1 when it is not a pool worker), but
-    // only when nothing was submitted — a serial-degraded nested call runs
-    // entirely on its outer worker, and a top-level inline run has no
-    // workers active in this call — so a slot is never contended within one
-    // call.
-    struct WorkerScratch {
+    // One scratch slot per shared-pool worker: the Algorithm-2 path storage,
+    // the fast walk's frame stack, the AVX2 staging pools and the leaf
+    // memo. Ranges may also run inline on the calling thread (worker index
+    // -1 when it is not a pool worker), but only when nothing was submitted
+    // — a serial-degraded nested call runs entirely on its outer worker, and
+    // a top-level inline run has no workers active in this call — so a slot
+    // is never contended within one call. Slots are cache-line aligned: the
+    // walks bump their counters and stack sizes on every node.
+    struct alignas(64) WorkerScratch {
       std::vector<PathElement> path;
       std::vector<FastFrame> stack;
       shap_detail::ShapJobEngine engine;
+      LeafMemo memo;
     };
     std::vector<WorkerScratch> scratch(pool.size());
     auto worker_scratch = [&]() -> WorkerScratch& {
@@ -582,90 +613,132 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
 #endif
     obs::note_set("shap/walk",
                   !meta ? "reference" : (simd_walk ? "avx2" : "scalar"));
-    // Accumulate trees [t_begin, t_end) for row `row` into `phi` in fixed
-    // tree order.
-    auto accumulate_trees = [&](std::size_t row, double* phi,
-                                std::size_t t_begin, std::size_t t_end) {
+
+    // Rows stream through in slabs so the per-(row, block) partial buffer
+    // stays bounded; a one-block ensemble writes output rows directly.
+    const std::size_t slab =
+        n_blocks == 1 ? pending.size()
+                      : std::max<std::size_t>(1, kPartialBudget / n_blocks);
+    std::vector<double> partial;
+    if (n_blocks > 1) {
+      partial.resize(std::min(slab, pending.size()) * n_blocks * n_features);
+    }
+    const auto phi_of = [&](std::size_t begin, std::size_t local,
+                            std::size_t block) -> double* {
+      if (n_blocks == 1) {
+        return out.values.data() +
+               std::size_t{pending[begin + local]} * n_features;
+      }
+      return partial.data() + (local * n_blocks + block) * n_features;
+    };
+
+    // Work units are (row group, tree block): the group's rows walk the
+    // block's trees tree-outer, row-inner, so every row receives its trees
+    // in fixed order while the group meets each tree back to back and
+    // shares that tree's leaf memo. Groups only change which row computes a
+    // memoized product first, never its bits, so their size may follow the
+    // worker count: as many rows as kGroupRows allows while leaving every
+    // worker two units. Without a memo (the reference walk, forests deeper
+    // than the history width) a group is one row.
+    const bool memo_fits =
+        meta != nullptr && flat.max_depth() <= shap_detail::kMemoMaxDepth;
+    const std::size_t min_groups =
+        (2 * pool.width(n_threads) + n_blocks - 1) / n_blocks;
+    const auto walk_group = [&](std::size_t begin, std::size_t first,
+                                std::size_t count, std::size_t block) {
       WorkerScratch& ws = worker_scratch();
-      const float* x = features.data() + row * n_features;
+      const std::size_t t_begin = block * kTreesPerBlock;
+      const std::size_t t_end = std::min(n_trees, t_begin + kTreesPerBlock);
+      const auto x_of = [&](std::size_t local) {
+        return features.data() +
+               std::size_t{pending[begin + local]} * n_features;
+      };
       if (meta == nullptr) {
         for (std::size_t t = t_begin; t < t_end; ++t) {
-          flat_tree_shap(flat, t, x, phi, ws.path.data(), stride);
+          for (std::size_t local = first; local < first + count; ++local) {
+            flat_tree_shap(flat, t, x_of(local), phi_of(begin, local, block),
+                           ws.path.data(), stride);
+          }
         }
         return;
       }
-      const ExactTraversal trav = traversal(flat, x);
 #if DRCSHAP_SIMD_ENABLED
-      if (simd_walk) {
-        ws.engine.init(stride, meta->max_leaves);
-        for (std::size_t t = t_begin; t < t_end; ++t) {
-          shap_detail::fast_tree_shap_avx2(trav, *meta, flat.root(t), phi,
-                                           ws.path.data(), stride, ws.stack,
-                                           ws.engine);
-        }
-        return;
-      }
+      if (simd_walk) ws.engine.init(stride, meta->max_leaves);
 #endif
+      bool record = memo_fits && count > 1;
       for (std::size_t t = t_begin; t < t_end; ++t) {
-        fast_tree_shap(trav, *meta, flat.root(t), phi, ws.path.data(), stride,
-                       ws.stack);
+        const std::uint64_t hits = ws.memo.hits;
+        const std::uint64_t misses = ws.memo.misses;
+        ws.memo.begin_tree(record);
+        for (std::size_t local = first; local < first + count; ++local) {
+          const ExactTraversal trav = traversal(flat, x_of(local));
+          double* phi = phi_of(begin, local, block);
+#if DRCSHAP_SIMD_ENABLED
+          if (simd_walk) {
+            shap_detail::fast_tree_shap_avx2(trav, *meta, flat.root(t), phi,
+                                             ws.path.data(), stride, ws.stack,
+                                             ws.engine, ws.memo);
+            continue;
+          }
+#endif
+          fast_tree_shap(trav, *meta, flat.root(t), phi, ws.path.data(),
+                         stride, ws.stack, ws.memo);
+        }
+        // Storing products costs cache traffic on every miss. When the
+        // unit's first tree hit on fewer than a quarter of its leaf visits
+        // (distinct rows of a deep forest), the rest of the unit walks
+        // without recording.
+        if (t == t_begin &&
+            3 * (ws.memo.hits - hits) < ws.memo.misses - misses) {
+          record = false;
+        }
       }
     };
 
-    if (n_blocks == 1) {
-      // Small ensemble: one work unit per pending row writes its output row
-      // directly, accumulating trees in fixed order.
+    for (std::size_t begin = 0; begin < pending.size(); begin += slab) {
+      const std::size_t count = std::min(slab, pending.size() - begin);
+      if (n_blocks > 1) {
+        std::fill_n(partial.data(), count * n_blocks * n_features, 0.0);
+      }
+      std::size_t group = 1;
+      if (memo_fits) {
+        group = std::clamp<std::size_t>((count + min_groups - 1) / min_groups,
+                                        1, kGroupRows);
+      }
+      const std::size_t n_groups = (count + group - 1) / group;
       pool.parallel_for(
-          pending.size(),
-          [&](std::size_t i) {
-            const std::size_t row = pending[i];
-            double* phi = out.values.data() + row * n_features;
-            accumulate_trees(row, phi, 0, n_trees);
-            for (std::size_t f = 0; f < n_features; ++f) phi[f] *= inv;
+          n_groups * n_blocks,
+          [&](std::size_t unit) {
+            const std::size_t first = unit / n_blocks * group;
+            walk_group(begin, first, std::min(group, count - first),
+                       unit % n_blocks);
           },
           /*grain=*/0, /*max_workers=*/n_threads);
-    } else {
-      // Large ensemble: (row, tree-block) work units write per-unit partial
-      // phi rows, merged per row in ascending block order. Rows stream
-      // through in slabs so the partial buffer stays bounded.
-      const std::size_t slab =
-          std::max<std::size_t>(1, kPartialBudget / n_blocks);
-      std::vector<double> partial(std::min(slab, pending.size()) * n_blocks *
-                                  n_features);
-      for (std::size_t begin = 0; begin < pending.size(); begin += slab) {
-        const std::size_t count = std::min(slab, pending.size() - begin);
-        std::fill(partial.begin(),
-                  partial.begin() + static_cast<std::ptrdiff_t>(
-                                        count * n_blocks * n_features),
-                  0.0);
-        pool.parallel_for(
-            count * n_blocks,
-            [&](std::size_t unit) {
-              const std::size_t local = unit / n_blocks;
-              const std::size_t block = unit % n_blocks;
-              double* phi =
-                  partial.data() + (local * n_blocks + block) * n_features;
-              const std::size_t t_begin = block * kTreesPerBlock;
-              const std::size_t t_end =
-                  std::min(n_trees, t_begin + kTreesPerBlock);
-              accumulate_trees(pending[begin + local], phi, t_begin, t_end);
-            },
-            /*grain=*/0, /*max_workers=*/n_threads);
-        pool.parallel_for(
-            count,
-            [&](std::size_t local) {
-              double* dst = out.values.data() +
-                            std::size_t{pending[begin + local]} * n_features;
+      // Merge per row in ascending block order, then average.
+      pool.parallel_for(
+          count,
+          [&](std::size_t local) {
+            double* dst = out.values.data() +
+                          std::size_t{pending[begin + local]} * n_features;
+            if (n_blocks > 1) {
               for (std::size_t block = 0; block < n_blocks; ++block) {
-                const double* src =
-                    partial.data() + (local * n_blocks + block) * n_features;
+                const double* src = phi_of(begin, local, block);
                 for (std::size_t f = 0; f < n_features; ++f) dst[f] += src[f];
               }
-              for (std::size_t f = 0; f < n_features; ++f) dst[f] *= inv;
-            },
-            /*grain=*/0, /*max_workers=*/n_threads);
-      }
+            }
+            for (std::size_t f = 0; f < n_features; ++f) dst[f] *= inv;
+          },
+          /*grain=*/0, /*max_workers=*/n_threads);
     }
+
+    std::uint64_t memo_hits = 0;
+    std::uint64_t memo_misses = 0;
+    for (const WorkerScratch& ws : scratch) {
+      memo_hits += ws.memo.hits;
+      memo_misses += ws.memo.misses;
+    }
+    obs::counter_add("shap/leaf_memo_hits", memo_hits);
+    obs::counter_add("shap/leaf_memo_misses", memo_misses);
 
     if (cache != nullptr) {
       const std::uint64_t salt = model_digest_;

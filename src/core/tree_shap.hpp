@@ -14,8 +14,8 @@
 //
 // Explaining every predicted hotspot of a design means thousands of samples
 // against a 500-tree ensemble, so the explainer also has a batched engine:
-// shap_values_batch fans (sample, tree-block) work units across a thread
-// pool with per-worker path scratch, and merges per-block partial phi
+// shap_values_batch fans (row group, 64-tree block) work units across a
+// thread pool with per-worker scratch, and merges per-block partial phi
 // vectors in fixed tree order — the accumulation structure depends only on
 // the ensemble, so results are bit-identical for any thread count.
 //
@@ -38,6 +38,19 @@
 // order, so fast-path phi is byte-identical to the reference recursion
 // (kept verbatim behind the single-sample shap_values and
 // ShapWalk::kReference).
+//
+// Inside a work unit the group's rows walk the block's trees tree-outer,
+// row-inner, sharing a per-worker *leaf-pattern memo* that is cleared per
+// tree. A leaf's attribution products w·(o−z)·v are a function of the leaf
+// and of the row's 0/1 one-fraction at every level of the root→leaf path
+// (its history; the folded unique-path mask is not enough, because UNWIND
+// does not invert EXTEND exactly in floating point). The first row of the
+// group to reach a (leaf, history) computes the products with the scalar
+// or AVX2 leaf kernel and stores them; later rows add the stored doubles at
+// that leaf's place in their own DFS order. On the ECO forest about 98 % of
+// leaf visits hit. A 1-row group records nothing, a unit whose first tree
+// hit on fewer than a quarter of its leaf visits stops recording, and
+// forests deeper than the 64-bit history walk without a memo.
 //
 // Every walk — the reference recursion, the scalar fast walk and the AVX2
 // fast walk — runs over the exact FlatForest layout. The forest's compiled
@@ -104,9 +117,10 @@ class TreeShapExplainer {
   }
   const std::shared_ptr<ExplanationCache>& cache() const { return cache_; }
 
-  /// Structural FNV-1a digest of the snapshotted ensemble (features, values,
-  /// covers, roots). Used as the cache key salt so a cache accidentally
-  /// shared across models can never serve a stale row.
+  /// FNV-1a digest of every array of the snapshotted ensemble (roots, split
+  /// features and thresholds, child links, values, covers). Used as the
+  /// cache key salt so a cache accidentally shared across models can never
+  /// serve a stale row.
   std::uint64_t model_digest() const { return model_digest_; }
 
   /// E[f(x)] over the training distribution (cover-weighted).

@@ -26,7 +26,9 @@
 //  * phi application is deferred to the flush but ordered by leaf-job
 //    emission (= reference DFS leaf order), and within a leaf the unique
 //    path features are distinct, so every phi slot sees its additions in
-//    exactly the reference order.
+//    exactly the reference order. A leaf the memo holds stages no chains:
+//    its job carries the stored products and applies them at its own place
+//    in that order; a recorded miss stores its products as it applies them.
 //
 // EXTEND/UNWIND and the traversal itself stay scalar here — identical
 // source, identical ops to the scalar fast walk in tree_shap.cpp.
@@ -177,8 +179,10 @@ void k_mixed(int ud, const Block* bs1, const Block* bs0, const double* pwpool,
 
 /// Drains every bucket through the kernels, then applies phi per leaf job
 /// in emission (= reference DFS) order: tot * (of - zf) * leaf_value with
-/// of literal 1.0 / 0.0, exactly the reference expression.
-void flush_tree(ShapJobEngine& je, double* phi) {
+/// of literal 1.0 / 0.0, exactly the reference expression, or a memo hit's
+/// stored products. A recorded miss stores its products as it applies
+/// them.
+void flush_tree(ShapJobEngine& je, LeafMemo& memo, double* phi) {
   const double* pwpool = je.pwpool.data();
   for (int u = 0; u < je.n_used; ++u) {
     const int ud = je.used_ud[u];
@@ -219,20 +223,47 @@ void flush_tree(ShapJobEngine& je, double* phi) {
   }
   for (int jb = 0; jb < je.n_jobs; ++jb) {
     const ShapJobEngine::Job& job = je.jobs[static_cast<std::size_t>(jb)];
+    if (job.hit) {
+      const std::int32_t* feat = memo.feat.data() + job.memo_off;
+      const double* prod = memo.prod.data() + job.memo_off;
+      for (int k = 0; k < job.unique_depth; ++k) {
+        phi[static_cast<std::size_t>(feat[k])] += prod[k];
+      }
+      continue;
+    }
+    std::int32_t* rec_feat = nullptr;
+    double* rec_prod = nullptr;
+    if (job.memo_off >= 0) {
+      rec_feat = memo.feat.data() + job.memo_off;
+      rec_prod = memo.prod.data() + job.memo_off;
+    }
+    const auto apply = [&](std::int32_t f, double p) {
+      phi[static_cast<std::size_t>(f)] += p;
+      if (rec_feat != nullptr) {
+        *rec_feat++ = f;
+        *rec_prod++ = p;
+      }
+    };
     for (int k = 0; k < job.n1; ++k) {
-      const int e = job.e1_off + k;
-      phi[static_cast<std::size_t>(je.f1[static_cast<std::size_t>(e)])] +=
-          je.tot1[static_cast<std::size_t>(e)] *
-          (1.0 - je.zf1[static_cast<std::size_t>(e)]) * job.leaf_value;
+      const auto e = static_cast<std::size_t>(job.e1_off + k);
+      apply(je.f1[e], je.tot1[e] * (1.0 - je.zf1[e]) * job.leaf_value);
     }
     for (int k = 0; k < job.n0; ++k) {
-      const int e = job.e0_off + k;
-      phi[static_cast<std::size_t>(je.f0[static_cast<std::size_t>(e)])] +=
-          je.tot0[static_cast<std::size_t>(e)] *
-          (0.0 - je.zf0[static_cast<std::size_t>(e)]) * job.leaf_value;
+      const auto e = static_cast<std::size_t>(job.e0_off + k);
+      apply(je.f0[e], je.tot0[e] * (0.0 - je.zf0[e]) * job.leaf_value);
     }
   }
   je.reset();
+}
+
+/// Stage a memo hit: no chains, its stored pairs apply at this job's place.
+inline void emit_hit(int ud, std::int32_t memo_off, ShapJobEngine& je) {
+  ShapJobEngine::Job& job = je.jobs[static_cast<std::size_t>(je.n_jobs++)];
+  job.unique_depth = ud;
+  job.n1 = 0;
+  job.n0 = 0;
+  job.memo_off = memo_off;
+  job.hit = true;
 }
 
 /// Stage one leaf's chains into the engine: the path's unique elements,
@@ -240,9 +271,12 @@ void flush_tree(ShapJobEngine& je, double* phi) {
 /// pweight array. Padding lanes get zf = 1.0 (any finite value works —
 /// lanes are independent and padding totals are never applied).
 inline void emit_leaf(const ExactTraversal& tree, std::size_t node,
-                      const PathElement* path, int ud, ShapJobEngine& je) {
+                      const PathElement* path, int ud, std::int32_t memo_off,
+                      ShapJobEngine& je) {
   ShapJobEngine::Job& job = je.jobs[static_cast<std::size_t>(je.n_jobs++)];
   job.unique_depth = ud;
+  job.memo_off = memo_off;
+  job.hit = false;
   job.leaf_value = tree.value[node];
   job.e1_off = je.n1;
   job.e0_off = je.n0;
@@ -305,9 +339,9 @@ inline void emit_leaf(const ExactTraversal& tree, std::size_t node,
 void fast_tree_shap_avx2(const ExactTraversal& tree, const ShapMeta& meta,
                          std::int32_t root, double* phi, PathElement* storage,
                          int stride, std::vector<FastFrame>& stack,
-                         ShapJobEngine& je) {
+                         ShapJobEngine& je, LeafMemo& memo) {
   stack.clear();
-  stack.push_back({root, 0, 0, -1, 1.0});
+  stack.push_back({root, 0, 0, -1, 1.0, 0});
   while (!stack.empty()) {
     FastFrame frame = stack.back();
     stack.pop_back();
@@ -316,16 +350,29 @@ void fast_tree_shap_avx2(const ExactTraversal& tree, const ShapMeta& meta,
     int unique_depth = frame.unique_depth;
     double one_fraction = frame.one_fraction;
     int feature = frame.feature;
+    std::uint64_t history = frame.history;
     PathElement* path = storage + static_cast<std::size_t>(slot) *
                                       static_cast<std::size_t>(stride);
     for (;;) {
       const auto node = static_cast<std::size_t>(node_index);
-      extend_path_01(path, unique_depth, meta.entry_zero_fraction[node],
-                     one_fraction, feature);
       if (tree.is_leaf(node)) {
-        if (unique_depth > 0) emit_leaf(tree, node, path, unique_depth, je);
+        if (unique_depth > 0) {
+          bool hit = false;
+          const std::int32_t off =
+              memo.find_or_reserve(node_index, history, unique_depth, hit);
+          if (hit) {
+            emit_hit(unique_depth, off, je);
+          } else {
+            extend_path_01(path, unique_depth, meta.entry_zero_fraction[node],
+                           one_fraction, feature);
+            emit_leaf(tree, node, path, unique_depth,
+                      memo.recording ? off : -1, je);
+          }
+        }
         break;
       }
+      extend_path_01(path, unique_depth, meta.entry_zero_fraction[node],
+                     one_fraction, feature);
       feature = tree.split_feature(node);
       const int path_index = meta.dup_index[node];
       double incoming_one_fraction = 1.0;
@@ -340,7 +387,8 @@ void fast_tree_shap_avx2(const ExactTraversal& tree, const ShapMeta& meta,
       const bool goes_left = tree.goes_left(node);
       const std::int32_t hot = goes_left ? left : right;
       const std::int32_t cold = goes_left ? right : left;
-      stack.push_back({cold, slot, depth_after + 1, feature, 0.0});
+      stack.push_back(
+          {cold, slot, depth_after + 1, feature, 0.0, history << 1});
       PathElement* hot_path = storage + static_cast<std::size_t>(slot + 1) *
                                             static_cast<std::size_t>(stride);
       for (int i = 0; i <= depth_after; ++i) hot_path[i] = path[i];
@@ -349,9 +397,10 @@ void fast_tree_shap_avx2(const ExactTraversal& tree, const ShapMeta& meta,
       ++slot;
       unique_depth = depth_after + 1;
       one_fraction = incoming_one_fraction;
+      history = (history << 1) | (incoming_one_fraction != 0.0 ? 1u : 0u);
     }
   }
-  flush_tree(je, phi);
+  flush_tree(je, memo, phi);
 }
 
 }  // namespace drcshap::shap_detail

@@ -6,6 +6,7 @@
 // types — and the exact same inline EXTEND/UNWIND op order — that the
 // scalar engine uses, so the two walks stay provably byte-identical.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -122,6 +123,116 @@ struct FastFrame {
   std::int32_t unique_depth;
   std::int32_t feature;  ///< split feature of the edge into `node`
   double one_fraction;
+  /// One-fraction history of the edges into `node`: one bit per level,
+  /// root edge first, the edge into `node` in bit 0.
+  std::uint64_t history;
+};
+
+/// Tree depth the leaf-pattern memo keys exactly: one history bit per
+/// level must fit in 64 bits. Deeper forests walk without a memo.
+inline constexpr int kMemoMaxDepth = 64;
+
+/// Per-worker leaf-pattern memo of the fast walks. A leaf's attribution
+/// products w·(o−z)·v, one per unique-path element, are a function of the
+/// leaf and of the 0/1 one-fraction each EXTEND received on the way down
+/// (the *history*): zero-fractions, feature order and duplicate unwinds are
+/// structural. The first row of a group to reach (leaf, history) in a tree
+/// stores its (feature, product) pairs; later rows add the stored doubles
+/// into their own phi at that leaf's place in their own DFS order, instead
+/// of re-running the UNWOUND_PATH_SUM chains. The key is the history, not
+/// the folded 0/1 mask of the unique path: UNWIND does not invert EXTEND
+/// exactly in floating point, so the one-fraction a duplicate feature had
+/// before it was folded leaves its trace in the pweights.
+///
+/// Memory bound per worker, with G rows per group, L leaves in the widest
+/// tree and D the forest depth: one tree holds at most G·L distinct keys of
+/// at most D pairs each, and the table keeps its load at or below 1/2, so
+/// the memo never exceeds 4·G·L slots and G·L·D pairs. begin_tree()
+/// recycles both for the next tree.
+struct LeafMemo {
+  struct Slot {
+    std::uint64_t history;
+    std::int32_t leaf;
+    std::int32_t off;     ///< first pair in `feat` / `prod`
+    std::uint32_t stamp;  ///< tree generation; other stamps are empty
+  };
+  std::vector<Slot> slots;  // open addressing, power-of-two size
+  std::vector<std::int32_t> feat;
+  std::vector<double> prod;
+  std::size_t n_pairs = 0;
+  std::size_t n_live = 0;
+  std::uint32_t stamp = 0;
+  bool recording = false;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+
+  /// Forgets every entry. With `record` false (1-row groups, forests deeper
+  /// than kMemoMaxDepth, units whose first tree rarely hit) find_or_reserve
+  /// only hands out scratch pairs.
+  void begin_tree(bool record) {
+    recording = record;
+    n_pairs = 0;
+    n_live = 0;
+    if (++stamp == 0) {
+      for (Slot& s : slots) s.stamp = 0;
+      stamp = 1;
+    }
+  }
+
+  /// Offset into `feat` / `prod` of the pairs of (leaf, history). `hit`
+  /// tells whether an earlier row stored them; otherwise `n` pairs are
+  /// reserved there for the caller to fill, and later rows of the group
+  /// find them while recording.
+  std::int32_t find_or_reserve(std::int32_t leaf, std::uint64_t history,
+                               int n, bool& hit) {
+    hit = false;
+    const auto off = static_cast<std::int32_t>(n_pairs);
+    if (feat.size() < n_pairs + static_cast<std::size_t>(n)) {
+      const std::size_t size =
+          std::max<std::size_t>(2 * feat.size(), n_pairs + 4096);
+      feat.resize(size);
+      prod.resize(size);
+    }
+    if (!recording) return off;
+    if (2 * (n_live + 1) > slots.size()) grow();
+    const std::size_t mask = slots.size() - 1;
+    for (std::size_t i = slot_of(leaf, history) & mask;; i = (i + 1) & mask) {
+      Slot& s = slots[i];
+      if (s.stamp != stamp) {
+        s = {history, leaf, off, stamp};
+        ++n_live;
+        ++misses;
+        n_pairs += static_cast<std::size_t>(n);
+        return off;
+      }
+      if (s.leaf == leaf && s.history == history) {
+        hit = true;
+        ++hits;
+        return s.off;
+      }
+    }
+  }
+
+ private:
+  static std::size_t slot_of(std::int32_t leaf, std::uint64_t history) {
+    std::uint64_t k = history * 0x9E3779B97F4A7C15ull +
+                      static_cast<std::uint32_t>(leaf);
+    k ^= k >> 29;
+    k *= 0xBF58476D1CE4E5B9ull;
+    return static_cast<std::size_t>(k ^ (k >> 32));
+  }
+
+  void grow() {
+    std::vector<Slot> old(std::max<std::size_t>(1024, 2 * slots.size()));
+    old.swap(slots);
+    const std::size_t mask = slots.size() - 1;
+    for (const Slot& s : old) {
+      if (s.stamp != stamp) continue;
+      std::size_t i = slot_of(s.leaf, s.history) & mask;
+      while (slots[i].stamp == stamp) i = (i + 1) & mask;
+      slots[i] = s;
+    }
+  }
 };
 
 /// Per-tree staging pools of the vector walk. The walk defers every leaf's
@@ -129,7 +240,9 @@ struct FastFrame {
 /// block come from one leaf, so they share the pweight array and load it
 /// broadcast) and flushes once per tree: interleaved blocks hide the
 /// recurrence latency, and phi is applied afterwards in exactly the DFS
-/// emission order the reference uses. Chain regions are padded to lane
+/// emission order the reference uses. A leaf the memo already holds is a
+/// job whose products are known: it stages no chains and adds its stored
+/// pairs at its place in that order. Chain regions are padded to lane
 /// multiples so kernels can store 4 wide; padding lanes are garbage but
 /// lane-local (no cross-lane op reads them) and never applied to phi.
 struct ShapJobEngine {
@@ -137,6 +250,10 @@ struct ShapJobEngine {
     std::int32_t unique_depth;
     std::int32_t e1_off, n1;  ///< one_fraction==1 chain range (padded pool)
     std::int32_t e0_off, n0;  ///< one_fraction==0 chain range (padded pool)
+    /// LeafMemo pairs: the products of a hit, or where a recorded miss
+    /// stores its products; -1 for an unrecorded miss.
+    std::int32_t memo_off;
+    bool hit;
     double leaf_value;
   };
   /// One 4-lane block of same-kind chains from one leaf.
@@ -214,13 +331,14 @@ struct ShapJobEngine {
 inline constexpr int kSimdWalkMaxDepth = 190;
 
 /// AVX2+FMA twin of the scalar fast walk for one (sample, tree): same
-/// traversal order, same EXTEND/UNWIND operands, leaf chains batched per
-/// tree and flushed into phi in reference DFS order. Byte-identical to the
-/// scalar walk (and therefore to the reference recursion).
+/// traversal order, same EXTEND/UNWIND operands, same memo lookups, leaf
+/// chains batched per tree and flushed into phi in reference DFS order.
+/// Byte-identical to the scalar walk (and therefore to the reference
+/// recursion).
 void fast_tree_shap_avx2(const ExactTraversal& tree, const ShapMeta& meta,
                          std::int32_t root, double* phi, PathElement* storage,
                          int stride, std::vector<FastFrame>& stack,
-                         ShapJobEngine& engine);
+                         ShapJobEngine& engine, LeafMemo& memo);
 
 #endif  // DRCSHAP_SIMD_ENABLED
 

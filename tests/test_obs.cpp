@@ -357,8 +357,8 @@ TEST_F(Obs, InstrumentedStagesAppearInSnapshot) {
 
 TEST_F(Obs, ShapWalkNoteAndCacheCountersSurface) {
   // The fast-path instrumentation: which walk ran (avx2 where the CPU runs
-  // it, else scalar) is a note, and an attached explanation cache reports
-  // its hit/miss traffic as counters.
+  // it, else scalar) is a note, an attached explanation cache reports its
+  // hit/miss traffic as counters, and so does the leaf-pattern memo.
   if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   Dataset data(4);
   std::vector<float> row(4);
@@ -386,6 +386,13 @@ TEST_F(Obs, ShapWalkNoteAndCacheCountersSurface) {
   ASSERT_TRUE(snap.counters.contains("shap/cache_hits"));
   EXPECT_GT(snap.counters.at("shap/cache_misses"), 0u);
   EXPECT_GT(snap.counters.at("shap/cache_hits"), 0u);
+  // The cold batch's 32 distinct rows walk each tree in groups sharing a
+  // leaf memo: the first row of a group to reach a leaf pattern misses,
+  // later rows hit.
+  ASSERT_TRUE(snap.counters.contains("shap/leaf_memo_hits"));
+  ASSERT_TRUE(snap.counters.contains("shap/leaf_memo_misses"));
+  EXPECT_GT(snap.counters.at("shap/leaf_memo_misses"), 0u);
+  EXPECT_GT(snap.counters.at("shap/leaf_memo_hits"), 0u);
 }
 
 TEST_F(Obs, SubstrateCountersAppearInRunReport) {

@@ -1,7 +1,8 @@
-// Byte-identity suite for the batched fast TreeSHAP path and the
-// explanation cache: whatever combination of walk (reference recursion /
-// scalar fast / AVX2 fast), thread count, and cache configuration runs,
-// every phi double must match the reference recursion bit for bit. The
+// Byte-identity suite for the batched fast TreeSHAP path, its leaf-pattern
+// memo and the explanation cache: whatever combination of walk (reference
+// recursion / scalar fast / AVX2 fast), thread count (which also sets the
+// memo's row groups), and cache configuration runs, every phi double must
+// match the reference recursion bit for bit. The
 // fast path is only allowed to change speed, never a single output bit —
 // same contract the compiled inference backend makes, now for explanations.
 
@@ -11,6 +12,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 
@@ -105,43 +107,95 @@ ShapMatrix reference_phi(const RandomForestClassifier& forest,
   return pinned_walk_phi(forest, data, ShapWalk::kReference);
 }
 
+/// Reads one obs counter (0 when absent or when obs is compiled out).
+std::uint64_t counter(const char* name) {
+  const obs::Snapshot snap = obs::snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+/// Leaf visits the memo has seen so far, hits plus misses.
+std::uint64_t memo_lookups() {
+  return counter("shap/leaf_memo_hits") + counter("shap/leaf_memo_misses");
+}
+
+constexpr std::size_t kThreadCounts[] = {1, 3, 8};
+
+/// Every production configuration against the reference recursion: the
+/// kAuto walk (AVX2 where the CPU runs it) and the scalar walk, at 1, 3 and
+/// 8 threads, with the cache detached, cold and warm, and detached again.
+/// Each (walk, threads) pair gets a fresh cache, so its cold call walks
+/// every unique row.
 void check_all_configs(const RandomForestClassifier& forest,
                        const Dataset& data) {
   const ShapMatrix reference = reference_phi(forest, data);
-
-  TreeShapExplainer explainer(forest);
-  const auto cache = std::make_shared<ExplanationCache>();
-  for (const bool with_cache : {false, true}) {
-    SCOPED_TRACE(with_cache ? "cache=on" : "cache=off");
-    explainer.set_cache(with_cache ? cache : nullptr);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+  const std::span<const float> rows(data.features_flat());
+  const std::size_t n = data.n_rows();
+  for (const ShapWalk walk : {ShapWalk::kAuto, ShapWalk::kScalar}) {
+    SCOPED_TRACE(walk == ShapWalk::kAuto ? "walk=auto" : "walk=scalar");
+    for (const std::size_t threads : kThreadCounts) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
-      expect_bits_equal(reference.values,
-                        explainer.shap_values_batch(data, threads).values);
+      TreeShapExplainer explainer(forest);
+      const auto run = [&] {
+        return explainer.shap_values_batch(rows, n, threads, walk).values;
+      };
+      expect_bits_equal(reference.values, run());
+      // Cold inserts every unique row, warm serves every row: the scatter
+      // must reproduce the reference bits exactly.
+      const auto cache = std::make_shared<ExplanationCache>();
+      explainer.set_cache(cache);
+      expect_bits_equal(reference.values, run());
+      expect_bits_equal(reference.values, run());
+      EXPECT_GT(cache->stats().hits, 0u);
+      // Warm cache detached: every row is computed again, the cache sees
+      // no traffic, and the bits are unchanged.
+      explainer.set_cache(nullptr);
+      const ExplanationCacheStats before = cache->stats();
+      expect_bits_equal(reference.values, run());
+      const ExplanationCacheStats after = cache->stats();
+      EXPECT_EQ(before.hits + before.misses, after.hits + after.misses);
     }
   }
-  // Warm cache: every row now hits; the scatter must still reproduce the
-  // reference bits exactly.
-  explainer.set_cache(cache);
-  expect_bits_equal(reference.values,
-                    explainer.shap_values_batch(data, 2).values);
-  EXPECT_GT(cache->stats().hits, 0u);
+}
 
-  // Scalar fast walk (the only walk on non-AVX2 hosts): same bits again.
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-    expect_bits_equal(
-        reference.values,
-        pinned_walk_phi(forest, data, ShapWalk::kScalar, threads).values);
+/// A hand-built tree grown depth-first: `make(level)` returns the split
+/// feature of the next node at that level, or -1 for a leaf. Thresholds,
+/// values and leaf covers are seeded-random; an internal cover is the sum
+/// of its children's.
+DecisionTree generated_tree(std::size_t n_features, std::uint64_t seed,
+                            const std::function<int(int)>& make) {
+  Rng rng(seed);
+  std::vector<TreeNode> nodes;
+  const std::function<std::int32_t(int)> grow = [&](int level) {
+    const auto index = static_cast<std::int32_t>(nodes.size());
+    nodes.push_back({make(level), static_cast<float>(rng.uniform()), -1, -1,
+                     rng.uniform(), 1.0 + std::floor(rng.uniform() * 97.0)});
+    if (nodes.back().feature < 0) return index;
+    const std::int32_t left = grow(level + 1);
+    const std::int32_t right = grow(level + 1);
+    TreeNode& node = nodes[static_cast<std::size_t>(index)];
+    node.left = left;
+    node.right = right;
+    node.cover = nodes[static_cast<std::size_t>(left)].cover +
+                 nodes[static_cast<std::size_t>(right)].cover;
+    return index;
+  };
+  grow(0);
+  DecisionTree tree;
+  tree.set_nodes(nodes, n_features);
+  return tree;
+}
+
+Dataset uniform_rows(std::size_t n, std::size_t n_features,
+                     std::uint64_t seed) {
+  Dataset d(n_features);
+  Rng rng(seed);
+  std::vector<float> x(n_features);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (auto& v : x) v = static_cast<float>(rng.uniform());
+    d.append_row(x, 0, 0);
   }
-
-  // Warm cache detached: every row is computed again, the cache sees no
-  // traffic, and the bits are unchanged.
-  explainer.set_cache(nullptr);
-  const ExplanationCacheStats before = cache->stats();
-  expect_bits_equal(reference.values,
-                    explainer.shap_values_batch(data, 1).values);
-  const ExplanationCacheStats after = cache->stats();
-  EXPECT_EQ(before.hits + before.misses, after.hits + after.misses);
+  return d;
 }
 
 TEST(ShapFastPath, FuzzForestsByteIdenticalAcrossAllConfigs) {
@@ -242,13 +296,6 @@ TEST(ShapFastPathSuite, AllSuiteDesignsByteIdentical) {
   EXPECT_GT(cache->stats().hits, 0u);
 }
 
-/// Reads one obs counter (0 when absent or when obs is compiled out).
-std::uint64_t counter(const char* name) {
-  const obs::Snapshot snap = obs::snapshot();
-  const auto it = snap.counters.find(name);
-  return it == snap.counters.end() ? 0 : it->second;
-}
-
 /// The explanation key is the row's u16 threshold-bucket codes, not its
 /// float bytes. Rows that differ in float bytes but sit in the same bucket
 /// of every split feature (a split feature moved inside its bucket, an
@@ -304,6 +351,159 @@ TEST(ShapFastPath, CodeKeysShareSameBucketRows) {
   EXPECT_EQ(cache->stats().misses, 1u);
   EXPECT_EQ(cache->stats().hits, 1u);
   EXPECT_EQ(cache->stats().entries, 1u);
+}
+
+// ---- leaf-pattern memo ----------------------------------------------------
+// Rows of a work group share, per tree, the attribution products of each
+// (leaf, one-fraction history) pattern. The tests below pin down the cases
+// where a memo could silently change bits: patterns shared by distinct rows,
+// groups of one row, trees too deep for the history word, and duplicate
+// features whose unwinds make the folded path mask ambiguous.
+
+TEST(ShapFastPath, LeafMemoServesDistinctRowsSharingLeafHistories) {
+  // Distinct rows (no dedupe, no cache) over a 10-feature forest: most of a
+  // row's leaves see the same hot/cold pattern as some earlier row's.
+  const Dataset train = random_data(240, 10, 21);
+  RandomForestOptions options;
+  options.n_trees = 20;
+  options.seed = 21;
+  RandomForestClassifier forest(options);
+  forest.fit(train);
+  const Dataset eval = uniform_rows(48, 10, 121);
+  const ShapMatrix reference = reference_phi(forest, eval);
+  for (const ShapWalk walk : {ShapWalk::kAuto, ShapWalk::kScalar}) {
+    for (const std::size_t threads : kThreadCounts) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      const std::uint64_t hits = counter("shap/leaf_memo_hits");
+      expect_bits_equal(reference.values,
+                        pinned_walk_phi(forest, eval, walk, threads).values);
+      if (obs::kEnabled) {
+        EXPECT_GT(counter("shap/leaf_memo_hits"), hits);
+      }
+    }
+  }
+  check_all_configs(forest, eval);
+}
+
+TEST(ShapFastPath, OneRowGroupsRecordNothing) {
+  const Dataset train = random_data(240, 10, 22);
+  RandomForestOptions options;
+  options.n_trees = 20;
+  options.seed = 22;
+  RandomForestClassifier forest(options);
+  forest.fit(train);
+  const Dataset eval = uniform_rows(3, 10, 122);
+
+  // A 1-row batch is one 1-row group: it walks without the memo.
+  for (std::size_t r = 0; r < eval.n_rows(); ++r) {
+    const Dataset one = eval.subset(std::vector<std::size_t>{r});
+    for (const ShapWalk walk : {ShapWalk::kAuto, ShapWalk::kScalar}) {
+      const std::uint64_t lookups = memo_lookups();
+      expect_bits_equal(reference_phi(forest, one).values,
+                        pinned_walk_phi(forest, one, walk).values);
+      EXPECT_EQ(memo_lookups(), lookups);
+    }
+  }
+  // Three rows on one thread split into a 2-row and a 1-row group (two
+  // units per worker); at 3 and 8 threads every group is one row.
+  check_all_configs(forest, eval);
+}
+
+TEST(ShapFastPath, TreesDeeperThanTheHistoryWidthWalkWithoutMemo) {
+  // A caterpillar 70 levels deep over three features: every internal node
+  // has a leaf on its left, so the forest is deeper than the 64 bits of a
+  // leaf's one-fraction history and must take the memo-free walk.
+  int visited = 0;
+  const auto caterpillar = [&visited](int level) {
+    return (level < 70 && visited++ % 2 == 0) ? level % 3 : -1;
+  };
+  const auto complete = [](int level) {
+    return level < 4 ? (level + 1) % 3 : -1;
+  };
+  const DecisionTree deep = generated_tree(3, 31, caterpillar);
+  const DecisionTree shallow = generated_tree(3, 32, complete);
+  RandomForestClassifier forest(RandomForestOptions{});
+  forest.set_trees({deep, shallow, deep}, RandomForestOptions{});
+  ASSERT_GT(forest.flat().max_depth(), 64);
+
+  const Dataset eval = uniform_rows(24, 3, 131);
+  const std::uint64_t lookups = memo_lookups();
+  check_all_configs(forest, eval);
+  EXPECT_EQ(memo_lookups(), lookups);
+}
+
+TEST(ShapFastPath, DuplicateFeatureHeavyTreeKeysOnHistory) {
+  // Complete trees nine levels deep over three features: every path splits
+  // each feature about three times, so most leaves are reached through
+  // folded duplicates. Two rows can then share a leaf's folded 0/1 mask
+  // while their histories differ, and because UNWIND does not invert
+  // EXTEND exactly, their products differ in the last bits: a memo keyed on
+  // the mask would serve the wrong doubles.
+  std::vector<DecisionTree> trees;
+  for (std::uint64_t seed = 41; seed < 44; ++seed) {
+    Rng pick(seed + 100);
+    const auto any_of_three = [&pick](int level) {
+      return level < 9 ? static_cast<int>(pick.uniform() * 3.0) : -1;
+    };
+    trees.push_back(generated_tree(3, seed, any_of_three));
+  }
+  RandomForestClassifier forest(RandomForestOptions{});
+  forest.set_trees(std::move(trees), RandomForestOptions{});
+
+  const Dataset eval = uniform_rows(64, 3, 141);
+  const std::uint64_t hits = counter("shap/leaf_memo_hits");
+  check_all_configs(forest, eval);
+  if (obs::kEnabled) {
+    EXPECT_GT(counter("shap/leaf_memo_hits"), hits);
+  }
+}
+
+/// The cache salt must cover every array phi depends on. Model B moves one
+/// threshold of model A, model C swaps one node's children: a cache shared
+/// with A must miss for B and C rather than serve A's rows. C keeps A's u16
+/// codes, so a stale hit would hand out wrong phi.
+TEST(ShapFastPath, ModelDigestCoversThresholdsAndChildLinks) {
+  const auto stump = [](float cut, std::int32_t left, std::int32_t right) {
+    std::vector<TreeNode> nodes(3);
+    nodes[0] = {0, cut, left, right, 0.5, 100.0};
+    nodes[1] = {-1, 0.0f, -1, -1, 0.2, 60.0};
+    nodes[2] = {-1, 0.0f, -1, -1, 0.9, 40.0};
+    DecisionTree tree;
+    tree.set_nodes(nodes, 2);
+    return tree;
+  };
+  std::vector<TreeNode> on_f1(3);
+  on_f1[0] = {1, 0.5f, 1, 2, 0.4, 100.0};
+  on_f1[1] = {-1, 0.0f, -1, -1, 0.3, 70.0};
+  on_f1[2] = {-1, 0.0f, -1, -1, 0.6, 30.0};
+  DecisionTree second;
+  second.set_nodes(on_f1, 2);
+  const auto model = [&](const DecisionTree& first) {
+    RandomForestClassifier forest(RandomForestOptions{});
+    forest.set_trees({first, second}, RandomForestOptions{});
+    return forest;
+  };
+  const RandomForestClassifier a = model(stump(0.5f, 1, 2));
+  const RandomForestClassifier b = model(stump(0.25f, 1, 2));
+  const RandomForestClassifier c = model(stump(0.5f, 2, 1));
+
+  Dataset rows(2);
+  for (const float x0 : {0.1f, 0.4f, 0.7f}) {
+    rows.append_row(std::vector<float>{x0, 0.8f}, 0, 0);
+  }
+  const auto cache = std::make_shared<ExplanationCache>();
+  TreeShapExplainer explain_a(a);
+  explain_a.set_cache(cache);
+  (void)explain_a.shap_values_batch(rows, 1);
+  for (const RandomForestClassifier* other : {&b, &c}) {
+    TreeShapExplainer explainer(*other);
+    EXPECT_NE(explainer.model_digest(), explain_a.model_digest());
+    explainer.set_cache(cache);
+    const std::uint64_t hits = cache->stats().hits;
+    expect_bits_equal(reference_phi(*other, rows).values,
+                      explainer.shap_values_batch(rows, 1).values);
+    EXPECT_EQ(cache->stats().hits, hits);
+  }
 }
 
 }  // namespace
