@@ -38,6 +38,7 @@ class RusBoostClassifier final : public BinaryClassifier {
   double margin(std::span<const float> features) const;
 
   std::size_t n_rounds_used() const { return trees_.size(); }
+  const std::vector<DecisionTree>& trees() const { return trees_; }
 
  private:
   RusBoostOptions options_;

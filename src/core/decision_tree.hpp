@@ -2,13 +2,29 @@
 // CART decision-tree classifier, the base learner of the Random Forest
 // (Section III-A) and of RUSBoost.
 //
-// Training uses histogram binning (quantile bins computed once per dataset
-// and shared across all trees of a forest), which makes node splitting
-// O(rows x candidate-features) instead of O(rows log rows x features) — the
-// practical trick that keeps 500-tree forests on ~100k x 387 data cheap, as
-// the paper's "low computational cost" argument requires. Predictions use
-// raw feature values against real-valued thresholds, so a fitted tree is
-// self-contained (and exactly what the SHAP tree explainer consumes).
+// Training uses histogram binning: quantile bins are computed once per
+// dataset (BinnedMatrix: features binned in parallel blocks, each column
+// ordered by a radix sort) and shared by every tree of a forest, which
+// makes node splitting O(rows x candidate features) instead of
+// O(rows log rows x features) -- the practical trick that keeps 500-tree
+// forests on ~100k x 387 data cheap, as the paper's "low computational
+// cost" argument requires.
+//
+// Split histograms are integer counts. fit_binned collapses its row list
+// (a bootstrap draw, repeats allowed) into unique (row, multiplicity,
+// label) entries, and each node histogram adds multiplicities per (bin,
+// class). Every double the fit uses is then derived from counts: a class
+// weight w summed over k samples is the per-fit table entry "w added k
+// times from 0.0". That is exactly what a sequential per-row `+= w` into
+// one accumulator produces, so node covers, values, gains and thus every
+// split are bit-identical to a row-by-row double accumulation, and a
+// node's result does not depend on row order, duplicate layout or thread
+// count. min_samples_leaf / min_samples_split compare multiplicity sums
+// (duplicates count).
+//
+// Predictions use raw feature values against real-valued thresholds, so a
+// fitted tree is self-contained (and exactly what the SHAP tree explainer
+// consumes).
 
 #include <cstdint>
 #include <span>
@@ -23,14 +39,23 @@ namespace drcshap {
 class BinnedMatrix {
  public:
   /// Bins every feature of `data` into at most `max_bins` (<= 256) quantile
-  /// bins. Distinct values fewer than max_bins get one bin each.
-  BinnedMatrix(const Dataset& data, int max_bins = 64);
+  /// bins. Distinct values fewer than max_bins get one bin each. Features
+  /// are binned on up to `n_threads` shared-pool workers (0 = whole pool;
+  /// serial when nested in a parallel region); the result is identical at
+  /// any width. Throws std::invalid_argument on a NaN feature value (+-Inf
+  /// are ordinary values).
+  BinnedMatrix(const Dataset& data, int max_bins = 64,
+               std::size_t n_threads = 0);
 
   std::size_t n_rows() const { return n_rows_; }
   std::size_t n_features() const { return n_features_; }
 
   std::uint8_t bin(std::size_t row, std::size_t feature) const {
-    return bins_[feature * n_rows_ + row];  // column-major (see .cpp)
+    return bins_[feature * n_rows_ + row];
+  }
+  /// All rows' bin codes of one feature, contiguous.
+  const std::uint8_t* column(std::size_t feature) const {
+    return bins_.data() + feature * n_rows_;
   }
   /// Number of bins actually used by `feature` (>= 1).
   int n_bins(std::size_t feature) const { return n_bins_[feature]; }
@@ -43,7 +68,8 @@ class BinnedMatrix {
  private:
   std::size_t n_rows_;
   std::size_t n_features_;
-  std::vector<std::uint8_t> bins_;       ///< row-major
+  /// Column-major: a node histogram reads one feature over many rows.
+  std::vector<std::uint8_t> bins_;
   std::vector<int> n_bins_;              ///< per feature
   std::vector<std::vector<float>> split_values_;  ///< per feature, size n_bins-1
 };
@@ -80,11 +106,12 @@ class DecisionTree {
   void fit(const Dataset& data, const DecisionTreeOptions& options = {},
            int max_bins = 64);
 
-  /// Fit on the given rows (repeats allowed: bootstrap) against a shared
-  /// binning. `binned` must have been built from `data`.
-  void fit_binned(const BinnedMatrix& binned, const Dataset& data,
-                  std::span<const std::size_t> rows,
-                  const DecisionTreeOptions& options);
+  /// Fit on the given rows (repeats allowed: bootstrap; order does not
+  /// matter) against a shared binning. `binned` must have been built from
+  /// `data`. Returns the number of distinct rows the tree was grown from.
+  std::size_t fit_binned(const BinnedMatrix& binned, const Dataset& data,
+                         std::span<const std::size_t> rows,
+                         const DecisionTreeOptions& options);
 
   /// P(y=1 | x) from the leaf `x` falls into.
   double predict_proba(std::span<const float> features) const;

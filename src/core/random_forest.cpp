@@ -23,13 +23,17 @@ void RandomForestClassifier::fit(const Dataset& data) {
   obs::counter_add("forest/fit_rows", data.n_rows());
   obs::counter_add("forest/trees_built",
                    static_cast<std::uint64_t>(options_.n_trees));
-  const BinnedMatrix binned(data, options_.max_bins);
+  const BinnedMatrix binned = [&] {
+    DRCSHAP_OBS_TIMER("forest/bin");
+    return BinnedMatrix(data, options_.max_bins, options_.n_threads);
+  }();
   trees_.assign(static_cast<std::size_t>(options_.n_trees), DecisionTree{});
 
   // Pre-draw per-tree seeds so results are independent of thread scheduling.
   Rng seeder(options_.seed);
   std::vector<std::uint64_t> tree_seeds(trees_.size());
   for (auto& s : tree_seeds) s = seeder();
+  std::vector<std::size_t> unique_rows(trees_.size());
 
   auto build_tree = [&](std::size_t t) {
     Rng rng(tree_seeds[t]);
@@ -47,10 +51,13 @@ void RandomForestClassifier::fit(const Dataset& data) {
     tree_options.max_features = options_.max_features;
     tree_options.positive_weight = options_.positive_weight;
     tree_options.seed = rng();
-    trees_[t].fit_binned(binned, data, rows, tree_options);
+    unique_rows[t] = trees_[t].fit_binned(binned, data, rows, tree_options);
   };
 
   parallel_for_shared(trees_.size(), build_tree, options_.n_threads);
+  obs::counter_add("forest/fit_unique_rows",
+                   std::accumulate(unique_rows.begin(), unique_rows.end(),
+                                   std::uint64_t{0}));
   rebuild_engines();
 }
 

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <memory>
+#include <string>
+
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace drcshap {
 namespace {
@@ -111,6 +118,97 @@ TEST(BinnedMatrix, RejectsBadBinCount) {
   Dataset d = threshold_data(10);
   EXPECT_THROW(BinnedMatrix(d, 1), std::invalid_argument);
   EXPECT_THROW(BinnedMatrix(d, 257), std::invalid_argument);
+}
+
+// The bin code of a value is the number of split values at or below it
+// (std::upper_bound's index). Negative values, signed zeros, infinities
+// and heavy duplication exercise the radix sort keys.
+TEST(BinnedMatrix, BinIsCountOfSplitValuesAtOrBelow) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  Dataset d(3);
+  Rng rng(6);
+  for (int i = 0; i < 900; ++i) {
+    const float special[] = {-0.0f, 0.0f, -kInf, kInf, -1.5f, 3.0f};
+    const float integer = static_cast<float>(rng.index(200)) - 100.0f;
+    d.append_row(std::vector<float>{static_cast<float>(rng.normal()),
+                                    special[rng.index(6)], integer},
+                 0, 0);
+  }
+  for (const int max_bins : {8, 64, 256}) {
+    const BinnedMatrix binned(d, max_bins);
+    for (std::size_t f = 0; f < d.n_features(); ++f) {
+      std::vector<float> cuts;
+      for (int b = 0; b + 1 < binned.n_bins(f); ++b) {
+        cuts.push_back(binned.split_threshold(f, b));
+      }
+      ASSERT_TRUE(std::is_sorted(cuts.begin(), cuts.end()));
+      for (std::size_t r = 0; r < d.n_rows(); ++r) {
+        const float v = d.row(r)[f];
+        const auto expected =
+            std::upper_bound(cuts.begin(), cuts.end(), v) - cuts.begin();
+        ASSERT_EQ(binned.bin(r, f), expected)
+            << "max_bins " << max_bins << " f" << f << " row " << r;
+      }
+    }
+  }
+}
+
+TEST(BinnedMatrix, RejectsNaNNamingFeatureAndRow) {
+  Dataset d(3);
+  for (int i = 0; i < 20; ++i) {
+    const float x = static_cast<float>(i);
+    d.append_row(std::vector<float>{x, i == 13 ? std::nanf("") : x, x}, 0, 0);
+  }
+  try {
+    const BinnedMatrix binned(d, 64);
+    FAIL() << "NaN feature value was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("feature f1"), std::string::npos) << message;
+    EXPECT_NE(message.find("row 13"), std::string::npos) << message;
+  }
+}
+
+// Features are binned in parallel blocks; every width, and a call nested
+// inside a parallel region (which runs serial), must produce the same bins
+// and split values. 40 features span three blocks, one partial.
+TEST(BinnedMatrix, IdenticalAcrossThreadCounts) {
+  Dataset d(40);
+  Rng rng(5);
+  for (int i = 0; i < 600; ++i) {
+    std::vector<float> row(40);
+    for (std::size_t f = 0; f < row.size(); ++f) {
+      // Odd features have few distinct values, even ones are continuous.
+      row[f] = f % 2 ? static_cast<float>(rng.index(f + 2))
+                     : static_cast<float>(rng.normal());
+    }
+    d.append_row(row, 0, 0);
+  }
+  const BinnedMatrix reference(d, 32, 1);
+  auto expect_same = [&](const BinnedMatrix& other, const std::string& how) {
+    for (std::size_t f = 0; f < d.n_features(); ++f) {
+      ASSERT_EQ(reference.n_bins(f), other.n_bins(f)) << how << " f" << f;
+      for (int b = 0; b + 1 < reference.n_bins(f); ++b) {
+        ASSERT_EQ(reference.split_threshold(f, b), other.split_threshold(f, b))
+            << how << " f" << f << " bin " << b;
+      }
+      for (std::size_t r = 0; r < d.n_rows(); ++r) {
+        ASSERT_EQ(reference.bin(r, f), other.bin(r, f))
+            << how << " f" << f << " row " << r;
+      }
+    }
+  };
+  for (const std::size_t width : {4u, 8u}) {
+    expect_same(BinnedMatrix(d, 32, width), "width " + std::to_string(width));
+  }
+  std::vector<std::unique_ptr<BinnedMatrix>> nested(3);
+  parallel_for_shared(
+      nested.size(),
+      [&](std::size_t i) {
+        nested[i] = std::make_unique<BinnedMatrix>(d, 32, 8);
+      },
+      0, 1);
+  for (const auto& binned : nested) expect_same(*binned, "nested");
 }
 
 // ----------------------------------------------------------------- tree
