@@ -15,8 +15,6 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
-
 namespace drcshap::detail {
 
 namespace {
@@ -42,6 +40,12 @@ inline __m256i step(const CompiledForestView& forest,
   // cmpgt yields 0 / -1; child - (-1) selects the right sibling.
   const __m256i go_right = _mm256_cmpgt_epi32(qx, qthreshold);
   return _mm256_sub_epi32(child, go_right);
+}
+
+/// The larger of two tree depths. Not std::max: a library template
+/// instantiated here would be emitted as a weak AVX2 symbol.
+inline std::int32_t deeper(std::int32_t a, std::int32_t b) {
+  return a < b ? b : a;
 }
 
 /// Add tree `node`'s leaf values to the lane accumulators.
@@ -80,8 +84,8 @@ void predict_block8_avx2(const CompiledForestView& forest,
     __m256i n2 = _mm256_set1_epi32(forest.roots[t + 2]);
     __m256i n3 = _mm256_set1_epi32(forest.roots[t + 3]);
     const std::int32_t depth =
-        std::max(std::max(forest.depths[t], forest.depths[t + 1]),
-                 std::max(forest.depths[t + 2], forest.depths[t + 3]));
+        deeper(deeper(forest.depths[t], forest.depths[t + 1]),
+               deeper(forest.depths[t + 2], forest.depths[t + 3]));
     for (std::int32_t d = 0; d < depth; ++d) {
       n0 = step(forest, blockq, lane_offsets, n0);
       n1 = step(forest, blockq, lane_offsets, n1);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -51,7 +52,16 @@ void bin_column(std::span<const float> column, int max_bins,
   auto sorted = [&](std::size_t i) { return column[order[i] & 0xffffffffu]; };
 
   // Candidate cut points: midpoints between distinct consecutive values,
-  // thinned to quantile positions when there are too many.
+  // thinned to quantile positions when there are too many. A cut must
+  // satisfy lo <= cut < hi to separate lo from hi under `x <= cut`. Where
+  // rounding carries the midpoint onto hi (adjacent floats) or overflow
+  // carries it out of range, lo is the cut; below +Inf the cut is the
+  // largest finite float, so every finite value stays on the left.
+  const auto cut_between = [](float lo, float hi) {
+    const float mid = (lo + hi) / 2.0f;
+    if (lo <= mid && mid < hi) return mid;
+    return std::isinf(hi) ? std::numeric_limits<float>::max() : lo;
+  };
   cuts.clear();
   std::vector<float> distinct;
   for (std::size_t i = 0; i < n_rows; ++i) {
@@ -60,7 +70,7 @@ void bin_column(std::span<const float> column, int max_bins,
   }
   if (static_cast<int>(distinct.size()) <= max_bins) {
     for (std::size_t k = 0; k + 1 < distinct.size(); ++k) {
-      cuts.push_back((distinct[k] + distinct[k + 1]) / 2.0f);
+      cuts.push_back(cut_between(distinct[k], distinct[k + 1]));
     }
   } else {
     // Quantile cuts over the raw (duplicated) distribution, deduplicated.
@@ -71,15 +81,17 @@ void bin_column(std::span<const float> column, int max_bins,
       // Midpoint to the next distinct value so the cut separates values.
       const auto next = std::upper_bound(distinct.begin(), distinct.end(), lo);
       if (next == distinct.end()) continue;
-      const float cut = (lo + *next) / 2.0f;
+      const float cut = cut_between(lo, *next);
       if (cuts.empty() || cut > cuts.back()) cuts.push_back(cut);
     }
   }
-  // Bin code = number of cuts <= value, by one walk in value order.
+  // Bin code = number of cuts below value, by one walk in value order, so
+  // "bin <= b" holds exactly when value <= cuts[b], the test prediction
+  // applies.
   std::size_t bin = 0;
   for (std::size_t i = 0; i < n_rows; ++i) {
     const float v = sorted(i);
-    while (bin < cuts.size() && cuts[bin] <= v) ++bin;
+    while (bin < cuts.size() && cuts[bin] < v) ++bin;
     out[order[i] & 0xffffffffu] = static_cast<std::uint8_t>(bin);
   }
 }

@@ -60,8 +60,12 @@ class BinnedMatrix {
   /// Number of bins actually used by `feature` (>= 1).
   int n_bins(std::size_t feature) const { return n_bins_[feature]; }
 
-  /// Real-valued threshold realizing the split "bin <= b": halfway between
-  /// the largest value in bin b and the smallest in bin b+1.
+  /// Real-valued threshold realizing the split "bin <= b": a row's bin is
+  /// the number of thresholds strictly below its value, so bin <= b holds
+  /// exactly when value <= threshold, the test prediction applies. The
+  /// threshold is halfway between the largest value in bin b and the
+  /// smallest in bin b+1; the lower value where rounding carries the
+  /// midpoint onto the upper one, and the largest finite float below +Inf.
   /// Requires 0 <= b < n_bins(feature) - 1.
   float split_threshold(std::size_t feature, int b) const;
 

@@ -17,13 +17,104 @@ namespace drcshap {
 
 namespace {
 
-using shap_detail::PathElement;
-using shap_detail::ExactTraversal;
-using shap_detail::ShapMeta;
-using shap_detail::FastFrame;
-using shap_detail::LeafMemo;
-using shap_detail::extend_path_01;
-using shap_detail::unwind_path;
+// One element of the "unique path" of Algorithm 2: a feature encountered on
+// the way down, the fraction of paths that flow through when the feature is
+// unknown (zero_fraction = cover ratio) or known (one_fraction = 0/1), and
+// the permutation weight accumulator pweight.
+struct PathElement {
+  int feature_index = -1;
+  double zero_fraction = 0.0;
+  double one_fraction = 0.0;
+  double pweight = 0.0;
+};
+
+/// FlatForest arrays + the raw sample: the one traversal every walk (the
+/// reference recursion and the fast walk) runs over.
+struct ExactTraversal {
+  const std::int32_t* feature;
+  const float* threshold;
+  const std::int32_t* left;
+  const std::int32_t* right;
+  const double* value;
+  const double* cover;
+  const float* x;
+
+  bool is_leaf(std::size_t node) const { return feature[node] < 0; }
+  std::int32_t split_feature(std::size_t node) const { return feature[node]; }
+  bool goes_left(std::size_t node) const {
+    return x[static_cast<std::size_t>(feature[node])] <= threshold[node];
+  }
+  std::int32_t left_child(std::size_t node) const { return left[node]; }
+  std::int32_t right_child(std::size_t node) const { return right[node]; }
+};
+
+/// Structural per-node metadata of the forest, node-indexed like the
+/// FlatForest arrays.
+struct ShapMeta {
+  /// zero_fraction of the edge into each node (1.0 at roots).
+  std::vector<double> entry_zero_fraction;
+  /// For internal nodes: index of this node's split feature in the unique
+  /// path *after* extending with the incoming edge, or 0 when the feature
+  /// is fresh (path index 0 is the dummy base element, never a match).
+  std::vector<std::int32_t> dup_index;
+  /// Leaf count of the widest tree — sizes the vector leaf action's
+  /// per-tree leaf-job pools.
+  int max_leaves = 0;
+};
+
+/// Undo an extension for a repeated feature (UNWIND). Shared verbatim by
+/// the reference recursion and the fast walk.
+inline void unwind_path(PathElement* path, int unique_depth, int path_index) {
+  const double one_fraction = path[path_index].one_fraction;
+  const double zero_fraction = path[path_index].zero_fraction;
+  double next_one_portion = path[unique_depth].pweight;
+  for (int i = unique_depth - 1; i >= 0; --i) {
+    if (one_fraction != 0.0) {
+      const double tmp = path[i].pweight;
+      path[i].pweight = next_one_portion * (unique_depth + 1) /
+                        static_cast<double>((i + 1) * one_fraction);
+      next_one_portion =
+          tmp - path[i].pweight * zero_fraction * (unique_depth - i) /
+                    static_cast<double>(unique_depth + 1);
+    } else {
+      path[i].pweight = path[i].pweight * (unique_depth + 1) /
+                        static_cast<double>(zero_fraction * (unique_depth - i));
+    }
+  }
+  for (int i = path_index; i < unique_depth; ++i) {
+    path[i].feature_index = path[i + 1].feature_index;
+    path[i].zero_fraction = path[i + 1].zero_fraction;
+    path[i].one_fraction = path[i + 1].one_fraction;
+  }
+}
+
+/// EXTEND specialized on what the recursion guarantees about one_fraction:
+/// it is exactly 0.0 or 1.0 (the root gets 1.0, hot edges inherit a stored
+/// 0/1, cold edges get 0.0). With 1.0 the `one_fraction *` factor is the
+/// identity; with 0.0 the whole first line adds a signed zero, which never
+/// changes the target bits (pweights that are exactly zero are always +0.0:
+/// every product chain has non-negative structural factors and exact
+/// cancellation yields +0.0), so it is skipped. The surviving ops keep the
+/// reference operand order, so the resulting pweights are bit-identical.
+inline void extend_path_01(PathElement* path, int unique_depth,
+                           double zero_fraction, double one_fraction,
+                           int feature_index) {
+  path[unique_depth] = {feature_index, zero_fraction, one_fraction,
+                        unique_depth == 0 ? 1.0 : 0.0};
+  if (one_fraction != 0.0) {
+    for (int i = unique_depth - 1; i >= 0; --i) {
+      path[i + 1].pweight += path[i].pweight * (i + 1) /
+                             static_cast<double>(unique_depth + 1);
+      path[i].pweight = zero_fraction * path[i].pweight * (unique_depth - i) /
+                        static_cast<double>(unique_depth + 1);
+    }
+  } else {
+    for (int i = unique_depth - 1; i >= 0; --i) {
+      path[i].pweight = zero_fraction * path[i].pweight * (unique_depth - i) /
+                        static_cast<double>(unique_depth + 1);
+    }
+  }
+}
 
 /// Grow the path by one split (EXTEND).
 void extend_path(PathElement* path, int unique_depth, double zero_fraction,
@@ -286,17 +377,342 @@ inline void leaf_products(const ExactTraversal& tree, std::size_t node,
   }
 }
 
-/// Iterative fast traversal of one tree for one sample. Visits leaves in
-/// exactly the reference order (hot subtree fully, then cold — the LIFO
-/// stack preserves DFS order), feeds EXTEND/UNWIND the same operands, and
-/// uses the precomputed metadata only to *skip* recomputing structural
-/// values (the two cover divisions and the duplicate search per node, and
-/// one of the two path copies: a cold child extends its parent's slot in
-/// place, because the parent path is dead once the hot subtree returned).
+/// Pending cold-subtree entry of the iterative fast walk.
+struct FastFrame {
+  std::int32_t node;
+  std::int32_t slot;  ///< path scratch slot (level); cold reuses its parent's
+  std::int32_t unique_depth;
+  std::int32_t feature;  ///< split feature of the edge into `node`
+  double one_fraction;
+  /// One-fraction history of the edges into `node`: one bit per level,
+  /// root edge first, the edge into `node` in bit 0.
+  std::uint64_t history;
+};
+
+/// Tree depth the leaf-pattern memo keys exactly: one history bit per
+/// level must fit in 64 bits. Deeper forests walk without a memo.
+constexpr int kMemoMaxDepth = 64;
+
+/// Per-worker leaf-pattern memo of the fast walk. A leaf's attribution
+/// products w·(o−z)·v, one per unique-path element, are a function of the
+/// leaf and of the 0/1 one-fraction each EXTEND received on the way down
+/// (the *history*): zero-fractions, feature order and duplicate unwinds are
+/// structural. The first row of a group to reach (leaf, history) in a tree
+/// stores its (feature, product) pairs; later rows add the stored doubles
+/// into their own phi at that leaf's place in their own DFS order, instead
+/// of re-running the UNWOUND_PATH_SUM chains. The key is the history, not
+/// the folded 0/1 mask of the unique path: UNWIND does not invert EXTEND
+/// exactly in floating point, so the one-fraction a duplicate feature had
+/// before it was folded leaves its trace in the pweights.
+///
+/// Memory bound per worker, with G rows per group, L leaves in the widest
+/// tree and D the forest depth: one tree holds at most G·L distinct keys of
+/// at most D pairs each, and the table keeps its load at or below 1/2, so
+/// the memo never exceeds 4·G·L slots and G·L·D pairs. begin_tree()
+/// recycles both for the next tree.
+struct LeafMemo {
+  struct Slot {
+    std::uint64_t history;
+    std::int32_t leaf;
+    std::int32_t off;     ///< first pair in `feat` / `prod`
+    std::uint32_t stamp;  ///< tree generation; other stamps are empty
+  };
+  std::vector<Slot> slots;  // open addressing, power-of-two size
+  std::vector<std::int32_t> feat;
+  std::vector<double> prod;
+  std::size_t n_pairs = 0;
+  std::size_t n_live = 0;
+  std::uint32_t stamp = 0;
+  bool recording = false;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+
+  /// Forgets every entry. With `record` false (1-row groups, forests deeper
+  /// than kMemoMaxDepth, units whose first tree rarely hit) find_or_reserve
+  /// only hands out scratch pairs.
+  void begin_tree(bool record) {
+    recording = record;
+    n_pairs = 0;
+    n_live = 0;
+    if (++stamp == 0) {
+      for (Slot& s : slots) s.stamp = 0;
+      stamp = 1;
+    }
+  }
+
+  /// Offset into `feat` / `prod` of the pairs of (leaf, history). `hit`
+  /// tells whether an earlier row stored them; otherwise `n` pairs are
+  /// reserved there for the caller to fill, and later rows of the group
+  /// find them while recording.
+  std::int32_t find_or_reserve(std::int32_t leaf, std::uint64_t history,
+                               int n, bool& hit) {
+    hit = false;
+    const auto off = static_cast<std::int32_t>(n_pairs);
+    if (feat.size() < n_pairs + static_cast<std::size_t>(n)) {
+      const std::size_t size =
+          std::max<std::size_t>(2 * feat.size(), n_pairs + 4096);
+      feat.resize(size);
+      prod.resize(size);
+    }
+    if (!recording) return off;
+    if (2 * (n_live + 1) > slots.size()) grow();
+    const std::size_t mask = slots.size() - 1;
+    for (std::size_t i = slot_of(leaf, history) & mask;; i = (i + 1) & mask) {
+      Slot& s = slots[i];
+      if (s.stamp != stamp) {
+        s = {history, leaf, off, stamp};
+        ++n_live;
+        ++misses;
+        n_pairs += static_cast<std::size_t>(n);
+        return off;
+      }
+      if (s.leaf == leaf && s.history == history) {
+        hit = true;
+        ++hits;
+        return s.off;
+      }
+    }
+  }
+
+ private:
+  static std::size_t slot_of(std::int32_t leaf, std::uint64_t history) {
+    std::uint64_t k = history * 0x9E3779B97F4A7C15ull +
+                      static_cast<std::uint32_t>(leaf);
+    k ^= k >> 29;
+    k *= 0xBF58476D1CE4E5B9ull;
+    return static_cast<std::size_t>(k ^ (k >> 32));
+  }
+
+  void grow() {
+    std::vector<Slot> old(std::max<std::size_t>(1024, 2 * slots.size()));
+    old.swap(slots);
+    const std::size_t mask = slots.size() - 1;
+    for (const Slot& s : old) {
+      if (s.stamp != stamp) continue;
+      std::size_t i = slot_of(s.leaf, s.history) & mask;
+      while (slots[i].stamp == stamp) i = (i + 1) & mask;
+      slots[i] = s;
+    }
+  }
+};
+
+/// Per-tree staging pools of the vector leaf action. The walk defers every
+/// leaf's UNWOUND_PATH_SUM chains into ud-bucketed 4-lane blocks (lanes of
+/// one block come from one leaf, so they share the pweight array and load
+/// it broadcast) and drains them through the AVX2 kernels once per tree:
+/// interleaved blocks hide the recurrence latency, and phi is applied
+/// afterwards in exactly the DFS emission order the reference uses. A leaf
+/// the memo already holds is a job whose products are known: it stages no
+/// chains and adds its stored pairs at its place in that order. Chain
+/// regions are padded to lane multiples so kernels can store 4 wide;
+/// padding lanes are garbage but lane-local (no cross-lane op reads them)
+/// and never applied to phi.
+struct ShapJobEngine {
+  using Block = shap_detail::Block;
+  // Chains come in two kinds, indexed by their element's one_fraction:
+  // [1] for 1.0 (integer divisors), [0] for 0.0. Every per-kind pool below
+  // is such a pair.
+  struct Job {
+    std::int32_t unique_depth;
+    std::int32_t off[2], n[2];  ///< each kind's chain range (padded pool)
+    /// LeafMemo pairs: the products of a hit, or where a recorded miss
+    /// stores its products; -1 for an unrecorded miss.
+    std::int32_t memo_off;
+    bool hit;
+    double leaf_value;
+  };
+
+  std::vector<Job> jobs;
+  int n_jobs = 0;
+  std::vector<double> pwpool;
+  int n_pw = 0;
+  // Per-chain feature/zero_fraction/total pools, 4-aligned regions per job.
+  std::vector<std::int32_t> f[2];
+  std::vector<double> zf[2], tot[2];
+  int n_chains[2] = {0, 0};
+  // Fixed-capacity per-unique-depth block buckets, touched-list reset.
+  std::vector<Block> blocks[2];
+  std::vector<std::int32_t> n_blocks[2];
+  std::vector<std::int32_t> used_ud;
+  int n_used = 0;
+  int bucket_cap = 0;
+  int init_stride = -1, init_leaves = -1;
+
+  void init(int stride, int max_leaves) {
+    if (stride <= init_stride && max_leaves <= init_leaves) return;
+    init_stride = stride;
+    init_leaves = max_leaves;
+    const int max_ud = stride - 1;
+    // Worst case per leaf: unique_depth chains + one padding block each
+    // side; +8 keeps the last 4-wide store of either pool in bounds.
+    const std::size_t cap_chains =
+        static_cast<std::size_t>(max_leaves) *
+        static_cast<std::size_t>(stride + 8);
+    jobs.resize(static_cast<std::size_t>(max_leaves) + 1);
+    pwpool.resize(static_cast<std::size_t>(max_leaves) *
+                  static_cast<std::size_t>(stride + 1));
+    bucket_cap = max_leaves * ((max_ud + 4) / 4 + 1);
+    for (int kind = 0; kind < 2; ++kind) {
+      f[kind].resize(cap_chains);
+      zf[kind].resize(cap_chains);
+      tot[kind].resize(cap_chains);
+      blocks[kind].resize(static_cast<std::size_t>(max_ud + 2) * bucket_cap);
+      n_blocks[kind].assign(static_cast<std::size_t>(max_ud) + 2, 0);
+    }
+    used_ud.resize(static_cast<std::size_t>(max_ud) + 2);
+    reset();
+  }
+  void reset() {
+    n_jobs = 0;
+    n_pw = 0;
+    for (int kind = 0; kind < 2; ++kind) {
+      n_chains[kind] = 0;
+      for (int i = 0; i < n_used; ++i) {
+        n_blocks[kind][static_cast<std::size_t>(used_ud[i])] = 0;
+      }
+    }
+    n_used = 0;
+  }
+
+  /// Stage a memo hit: no chains, its stored pairs apply at this job's
+  /// place.
+  void stage_hit(int ud, std::int32_t memo_off) {
+    Job& job = jobs[static_cast<std::size_t>(n_jobs++)];
+    job.unique_depth = ud;
+    job.n[0] = job.n[1] = 0;
+    job.memo_off = memo_off;
+    job.hit = true;
+  }
+
+  /// Stage one leaf's chains: the path's unique elements, partitioned by
+  /// kind, packed 4 per block into the leaf's shared pweight array.
+  /// Padding lanes get zf = 1.0 (any finite value works — lanes are
+  /// independent and padding totals are never applied).
+  void stage_leaf(double leaf_value, const PathElement* path, int ud,
+                  std::int32_t memo_off) {
+    Job& job = jobs[static_cast<std::size_t>(n_jobs++)];
+    job.unique_depth = ud;
+    job.memo_off = memo_off;
+    job.hit = false;
+    job.leaf_value = leaf_value;
+    const std::int32_t pw_off = n_pw;
+    double* pwdst = pwpool.data() + pw_off;
+    for (int j = 0; j <= ud; ++j) pwdst[j] = path[j].pweight;
+    n_pw += ud + 1;
+    if (n_blocks[1][static_cast<std::size_t>(ud)] == 0 &&
+        n_blocks[0][static_cast<std::size_t>(ud)] == 0) {
+      used_ud[static_cast<std::size_t>(n_used++)] = ud;
+    }
+    int lane[2] = {4, 4};  // force a new block on the first element
+    Block* cur[2] = {nullptr, nullptr};
+    const std::size_t bucket = static_cast<std::size_t>(ud) * bucket_cap;
+    for (int kind = 0; kind < 2; ++kind) job.off[kind] = n_chains[kind];
+    for (int i = 1; i <= ud; ++i) {
+      const int kind = path[i].one_fraction != 0.0 ? 1 : 0;
+      if (lane[kind] == 4) {
+        std::int32_t& bn = n_blocks[kind][static_cast<std::size_t>(ud)];
+        cur[kind] = &blocks[kind][bucket + static_cast<std::size_t>(bn++)];
+        cur[kind]->pw_off = pw_off;
+        cur[kind]->out = n_chains[kind];
+        cur[kind]->zf[1] = cur[kind]->zf[2] = cur[kind]->zf[3] = 1.0;
+        lane[kind] = 0;
+        n_chains[kind] += 4;
+      }
+      cur[kind]->zf[lane[kind]] = path[i].zero_fraction;
+      const auto e = static_cast<std::size_t>(cur[kind]->out + lane[kind]);
+      f[kind][e] = path[i].feature_index;
+      zf[kind][e] = path[i].zero_fraction;
+      ++lane[kind];
+    }
+    // A kind with no element kept lane 4 and took no block: n = 0.
+    for (int kind = 0; kind < 2; ++kind) {
+      job.n[kind] = n_chains[kind] - job.off[kind] - 4 + lane[kind];
+    }
+  }
+
+  /// Drains the tree's chains through the AVX2 kernels, then applies phi
+  /// per job in emission (= reference DFS) order: tot * (of - zf) * v, the
+  /// scalar kernel's expression with of = 1.0 or 0.0 by kind, or a memo
+  /// hit's stored products. A recorded miss stores its products as it
+  /// applies them.
+  void flush(LeafMemo& memo, double* phi) {
+    shap_detail::StagedChains chains;
+    chains.pwpool = pwpool.data();
+    chains.b1 = blocks[1].data();
+    chains.b0 = blocks[0].data();
+    chains.b1_n = n_blocks[1].data();
+    chains.b0_n = n_blocks[0].data();
+    chains.used_ud = used_ud.data();
+    chains.n_used = n_used;
+    chains.bucket_cap = bucket_cap;
+    chains.tot1 = tot[1].data();
+    chains.tot0 = tot[0].data();
+    shap_detail::drain_chains_avx2(chains);
+    for (int jb = 0; jb < n_jobs; ++jb) {
+      const Job& job = jobs[static_cast<std::size_t>(jb)];
+      if (job.hit) {
+        const std::int32_t* feat = memo.feat.data() + job.memo_off;
+        const double* prod = memo.prod.data() + job.memo_off;
+        for (int k = 0; k < job.unique_depth; ++k) {
+          phi[static_cast<std::size_t>(feat[k])] += prod[k];
+        }
+        continue;
+      }
+      std::int32_t* rec_feat = nullptr;
+      double* rec_prod = nullptr;
+      if (job.memo_off >= 0) {
+        rec_feat = memo.feat.data() + job.memo_off;
+        rec_prod = memo.prod.data() + job.memo_off;
+      }
+      for (const int kind : {1, 0}) {
+        const double of = kind;
+        for (int k = 0; k < job.n[kind]; ++k) {
+          const auto e = static_cast<std::size_t>(job.off[kind] + k);
+          const double p = tot[kind][e] * (of - zf[kind][e]) * job.leaf_value;
+          phi[static_cast<std::size_t>(f[kind][e])] += p;
+          if (rec_feat != nullptr) {
+            *rec_feat++ = f[kind][e];
+            *rec_prod++ = p;
+          }
+        }
+      }
+    }
+    reset();
+  }
+};
+
+/// Per-worker scratch of the batch engine: the Algorithm-2 path storage,
+/// the fast walk's frame stack, the vector staging pools and the leaf
+/// memo. Cache-line aligned: the walk bumps its counters and stack size on
+/// every node.
+struct alignas(64) WorkerScratch {
+  std::vector<PathElement> path;
+  std::vector<FastFrame> stack;
+  ShapJobEngine engine;
+  LeafMemo memo;
+};
+
+/// Iterative fast traversal of one tree for one sample: the one fast walk,
+/// shared by both leaf actions. Visits leaves in exactly the reference
+/// order (hot subtree fully, then cold — the LIFO stack preserves DFS
+/// order), feeds EXTEND/UNWIND the same operands, and uses the precomputed
+/// metadata only to *skip* recomputing structural values (the two cover
+/// divisions and the duplicate search per node, and one of the two path
+/// copies: a cold child extends its parent's slot in place, because the
+/// parent path is dead once the hot subtree returned).
+///
+/// The leaf action is the only difference between the walks. With kStage
+/// false a miss's products come from leaf_products and every leaf adds its
+/// products to phi at once. With kStage true a leaf is staged into
+/// ws.engine, and after the last leaf the tree's chains drain through the
+/// AVX2 kernels and phi is applied in the same leaf order.
+template <bool kStage>
 void fast_tree_shap(const ExactTraversal& tree, const ShapMeta& meta,
-                    std::int32_t root, double* phi, PathElement* storage,
-                    int stride, std::vector<FastFrame>& stack,
-                    LeafMemo& memo) {
+                    std::int32_t root, double* phi, int stride,
+                    WorkerScratch& ws) {
+  PathElement* storage = ws.path.data();
+  std::vector<FastFrame>& stack = ws.stack;
+  LeafMemo& memo = ws.memo;
   stack.clear();
   stack.push_back({root, 0, 0, -1, 1.0, 0});
   while (!stack.empty()) {
@@ -314,23 +730,35 @@ void fast_tree_shap(const ExactTraversal& tree, const ShapMeta& meta,
       const auto node = static_cast<std::size_t>(node_index);
       if (tree.is_leaf(node)) {
         // A memo hit needs no path, so the leaf's own EXTEND runs only on a
-        // miss. The adds go in ascending unique-path order either way.
+        // miss. Within a leaf the unique-path features are distinct, so the
+        // order of its adds never matters; only the leaf order does.
         if (unique_depth > 0) {
           bool hit = false;
           const std::int32_t off =
               memo.find_or_reserve(node_index, history, unique_depth, hit);
-          std::int32_t* feat = memo.feat.data() + off;
-          double* prod = memo.prod.data() + off;
           if (!hit) {
             extend_path_01(path, unique_depth, meta.entry_zero_fraction[node],
                            one_fraction, feature);
-            leaf_products(tree, node, path, unique_depth, prod);
-            for (int i = 1; i <= unique_depth; ++i) {
-              feat[i - 1] = path[i].feature_index;
-            }
           }
-          for (int k = 0; k < unique_depth; ++k) {
-            phi[static_cast<std::size_t>(feat[k])] += prod[k];
+          if constexpr (kStage) {
+            if (hit) {
+              ws.engine.stage_hit(unique_depth, off);
+            } else {
+              ws.engine.stage_leaf(tree.value[node], path, unique_depth,
+                                   memo.recording ? off : -1);
+            }
+          } else {
+            std::int32_t* feat = memo.feat.data() + off;
+            double* prod = memo.prod.data() + off;
+            if (!hit) {
+              leaf_products(tree, node, path, unique_depth, prod);
+              for (int i = 1; i <= unique_depth; ++i) {
+                feat[i - 1] = path[i].feature_index;
+              }
+            }
+            for (int k = 0; k < unique_depth; ++k) {
+              phi[static_cast<std::size_t>(feat[k])] += prod[k];
+            }
           }
         }
         break;
@@ -364,6 +792,7 @@ void fast_tree_shap(const ExactTraversal& tree, const ShapMeta& meta,
       history = (history << 1) | (incoming_one_fraction != 0.0 ? 1u : 0u);
     }
   }
+  if constexpr (kStage) ws.engine.flush(memo, phi);
 }
 
 /// FNV-1a over every FlatForest array phi depends on: roots, split
@@ -575,20 +1004,12 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
       meta = &meta_->meta;
     }
 
-    // One scratch slot per shared-pool worker: the Algorithm-2 path storage,
-    // the fast walk's frame stack, the AVX2 staging pools and the leaf
-    // memo. Ranges may also run inline on the calling thread (worker index
-    // -1 when it is not a pool worker), but only when nothing was submitted
-    // — a serial-degraded nested call runs entirely on its outer worker, and
-    // a top-level inline run has no workers active in this call — so a slot
-    // is never contended within one call. Slots are cache-line aligned: the
-    // walks bump their counters and stack sizes on every node.
-    struct alignas(64) WorkerScratch {
-      std::vector<PathElement> path;
-      std::vector<FastFrame> stack;
-      shap_detail::ShapJobEngine engine;
-      LeafMemo memo;
-    };
+    // One scratch slot per shared-pool worker. Ranges may also run inline
+    // on the calling thread (worker index -1 when it is not a pool worker),
+    // but only when nothing was submitted — a serial-degraded nested call
+    // runs entirely on its outer worker, and a top-level inline run has no
+    // workers active in this call — so a slot is never contended within one
+    // call.
     std::vector<WorkerScratch> scratch(pool.size());
     auto worker_scratch = [&]() -> WorkerScratch& {
       const int w = ThreadPool::current_worker_index();
@@ -600,10 +1021,10 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
       if (ws.path.size() < scratch_len) ws.path.assign(scratch_len, {});
       return ws;
     };
-    // The AVX2+FMA walk batches each tree's leaf chains through vector
-    // kernels; it is byte-identical to the scalar walk, taken by kAuto only
-    // behind the build flag + runtime cpuid, and bounded by the reciprocal
-    // table depth.
+    // The vector leaf action batches each tree's leaf chains through the
+    // AVX2+FMA kernels; it is byte-identical to the scalar one, taken by
+    // kAuto only behind the build flag + runtime cpuid, and bounded by the
+    // reciprocal table depth.
 #if DRCSHAP_SIMD_ENABLED
     const bool simd_walk =
         walk == ShapWalk::kAuto && CompiledForest::simd_available() &&
@@ -640,8 +1061,7 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
     // worker count: as many rows as kGroupRows allows while leaving every
     // worker two units. Without a memo (the reference walk, forests deeper
     // than the history width) a group is one row.
-    const bool memo_fits =
-        meta != nullptr && flat.max_depth() <= shap_detail::kMemoMaxDepth;
+    const bool memo_fits = meta != nullptr && flat.max_depth() <= kMemoMaxDepth;
     const std::size_t min_groups =
         (2 * pool.width(n_threads) + n_blocks - 1) / n_blocks;
     const auto walk_group = [&](std::size_t begin, std::size_t first,
@@ -675,14 +1095,11 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
           double* phi = phi_of(begin, local, block);
 #if DRCSHAP_SIMD_ENABLED
           if (simd_walk) {
-            shap_detail::fast_tree_shap_avx2(trav, *meta, flat.root(t), phi,
-                                             ws.path.data(), stride, ws.stack,
-                                             ws.engine, ws.memo);
+            fast_tree_shap<true>(trav, *meta, flat.root(t), phi, stride, ws);
             continue;
           }
 #endif
-          fast_tree_shap(trav, *meta, flat.root(t), phi, ws.path.data(),
-                         stride, ws.stack, ws.memo);
+          fast_tree_shap<false>(trav, *meta, flat.root(t), phi, stride, ws);
         }
         // Storing products costs cache traffic on every miss. When the
         // unit's first tree hit on fewer than a quarter of its leaf visits

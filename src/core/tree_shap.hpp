@@ -32,12 +32,21 @@
 // skips the two cover divisions and the O(depth) duplicate search at every
 // node, specializes EXTEND on the fact that one_fractions are exactly 0.0
 // or 1.0, halves the path copies by extending cold children in the parent's
-// scratch slot, and interleaves the independent per-feature UNWIND chains
-// at each leaf so the division unit pipelines instead of stalling. Every
+// scratch slot, and batches the independent per-feature UNWIND chains at
+// each leaf so the division unit pipelines instead of stalling. Every
 // floating-point op that contributes to phi keeps its original operands and
 // order, so fast-path phi is byte-identical to the reference recursion
 // (kept verbatim behind the single-sample shap_values and
 // ShapWalk::kReference).
+//
+// There is one fast walk, with two leaf actions chosen at compile time.
+// The scalar action computes a leaf's products on the spot, four chains
+// interleaved. The vector action stages the leaf's chains; at the end of
+// each tree they drain through the AVX2+FMA kernels (tree_shap_avx2.cpp,
+// entered behind CompiledForest::simd_available()), and the walk then
+// applies phi in the same leaf order. The kernels see only a raw-pointer
+// view of the staged chains (tree_shap_simd.hpp), so no inline library
+// code is ever compiled with AVX2.
 //
 // Inside a work unit the group's rows walk the block's trees tree-outer,
 // row-inner, sharing a per-worker *leaf-pattern memo* that is cleared per
@@ -45,16 +54,16 @@
 // and of the row's 0/1 one-fraction at every level of the root→leaf path
 // (its history; the folded unique-path mask is not enough, because UNWIND
 // does not invert EXTEND exactly in floating point). The first row of the
-// group to reach a (leaf, history) computes the products with the scalar
-// or AVX2 leaf kernel and stores them; later rows add the stored doubles at
-// that leaf's place in their own DFS order. On the ECO forest about 98 % of
-// leaf visits hit. A 1-row group records nothing, a unit whose first tree
+// group to reach a (leaf, history) computes the products with either leaf
+// action and stores them; later rows add the stored doubles at that leaf's
+// place in their own DFS order. On the ECO forest about 98 % of leaf
+// visits hit. A 1-row group records nothing, a unit whose first tree
 // hit on fewer than a quarter of its leaf visits stops recording, and
 // forests deeper than the 64-bit history walk without a memo.
 //
-// Every walk — the reference recursion, the scalar fast walk and the AVX2
-// fast walk — runs over the exact FlatForest layout. The forest's compiled
-// layout (core/compiled_forest.hpp) plays one part here: shap_values_batch
+// Both walks — the reference recursion and the fast walk — run over the
+// exact FlatForest layout. The forest's compiled layout
+// (core/compiled_forest.hpp) plays one part here: shap_values_batch
 // quantizes each row once into its u16 threshold-bucket codes and uses them
 // as the row's explanation key. Rows with equal codes take the same branch
 // at every split, so they provably share one phi row: each unique row is
@@ -82,9 +91,10 @@ struct ShapMetaCell;  // lazily built structural metadata of the forest
 }  // namespace detail
 
 /// Per-tree walk of shap_values_batch. kAuto is the production walk: the
-/// AVX2 fast walk when CompiledForest::simd_available() and the forest fits
-/// its depth bound, else the scalar fast walk. kScalar pins the scalar fast
-/// walk and kReference the Algorithm-2 recursion under the same block/merge
+/// fast walk with the AVX2 leaf kernels when
+/// CompiledForest::simd_available() and the forest fits their depth bound,
+/// else with the scalar leaf kernel. kScalar pins the scalar leaf kernel
+/// and kReference the Algorithm-2 recursion under the same block/merge
 /// structure; they are the byte-identity oracles of tests and benches, the
 /// way CompiledForest::Simd::kScalar is for the compiled kernel.
 enum class ShapWalk { kAuto, kScalar, kReference };

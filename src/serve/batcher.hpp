@@ -89,7 +89,6 @@ class Batcher {
     Request request;
     Response response;
     bool done = false;
-    std::condition_variable* cv = nullptr;  ///< submitters share wait_mu_
   };
 
   void runner_loop();

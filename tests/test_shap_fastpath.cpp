@@ -20,6 +20,7 @@
 #include "benchsuite/suite.hpp"
 #include "core/explanation_cache.hpp"
 #include "core/random_forest.hpp"
+#include "core/tree_shap_simd.hpp"
 #include "features/feature_names.hpp"
 #include "obs/registry.hpp"
 #include "util/rng.hpp"
@@ -430,6 +431,31 @@ TEST(ShapFastPath, TreesDeeperThanTheHistoryWidthWalkWithoutMemo) {
   const std::uint64_t lookups = memo_lookups();
   check_all_configs(forest, eval);
   EXPECT_EQ(memo_lookups(), lookups);
+}
+
+TEST(ShapFastPath, TreesDeeperThanTheVectorWalkBoundTakeTheScalarWalk) {
+  // A caterpillar 200 levels deep over eight features: deeper than the
+  // reciprocal table of the AVX2 kernels, so kAuto must fall back to the
+  // scalar walk even where the CPU runs AVX2.
+  int visited = 0;
+  const auto caterpillar = [&visited](int level) {
+    return (level < 200 && visited++ % 2 == 0) ? level % 8 : -1;
+  };
+  const DecisionTree deep = generated_tree(8, 51, caterpillar);
+  RandomForestClassifier forest(RandomForestOptions{});
+  forest.set_trees({deep, deep}, RandomForestOptions{});
+  ASSERT_GT(forest.flat().max_depth(), shap_detail::kSimdWalkMaxDepth);
+
+  const Dataset eval = uniform_rows(6, 8, 151);
+  const ShapMatrix reference = reference_phi(forest, eval);
+  for (const std::size_t threads : kThreadCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto phi = pinned_walk_phi(forest, eval, ShapWalk::kAuto, threads);
+    expect_bits_equal(reference.values, phi.values);
+    if (obs::kEnabled) {
+      EXPECT_EQ(obs::snapshot().notes.at("shap/walk"), "scalar");
+    }
+  }
 }
 
 TEST(ShapFastPath, DuplicateFeatureHeavyTreeKeysOnHistory) {

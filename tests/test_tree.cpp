@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 
+#include "core/flat_forest.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -120,10 +121,11 @@ TEST(BinnedMatrix, RejectsBadBinCount) {
   EXPECT_THROW(BinnedMatrix(d, 257), std::invalid_argument);
 }
 
-// The bin code of a value is the number of split values at or below it
-// (std::upper_bound's index). Negative values, signed zeros, infinities
-// and heavy duplication exercise the radix sort keys.
-TEST(BinnedMatrix, BinIsCountOfSplitValuesAtOrBelow) {
+// The bin code of a value is the number of split values strictly below it
+// (std::lower_bound's index), so "bin <= b" and the prediction test
+// "x <= split_threshold(b)" agree. Negative values, signed zeros,
+// infinities and heavy duplication exercise the radix sort keys.
+TEST(BinnedMatrix, BinIsCountOfSplitValuesBelow) {
   constexpr float kInf = std::numeric_limits<float>::infinity();
   Dataset d(3);
   Rng rng(6);
@@ -145,10 +147,60 @@ TEST(BinnedMatrix, BinIsCountOfSplitValuesAtOrBelow) {
       for (std::size_t r = 0; r < d.n_rows(); ++r) {
         const float v = d.row(r)[f];
         const auto expected =
-            std::upper_bound(cuts.begin(), cuts.end(), v) - cuts.begin();
+            std::lower_bound(cuts.begin(), cuts.end(), v) - cuts.begin();
         ASSERT_EQ(binned.bin(r, f), expected)
             << "max_bins " << max_bins << " f" << f << " row " << r;
       }
+    }
+  }
+}
+
+// A value equal to a split threshold goes left at prediction, so training
+// must bin it at or below that threshold. Equality comes from rounding:
+// next to +Inf (the midpoint of the largest finite value and +Inf is +Inf),
+// next to -Inf, where a midpoint overflows, and between adjacent floats
+// whose midpoint rounds onto one of them. Labels alternate along the
+// distinct values, so an unpruned tree has to separate every neighbouring
+// pair, and each training row must route through FlatForest to a leaf of
+// its own label.
+TEST(BinnedMatrix, TrainingPartitionMatchesPredictionRouting) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kMax = std::numeric_limits<float>::max();
+  const auto up = [](float v) { return std::nextafter(v, kInf); };
+  const float below_max = std::nextafter(kMax, 0.0f);
+  // Adjacent-float midpoints round to even: 1.0 and a1 meet at 1.0 (the
+  // lower value), a1 and a2 at a2 (the upper one).
+  const float a1 = up(1.0f), a2 = up(a1), a3 = up(a2);
+  const float b1 = up(3.0f), b2 = up(b1);
+  std::vector<std::vector<float>> columns;
+  columns.push_back({-kInf, -kMax, -1.0f, 0.0f, 1.0f, below_max, kMax, kInf});
+  columns.push_back({1.0f, a1, a2, a3, 3.0f, b1, b2, kInf});
+  for (const std::vector<float>& values : columns) {
+    Dataset d(1);
+    for (std::size_t rank = 0; rank < values.size(); ++rank) {
+      for (int copy = 0; copy < 3; ++copy) {
+        d.append_row(std::vector<float>{values[rank]},
+                     static_cast<int>(rank % 2), 0);
+      }
+    }
+    for (const int max_bins : {4, 64}) {
+      SCOPED_TRACE("max_bins " + std::to_string(max_bins));
+      const BinnedMatrix binned(d, max_bins);
+      for (int b = 0; b + 1 < binned.n_bins(0); ++b) {
+        const float cut = binned.split_threshold(0, b);
+        for (std::size_t r = 0; r < d.n_rows(); ++r) {
+          ASSERT_EQ(binned.bin(r, 0) <= b, d.row(r)[0] <= cut)
+              << "value " << d.row(r)[0] << " cut " << cut;
+        }
+      }
+    }
+    EXPECT_EQ(BinnedMatrix(d, 64).n_bins(0), static_cast<int>(values.size()));
+    DecisionTree tree;
+    tree.fit(d);
+    const FlatForest flat(std::span<const DecisionTree>(&tree, 1));
+    for (std::size_t r = 0; r < d.n_rows(); ++r) {
+      const double label = d.label(r);
+      EXPECT_EQ(flat.predict_tree(0, d.row(r).data()), label) << d.row(r)[0];
     }
   }
 }
