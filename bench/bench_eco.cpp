@@ -62,15 +62,7 @@ BenchmarkSpec eco_bench_spec() {
 
 /// The design exactly as run_pipeline would construct it (same generator,
 /// placer seed and row height); full scale — the spec is bench-sized.
-Design make_bench_design() {
-  const BenchmarkSpec spec = eco_bench_spec();
-  const PipelineOptions options;
-  const NetlistSpec netlist = generate_netlist(spec, options.generator);
-  PlacerOptions placer = options.placer;
-  placer.row_height = options.generator.row_height;
-  placer.seed = spec.seed * 31 + 1;
-  return place_design(netlist, placer);
-}
+Design make_bench_design() { return place_spec(eco_bench_spec(), {}); }
 
 /// Paper-scale forest (500 trees), trained once on suite pipeline data so
 /// the predict + explain stages carry their production-shaped cost.

@@ -7,7 +7,7 @@
 //
 //   bench_serve --socket /tmp/serve.sock [--clients 1,8] [--requests 50]
 //               [--rows 8] [--mix score|explain|both] [--warmup 5]
-//               [--shutdown] [--wait-report SECONDS]
+//               [--shutdown]
 //
 // Each client thread owns one connection and issues requests back-to-back
 // (closed loop), so concurrency — and therefore daemon-side batching —
@@ -15,14 +15,12 @@
 // shapes match, probabilities are probabilities); byte-identity against
 // the direct engines is tests/test_serve.cpp's job.
 //
-// With --shutdown --wait-report S the generator drains the daemon, waits
-// for its per-process run report to land, and merges it into the base
-// runreport.json (obs::write_run_report_merged), giving CI one document
-// holding both client-side percentiles and daemon-side queue/batch stats.
+// Before exiting it checks through the stats verb that the daemon is
+// drained, optionally sends --shutdown, and writes its own run report
+// ($DRCSHAP_RUNREPORT). The daemon writes its queue/batch stats to a report
+// of its own; point the two processes at different paths.
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,6 +32,7 @@
 #include "obs/registry.hpp"
 #include "obs/run_report.hpp"
 #include "serve/protocol.hpp"
+#include "serve/server.hpp"
 #include "util/rng.hpp"
 
 #include <sys/socket.h>
@@ -55,14 +54,13 @@ struct Options {
   std::string mix = "both";
   std::size_t warmup = 5;
   bool send_shutdown = false;
-  double wait_report_s = 0.0;
 };
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --socket PATH [--clients N,N,...] [--requests N]\n"
                "          [--rows N] [--mix score|explain|both] [--warmup N]\n"
-               "          [--shutdown] [--wait-report SECONDS]\n",
+               "          [--shutdown]\n",
                argv0);
   return 2;
 }
@@ -182,16 +180,6 @@ void check_reply(const Request& request, const Response& response) {
   }
 }
 
-double percentile(std::vector<double> sorted_ms, double p) {
-  if (sorted_ms.empty()) return 0.0;
-  std::sort(sorted_ms.begin(), sorted_ms.end());
-  const double rank =
-      std::ceil(p / 100.0 * static_cast<double>(sorted_ms.size()));
-  const std::size_t index = static_cast<std::size_t>(std::clamp(
-      rank - 1.0, 0.0, static_cast<double>(sorted_ms.size() - 1)));
-  return sorted_ms[index];
-}
-
 struct SweepResult {
   double p50_ms = 0.0;
   double p99_ms = 0.0;
@@ -203,7 +191,8 @@ struct SweepResult {
 /// with its own connection, issuing `requests` back-to-back requests.
 SweepResult run_sweep(const Options& options, Verb verb,
                       std::size_t n_clients, std::uint32_t n_features) {
-  std::vector<std::vector<double>> latencies(n_clients);
+  // Sized to hold every sample, so percentile() sees the whole sweep.
+  drcshap::serve::LatencyRecorder latencies(n_clients * options.requests);
   std::vector<std::string> errors(n_clients);
   std::vector<std::thread> threads;
   const Clock::time_point sweep_start = Clock::now();
@@ -218,13 +207,12 @@ SweepResult run_sweep(const Options& options, Verb verb,
               make_request(++id, verb, options.rows, n_features, rng);
           check_reply(request, client.call(request));
         }
-        latencies[c].reserve(options.requests);
         for (std::size_t i = 0; i < options.requests; ++i) {
           const Request request =
               make_request(++id, verb, options.rows, n_features, rng);
           const Clock::time_point start = Clock::now();
           const Response response = client.call(request);
-          latencies[c].push_back(
+          latencies.record(
               std::chrono::duration<double, std::milli>(Clock::now() - start)
                   .count());
           check_reply(request, response);
@@ -241,17 +229,13 @@ SweepResult run_sweep(const Options& options, Verb verb,
     if (!error.empty()) throw std::runtime_error("client: " + error);
   }
 
-  std::vector<double> all;
-  for (const std::vector<double>& per_client : latencies) {
-    all.insert(all.end(), per_client.begin(), per_client.end());
-  }
   SweepResult result;
-  result.n_requests = all.size();
-  result.p50_ms = percentile(all, 50.0);
-  result.p99_ms = percentile(all, 99.0);
+  result.n_requests = latencies.count();
+  result.p50_ms = latencies.percentile(50.0);
+  result.p99_ms = latencies.percentile(99.0);
   result.rows_per_s =
       sweep_s > 0.0
-          ? static_cast<double>(all.size()) * options.rows / sweep_s
+          ? static_cast<double>(result.n_requests) * options.rows / sweep_s
           : 0.0;
   return result;
 }
@@ -293,35 +277,6 @@ int send_shutdown(const Options& options) {
   return 0;
 }
 
-/// Base (unsuffixed) report path — where the merged document lands.
-std::string base_report_path() {
-  const char* env = std::getenv("DRCSHAP_RUNREPORT");
-  return env != nullptr && env[0] != '\0' ? env : "runreport.json";
-}
-
-/// Waits for the daemon's per-process report to appear, then merges every
-/// sibling into the base runreport.json together with our own gauges.
-int merge_reports(const Options& options) {
-  const std::string base = base_report_path();
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(options.wait_report_s));
-  while (drcshap::obs::sibling_report_paths(base).empty() &&
-         Clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  if (drcshap::obs::sibling_report_paths(base).empty()) {
-    std::fprintf(stderr, "bench_serve: no sibling report appeared in %.1fs\n",
-                 options.wait_report_s);
-    return 1;
-  }
-  drcshap::obs::RunReportOptions report;
-  report.tool = "bench_serve";
-  drcshap::obs::write_run_report_merged(base, report);
-  std::printf("merged run report: %s\n", base.c_str());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -350,8 +305,6 @@ int main(int argc, char** argv) {
       options.warmup = std::strtoull(next_arg(i), nullptr, 10);
     } else if (arg == "--shutdown") {
       options.send_shutdown = true;
-    } else if (arg == "--wait-report") {
-      options.wait_report_s = std::strtod(next_arg(i), nullptr);
     } else {
       return usage(argv[0]);
     }
@@ -412,15 +365,9 @@ int main(int argc, char** argv) {
     if (options.send_shutdown && rc == 0) rc = send_shutdown(options);
     if (rc != 0) return rc;
 
-    if (options.wait_report_s > 0.0) {
-      if (int merge_rc = merge_reports(options); merge_rc != 0) {
-        return merge_rc;
-      }
-    } else {
-      drcshap::obs::RunReportOptions report;
-      report.tool = "bench_serve";
-      drcshap::obs::write_default_run_report(report);
-    }
+    drcshap::obs::RunReportOptions report;
+    report.tool = "bench_serve";
+    drcshap::obs::write_default_run_report(report);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_serve: %s\n", e.what());
     return 1;

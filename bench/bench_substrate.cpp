@@ -36,14 +36,8 @@ PipelineOptions substrate_options() {
 }
 
 const Design& substrate_design() {
-  static const Design design = [] {
-    const PipelineOptions options = substrate_options();
-    NetlistSpec netlist = generate_netlist(substrate_spec(), options.generator);
-    PlacerOptions placer = options.placer;
-    placer.row_height = options.generator.row_height;
-    placer.seed = substrate_spec().seed * 31 + 1;
-    return place_design(netlist, placer);
-  }();
+  static const Design design =
+      place_spec(substrate_spec(), substrate_options());
   return design;
 }
 

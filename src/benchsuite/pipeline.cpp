@@ -21,7 +21,8 @@ std::string design_unit(std::size_t index, const BenchmarkSpec& spec) {
   return "design" + std::to_string(index) + "-" + spec.name;
 }
 
-/// The spec's synthetic netlist, placed: the front half of a pipeline run.
+}  // namespace
+
 Design place_spec(const BenchmarkSpec& spec, const PipelineOptions& options) {
   NetlistSpec netlist = generate_netlist(spec, options.generator);
   PlacerOptions placer_options = options.placer;
@@ -29,8 +30,6 @@ Design place_spec(const BenchmarkSpec& spec, const PipelineOptions& options) {
   placer_options.seed = spec.seed * 31 + 1;
   return place_design(netlist, placer_options);
 }
-
-}  // namespace
 
 DesignState build_design_state(const Design& design,
                                const GlobalRouterOptions& router,

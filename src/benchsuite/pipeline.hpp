@@ -45,6 +45,12 @@ struct DesignState {
   std::vector<float> features{};
 };
 
+/// The spec's synthetic netlist, placed: the front half of a pipeline run.
+/// The placer seed is derived from spec.seed and the row height from the
+/// generator, so every caller that starts from a spec places the same
+/// design run_pipeline does.
+Design place_spec(const BenchmarkSpec& spec, const PipelineOptions& options);
+
 /// Runs the design-side stages over every g-cell of `design` — the one
 /// place they are wired together. `n_threads` caps the workers of DRC
 /// scoring and feature extraction (0 = whole shared pool, 1 = serial); the

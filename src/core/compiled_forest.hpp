@@ -37,47 +37,15 @@
 #include <string>
 #include <vector>
 
+#include "core/compiled_forest_simd.hpp"
 #include "core/flat_forest.hpp"
 
-#ifndef DRCSHAP_SIMD_ENABLED
-#define DRCSHAP_SIMD_ENABLED 0
-#endif
-
 namespace drcshap {
-
-namespace detail {
-
-/// Raw-pointer view of the compiled node arrays, shared by the scalar and
-/// AVX2 block kernels (the AVX2 translation unit is compiled with -mavx2
-/// and must not see any inline library code it could vectorize).
-struct CompiledForestView {
-  const std::int32_t* feature;     ///< per node; 0 on leaves (safe gather)
-  const std::int32_t* qthreshold;  ///< per node; INT32_MAX on leaves
-  const std::int32_t* child;       ///< left child; right = child+1; leaf = self
-  const double* value;             ///< per node; leaf P(y=1)
-  const std::int32_t* roots;       ///< per tree
-  const std::int32_t* depths;      ///< per tree (edge depth)
-  std::size_t n_trees;
-};
-
-/// Descend 8 samples through every tree and write the per-lane sums of leaf
-/// values (tree order, not yet divided by n_trees). `blockq` holds the
-/// feature codes interleaved as blockq[feature * 8 + lane], widened to i32.
-void predict_block8_scalar(const CompiledForestView& forest,
-                           const std::int32_t* blockq, double* sums);
-
-#if DRCSHAP_SIMD_ENABLED
-/// AVX2 twin of predict_block8_scalar: same arithmetic, vector gathers.
-void predict_block8_avx2(const CompiledForestView& forest,
-                         const std::int32_t* blockq, double* sums);
-#endif
-
-}  // namespace detail
 
 class CompiledForest {
  public:
   /// Samples evaluated per block kernel invocation.
-  static constexpr std::size_t kBlock = 8;
+  static constexpr std::size_t kBlock = detail::kBlockLanes;
   /// A feature with more distinct thresholds than this cannot be coded in
   /// u16 and the forest stays on the exact engine (never hit by binned
   /// training, which caps distinct splits per feature at max_bins - 1).

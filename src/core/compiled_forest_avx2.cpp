@@ -9,7 +9,7 @@
 // accumulate as independent IEEE double adds in tree order — so SIMD on
 // and off produce byte-identical probabilities.
 
-#include "core/compiled_forest.hpp"
+#include "core/compiled_forest_simd.hpp"
 
 #if DRCSHAP_SIMD_ENABLED
 
@@ -67,7 +67,7 @@ inline void accumulate(const double* value, const __m256i node,
 
 void predict_block8_avx2(const CompiledForestView& forest,
                          const std::int32_t* blockq, double* sums) {
-  static_assert(CompiledForest::kBlock == 8);
+  static_assert(kBlockLanes == 8);
   const __m256i lane_offsets = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
   __m256d acc_lo = _mm256_setzero_pd();  // lanes 0..3
   __m256d acc_hi = _mm256_setzero_pd();  // lanes 4..7

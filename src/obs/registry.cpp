@@ -38,32 +38,30 @@ struct Shard {
   std::map<std::string, NoteCell, std::less<>> notes;
   std::map<std::string, TimerStat, std::less<>> timers;
 
-  bool empty() const {
-    return counters.empty() && gauges.empty() && notes.empty() &&
-           timers.empty();
+  void clear() {
+    counters.clear();
+    gauges.clear();
+    notes.clear();
+    timers.clear();
   }
 };
 
-void merge_shard_locked(const Shard& shard, Snapshot& out,
-                        std::map<std::string, std::uint64_t>& gauge_seq,
-                        std::map<std::string, std::uint64_t>& note_seq) {
-  for (const auto& [name, value] : shard.counters) out.counters[name] += value;
-  for (const auto& [name, cell] : shard.gauges) {
-    auto it = gauge_seq.find(name);
-    if (it == gauge_seq.end() || cell.seq > it->second) {
-      gauge_seq[name] = cell.seq;
-      out.gauges[name] = cell.value;
-    }
+// The one merge rule, used both when a thread retires its shard and when a
+// snapshot combines shards: counters and timer count/total add, timer max
+// maxes, and a gauge or note keeps whichever cell carries the higher seq
+// (the later global write).
+void fold(const Shard& from, Shard& into) {
+  for (const auto& [name, value] : from.counters) into.counters[name] += value;
+  for (const auto& [name, cell] : from.gauges) {
+    GaugeCell& dst = into.gauges[name];
+    if (cell.seq > dst.seq) dst = cell;
   }
-  for (const auto& [name, cell] : shard.notes) {
-    auto it = note_seq.find(name);
-    if (it == note_seq.end() || cell.seq > it->second) {
-      note_seq[name] = cell.seq;
-      out.notes[name] = cell.value;
-    }
+  for (const auto& [name, cell] : from.notes) {
+    NoteCell& dst = into.notes[name];
+    if (cell.seq > dst.seq) dst = cell;
   }
-  for (const auto& [name, stat] : shard.timers) {
-    TimerStat& dst = out.timers[name];
+  for (const auto& [name, stat] : from.timers) {
+    TimerStat& dst = into.timers[name];
     dst.count += stat.count;
     dst.total_ns += stat.total_ns;
     dst.max_ns = std::max(dst.max_ns, stat.max_ns);
@@ -93,30 +91,31 @@ class Registry {
   }
 
   Snapshot snapshot() {
-    Snapshot out;
-    std::map<std::string, std::uint64_t> gauge_seq;
-    std::map<std::string, std::uint64_t> note_seq;
-    std::lock_guard<std::mutex> registry_lock(mu_);
-    merge_shard_locked(retired_, out, gauge_seq, note_seq);
-    for (const auto& shard : shards_) {
-      std::lock_guard<std::mutex> shard_lock(shard->mu);
-      merge_shard_locked(*shard, out, gauge_seq, note_seq);
+    Shard merged;
+    {
+      std::lock_guard<std::mutex> registry_lock(mu_);
+      fold(retired_, merged);
+      for (const auto& shard : shards_) {
+        std::lock_guard<std::mutex> shard_lock(shard->mu);
+        fold(*shard, merged);
+      }
     }
+    Snapshot out;
+    out.counters.insert(merged.counters.begin(), merged.counters.end());
+    for (auto& [name, cell] : merged.gauges) out.gauges[name] = cell.value;
+    for (auto& [name, cell] : merged.notes) {
+      out.notes[name] = std::move(cell.value);
+    }
+    out.timers.insert(merged.timers.begin(), merged.timers.end());
     return out;
   }
 
   void reset() {
     std::lock_guard<std::mutex> registry_lock(mu_);
-    retired_.counters.clear();
-    retired_.gauges.clear();
-    retired_.notes.clear();
-    retired_.timers.clear();
+    retired_.clear();
     for (const auto& shard : shards_) {
       std::lock_guard<std::mutex> shard_lock(shard->mu);
-      shard->counters.clear();
-      shard->gauges.clear();
-      shard->notes.clear();
-      shard->timers.clear();
+      shard->clear();
     }
   }
 
@@ -137,33 +136,7 @@ class Registry {
     std::lock_guard<std::mutex> registry_lock(mu_);
     {
       std::lock_guard<std::mutex> shard_lock(shard->mu);
-      if (!shard->empty()) {
-        // Fold into the retired aggregate with the same merge the snapshot
-        // uses, preserving counter sums and the freshest gauge/note writes.
-        Snapshot merged;
-        std::map<std::string, std::uint64_t> gauge_seq;
-        std::map<std::string, std::uint64_t> note_seq;
-        merge_shard_locked(*shard, merged, gauge_seq, note_seq);
-        for (const auto& [name, value] : merged.counters) {
-          retired_.counters[name] += value;
-        }
-        for (const auto& [name, value] : merged.gauges) {
-          GaugeCell& cell = retired_.gauges[name];
-          const std::uint64_t seq = gauge_seq[name];
-          if (seq > cell.seq) cell = {value, seq};
-        }
-        for (const auto& [name, value] : merged.notes) {
-          NoteCell& cell = retired_.notes[name];
-          const std::uint64_t seq = note_seq[name];
-          if (seq > cell.seq) cell = {value, seq};
-        }
-        for (const auto& [name, stat] : merged.timers) {
-          TimerStat& dst = retired_.timers[name];
-          dst.count += stat.count;
-          dst.total_ns += stat.total_ns;
-          dst.max_ns = std::max(dst.max_ns, stat.max_ns);
-        }
-      }
+      fold(*shard, retired_);
     }
     shards_.erase(std::remove(shards_.begin(), shards_.end(), shard),
                   shards_.end());

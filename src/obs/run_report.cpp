@@ -1,13 +1,9 @@
 #include "obs/run_report.hpp"
 
-#include <unistd.h>
-
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <filesystem>
 #include <thread>
 
 #include "obs/registry.hpp"
@@ -103,122 +99,9 @@ void write_run_report(const std::string& path,
   throw_if_error(write_file_atomic(path, build_run_report(options).dump(2)));
 }
 
-namespace {
-
-/// Splits "dir/stem.ext" into {"dir/stem", ".ext"} (ext may be empty).
-std::pair<std::string, std::string> split_extension(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  const std::size_t dot = path.find_last_of('.');
-  if (dot == std::string::npos ||
-      (slash != std::string::npos && dot < slash)) {
-    return {path, ""};
-  }
-  return {path.substr(0, dot), path.substr(dot)};
-}
-
-}  // namespace
-
 std::string default_report_path() {
   const char* env = std::getenv("DRCSHAP_RUNREPORT");
-  std::string path = env != nullptr && env[0] != '\0' ? env : "runreport.json";
-  const char* per_process = std::getenv("DRCSHAP_RUNREPORT_PER_PROCESS");
-  if (per_process != nullptr && per_process[0] != '\0') {
-    path = per_process_report_path(path);
-  }
-  return path;
-}
-
-std::string per_process_report_path(const std::string& path) {
-  const auto [stem, ext] = split_extension(path);
-  return stem + ".pid" + std::to_string(::getpid()) + ext;
-}
-
-std::vector<std::string> sibling_report_paths(const std::string& path) {
-  const auto [stem, ext] = split_extension(path);
-  const std::size_t slash = stem.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : stem.substr(0, slash);
-  const std::string prefix =
-      (slash == std::string::npos ? stem : stem.substr(slash + 1)) + ".pid";
-  std::vector<std::string> siblings;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() <= prefix.size() + ext.size()) continue;
-    if (name.compare(0, prefix.size(), prefix) != 0) continue;
-    if (name.compare(name.size() - ext.size(), ext.size(), ext) != 0 &&
-        !ext.empty()) {
-      continue;
-    }
-    siblings.push_back(entry.path().string());
-  }
-  std::sort(siblings.begin(), siblings.end());
-  return siblings;
-}
-
-void merge_run_report(JsonValue& report, const JsonValue& other) {
-  // Counters sum across processes, like obs shards sum across threads.
-  if (other.contains("counters")) {
-    JsonValue& counters = report["counters"];
-    for (const auto& [name, value] : other.at("counters").as_object()) {
-      const double mine =
-          counters.contains(name) ? counters.at(name).as_number() : 0.0;
-      counters[name] = mine + value.as_number();
-    }
-  }
-  // Gauges and notes are last-write-wins within a process; across processes
-  // the merging process (the one assembling the report) keeps its own.
-  for (const char* section : {"gauges", "notes"}) {
-    if (!other.contains(section)) continue;
-    JsonValue& mine = report[section];
-    for (const auto& [name, value] : other.at(section).as_object()) {
-      if (!mine.contains(name)) mine[name] = value;
-    }
-  }
-  if (other.contains("timers")) {
-    JsonValue& timers = report["timers"];
-    for (const auto& [name, stat] : other.at("timers").as_object()) {
-      if (!timers.contains(name)) {
-        timers[name] = stat;
-        continue;
-      }
-      JsonValue& mine = timers[name];
-      const double count =
-          mine.at("count").as_number() + stat.at("count").as_number();
-      const double total =
-          mine.at("total_ms").as_number() + stat.at("total_ms").as_number();
-      mine["count"] = count;
-      mine["total_ms"] = total;
-      mine["mean_ms"] = count == 0.0 ? 0.0 : total / count;
-      mine["max_ms"] = std::max(mine.at("max_ms").as_number(),
-                                stat.at("max_ms").as_number());
-    }
-  }
-  JsonValue& merged_from = report["merged_from"];
-  if (!merged_from.is_array()) merged_from = JsonValue::make_array();
-  merged_from.push_back(other.contains("tool") ? other.at("tool")
-                                               : JsonValue("unknown"));
-}
-
-void write_run_report_merged(const std::string& path,
-                             const RunReportOptions& options) {
-  JsonValue report = build_run_report(options);
-  std::vector<std::string> consumed;
-  for (const std::string& sibling : sibling_report_paths(path)) {
-    try {
-      merge_run_report(report, JsonValue::parse_file(sibling));
-      consumed.push_back(sibling);
-    } catch (const std::exception& e) {
-      // A torn or foreign file next to the report must not kill the merge.
-      std::fprintf(stderr, "run_report: skipping %s: %s\n", sibling.c_str(),
-                   e.what());
-    }
-  }
-  throw_if_error(write_file_atomic(path, report.dump(2)));
-  for (const std::string& sibling : consumed) {
-    std::remove(sibling.c_str());
-  }
+  return env != nullptr && env[0] != '\0' ? env : "runreport.json";
 }
 
 std::string write_default_run_report(const RunReportOptions& options) {

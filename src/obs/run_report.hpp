@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "obs/json.hpp"
 
@@ -37,33 +36,10 @@ void write_run_report(const std::string& path,
                       const RunReportOptions& options);
 
 /// $DRCSHAP_RUNREPORT if set and non-empty, else "runreport.json" in the
-/// current working directory. When $DRCSHAP_RUNREPORT_PER_PROCESS is set
-/// and non-empty the path gets a per-process suffix (see
-/// per_process_report_path), so two cooperating processes — e.g. the
-/// serving daemon and its load generator — pointed at the same report
-/// never clobber each other; the survivor merges the suffixed reports.
+/// current working directory. Each process writes its own report; give
+/// cooperating processes (say the serving daemon and its load generator)
+/// distinct paths.
 std::string default_report_path();
-
-/// "<stem>.pid<pid><ext>" next to `path` ("runreport.pid1234.json").
-std::string per_process_report_path(const std::string& path);
-
-/// Per-process sibling reports of `path` present on disk, sorted:
-/// every "<stem>.pid*<ext>" in the same directory.
-std::vector<std::string> sibling_report_paths(const std::string& path);
-
-/// Merges `other` (another process's report) into `report`: counters are
-/// summed, timer stats combined (count/total summed, max maxed, mean
-/// recomputed), gauges/notes taken from `other` only where `report` has no
-/// entry (the merging process wins ties), and `other`'s tool name is
-/// appended to a "merged_from" array.
-void merge_run_report(JsonValue& report, const JsonValue& other);
-
-/// build_run_report + merge every sibling report of `path` + atomic write.
-/// Consumed sibling files are deleted after the merged report commits.
-/// Throws std::runtime_error if the final write fails; unreadable siblings
-/// are skipped (a half-dead partner must not kill the survivor's report).
-void write_run_report_merged(const std::string& path,
-                             const RunReportOptions& options);
 
 /// write_run_report(default_report_path(), options), never throwing: report
 /// emission must not turn a successful bench run into a failure. Returns

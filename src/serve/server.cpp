@@ -142,11 +142,6 @@ Status Server::start() {
       const std::shared_ptr<const ServedModel> model = registry_.current();
       PipelineOptions pipeline;
       pipeline.generator.scale = options_.eco_scale;
-      const BenchmarkSpec& spec = suite_spec(options_.eco_design);
-      const NetlistSpec netlist = generate_netlist(spec, pipeline.generator);
-      PlacerOptions placer = pipeline.placer;
-      placer.row_height = pipeline.generator.row_height;
-      placer.seed = spec.seed * 31 + 1;
       EcoOptions eco_options;
       eco_options.router = pipeline.router;
       eco_options.drc = pipeline.drc;
@@ -157,9 +152,9 @@ Status Server::start() {
                                                            &model->forest);
       TreeShapExplainer explainer(model->forest);
       explainer.set_cache(model->explain_cache);
-      eco_ = std::make_unique<EcoEngine>(place_design(netlist, placer),
-                                         std::move(forest),
-                                         std::move(explainer), eco_options);
+      eco_ = std::make_unique<EcoEngine>(
+          place_spec(suite_spec(options_.eco_design), pipeline),
+          std::move(forest), std::move(explainer), eco_options);
     } catch (const std::exception& e) {
       return {StatusCode::kInvalid,
               std::string("server: --eco-design failed: ") + e.what()};

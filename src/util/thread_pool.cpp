@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <memory>
+#include <exception>
 
 #include "util/failpoint.hpp"
 
@@ -47,17 +47,6 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  std::packaged_task<void()> packaged(std::move(task));
-  auto future = packaged.get_future();
-  {
-    std::lock_guard lock(mutex_);
-    tasks_.push(std::move(packaged));
-  }
-  cv_.notify_one();
-  return future;
-}
-
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn,
                               std::size_t grain, std::size_t max_workers) {
@@ -80,45 +69,54 @@ void ThreadPool::parallel_for(std::size_t n,
   // schedule computes every index exactly once into its own slot, so results
   // cannot depend on which worker claims which chunk.
   const std::size_t strips = std::min(width, n_chunks);
-  auto cursor = std::make_shared<std::atomic<std::size_t>>(0);
-  std::vector<std::future<void>> futures;
-  futures.reserve(strips);
+  std::atomic<std::size_t> cursor{0};
   // `failed` lets sibling strips stop claiming new chunks once any task has
   // thrown, so a poisoned index does not force the whole remaining range to
   // run before the error can surface.
-  auto failed = std::make_shared<std::atomic<bool>>(false);
-  for (std::size_t s = 0; s < strips; ++s) {
-    futures.push_back(submit([&fn, cursor, failed, grain, n, n_chunks] {
-      for (;;) {
-        if (failed->load(std::memory_order_relaxed)) return;
-        const std::size_t c = cursor->fetch_add(1, std::memory_order_relaxed);
-        if (c >= n_chunks) return;
-        const std::size_t begin = c * grain;
-        const std::size_t end = std::min(n, begin + grain);
-        try {
-          DRCSHAP_FAILPOINT("pool.chunk");
-          for (std::size_t i = begin; i < end; ++i) fn(i);
-        } catch (...) {
-          failed->store(true, std::memory_order_relaxed);
-          throw;
+  std::atomic<bool> failed{false};
+  // Everything a strip touches lives in this frame. A strip stores its error
+  // in its own slot, and its last touch of this frame is the decrement and
+  // notify made under `done_mutex`, so once the wait below returns no strip
+  // can still reach `fn`, `errors` or the cursor.
+  std::vector<std::exception_ptr> errors(strips);
+  std::mutex done_mutex;
+  std::condition_variable done_cv;
+  std::size_t running = strips;
+  {
+    std::lock_guard lock(mutex_);
+    for (std::size_t s = 0; s < strips; ++s) {
+      tasks_.push([&, s] {
+        while (!failed.load(std::memory_order_relaxed)) {
+          const std::size_t c = cursor.fetch_add(1, std::memory_order_relaxed);
+          if (c >= n_chunks) break;
+          const std::size_t begin = c * grain;
+          const std::size_t end = std::min(n, begin + grain);
+          try {
+            DRCSHAP_FAILPOINT("pool.chunk");
+            for (std::size_t i = begin; i < end; ++i) fn(i);
+          } catch (...) {
+            errors[s] = std::current_exception();
+            failed.store(true, std::memory_order_relaxed);
+          }
         }
-      }
-    }));
+        std::lock_guard done_lock(done_mutex);
+        if (--running == 0) done_cv.notify_all();
+      });
+    }
   }
+  for (std::size_t s = 0; s < strips; ++s) cv_.notify_one();
   // Join EVERY strip before letting the first exception out: `fn` and the
   // caller's captured state live on the caller's stack, so rethrowing while
   // a sibling strip is still running would let that sibling use freed state
   // once the caller unwinds. First exception (in strip order) wins; the
-  // others are joined and dropped.
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
+  // others are dropped.
+  {
+    std::unique_lock done_lock(done_mutex);
+    done_cv.wait(done_lock, [&] { return running == 0; });
   }
-  if (first_error) std::rethrow_exception(first_error);
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 std::size_t ThreadPool::width(std::size_t max_workers) const {
@@ -131,7 +129,7 @@ int ThreadPool::current_worker_index() { return tl_worker_index; }
 void ThreadPool::worker_loop(std::size_t worker_index) {
   tl_worker_index = static_cast<int>(worker_index);
   for (;;) {
-    std::packaged_task<void()> task;
+    std::function<void()> task;
     {
       std::unique_lock lock(mutex_);
       cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });

@@ -17,7 +17,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -49,9 +48,6 @@ class ThreadPool {
   /// whole pool), or 1 when the caller is itself a pool worker (nested
   /// calls run inline, see the header comment).
   std::size_t width(std::size_t max_workers = 0) const;
-
-  /// Enqueue a task; returns a future for its completion.
-  std::future<void> submit(std::function<void()> task);
 
   /// Run fn(i) for i in [0, n) across the pool and wait for all of them.
   /// The range is chunked into contiguous blocks of `grain` indices and the
@@ -85,7 +81,7 @@ class ThreadPool {
   void worker_loop(std::size_t worker_index);
 
   std::vector<std::thread> workers_;
-  std::queue<std::packaged_task<void()>> tasks_;
+  std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stopping_ = false;

@@ -30,13 +30,7 @@ PipelineOptions tiny_options() {
 /// placer seed and row height), so the engine's initial state can be
 /// compared against the one-shot pipeline.
 Design make_design(const char* name) {
-  const PipelineOptions options = tiny_options();
-  const BenchmarkSpec& spec = suite_spec(name);
-  const NetlistSpec netlist = generate_netlist(spec, options.generator);
-  PlacerOptions placer = options.placer;
-  placer.row_height = options.generator.row_height;
-  placer.seed = spec.seed * 31 + 1;
-  return place_design(netlist, placer);
+  return place_spec(suite_spec(name), tiny_options());
 }
 
 /// A low-density design whose routing converges without rip-up: total
@@ -54,12 +48,7 @@ Design make_uncongested_design() {
   spec.difficulty = 0.02;
   spec.wiring_richness = 1.0;
   spec.seed = 7;
-  const PipelineOptions options;  // full scale: the spec is already small
-  const NetlistSpec netlist = generate_netlist(spec, options.generator);
-  PlacerOptions placer = options.placer;
-  placer.row_height = options.generator.row_height;
-  placer.seed = spec.seed * 31 + 1;
-  return place_design(netlist, placer);
+  return place_spec(spec, {});  // full scale: the spec is already small
 }
 
 void expect_congestion_equal(const CongestionMap& a, const CongestionMap& b) {

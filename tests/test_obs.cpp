@@ -182,6 +182,83 @@ TEST_F(Obs, ResetClearsEverything) {
   EXPECT_TRUE(snap.notes.empty());
 }
 
+// ----------------------------------------------------------- retired shards
+//
+// An exited thread's shard is folded into the registry's retired data, and
+// a snapshot folds that together with the live shards. Both steps must
+// apply the same rule: counters and timer count/total add, timer max
+// maxes, and the latest gauge/note write wins whichever shard holds it.
+
+TEST_F(Obs, RetiredTimersSumCountsAndTotalsAndKeepMax) {
+  std::thread first([] {
+    obs::timer_record("obs_test/rt", 100);
+    obs::timer_record("obs_test/rt", 700);
+  });
+  first.join();
+  std::thread second([] { obs::timer_record("obs_test/rt", 300); });
+  second.join();
+  const obs::Snapshot snap = obs::snapshot();
+  if (!obs::kEnabled) {
+    EXPECT_TRUE(snap.timers.empty());
+    return;
+  }
+  const obs::TimerStat& stat = snap.timers.at("obs_test/rt");
+  EXPECT_EQ(stat.count, 3u);
+  EXPECT_EQ(stat.total_ns, 1100u);
+  EXPECT_EQ(stat.max_ns, 700u);
+}
+
+TEST_F(Obs, RetiredGaugesAndNotesKeepTheLatestWrite) {
+  const auto on_exited_thread = [](const char* name, double gauge,
+                                   const char* note) {
+    std::thread worker([&] {
+      obs::gauge_set(std::string(name) + "/g", gauge);
+      obs::note_set(std::string(name) + "/n", note);
+    });
+    worker.join();
+  };
+  // A then B retire, then the live main thread writes last: main wins.
+  on_exited_thread("obs_test/main_last", 1.0, "a");
+  on_exited_thread("obs_test/main_last", 2.0, "b");
+  obs::gauge_set("obs_test/main_last/g", 3.0);
+  obs::note_set("obs_test/main_last/n", "main");
+  // The live main thread writes first, then A and B retire: B wins.
+  obs::gauge_set("obs_test/b_last/g", 3.0);
+  obs::note_set("obs_test/b_last/n", "main");
+  on_exited_thread("obs_test/b_last", 1.0, "a");
+  on_exited_thread("obs_test/b_last", 2.0, "b");
+
+  const obs::Snapshot snap = obs::snapshot();
+  if (!obs::kEnabled) {
+    EXPECT_TRUE(snap.gauges.empty());
+    EXPECT_TRUE(snap.notes.empty());
+    return;
+  }
+  EXPECT_DOUBLE_EQ(snap.gauges.at("obs_test/main_last/g"), 3.0);
+  EXPECT_EQ(snap.notes.at("obs_test/main_last/n"), "main");
+  EXPECT_DOUBLE_EQ(snap.gauges.at("obs_test/b_last/g"), 2.0);
+  EXPECT_EQ(snap.notes.at("obs_test/b_last/n"), "b");
+}
+
+TEST_F(Obs, ResetClearsRetiredShards) {
+  std::thread worker([] {
+    obs::counter_add("obs_test/rc");
+    obs::gauge_set("obs_test/rg", 1.0);
+    obs::note_set("obs_test/rn", "v");
+    obs::timer_record("obs_test/rt", 10);
+  });
+  worker.join();
+  if (obs::kEnabled) {
+    ASSERT_EQ(obs::snapshot().counters.at("obs_test/rc"), 1u);
+  }
+  obs::reset();
+  const obs::Snapshot snap = obs::snapshot();
+  EXPECT_TRUE(snap.counters.empty());
+  EXPECT_TRUE(snap.gauges.empty());
+  EXPECT_TRUE(snap.notes.empty());
+  EXPECT_TRUE(snap.timers.empty());
+}
+
 // ------------------------------------------------------- compile-time switch
 
 TEST_F(Obs, DisabledBuildRecordsNothing) {

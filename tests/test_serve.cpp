@@ -21,7 +21,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <span>
 #include <thread>
@@ -34,7 +33,6 @@
 #include "core/random_forest.hpp"
 #include "core/tree_shap.hpp"
 #include "obs/json.hpp"
-#include "obs/run_report.hpp"
 #include "serve/batcher.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/protocol.hpp"
@@ -877,80 +875,6 @@ TEST_F(EcoServerFixture, MalformedAndInvalidEditsAreTypedErrors) {
 
   const Response ok = client.call(eco_request(4, "move 0 1.0 0.0"));
   EXPECT_EQ(ok.status, StatusCode::kOk) << ok.message;
-}
-
-// --------------------------------------------------- run-report merging
-
-TEST(ServeReport, PerProcessPathEmbedsPid) {
-  const std::string path =
-      obs::per_process_report_path("/tmp/dir/runreport.json");
-  const std::string expected = "/tmp/dir/runreport.pid" +
-                               std::to_string(::getpid()) + ".json";
-  EXPECT_EQ(path, expected);
-  // Extension-less paths get the suffix appended at the end.
-  EXPECT_EQ(obs::per_process_report_path("report"),
-            "report.pid" + std::to_string(::getpid()));
-}
-
-TEST(ServeReport, SiblingScanFindsOnlyMatchingReports) {
-  const std::string dir = "/tmp/drcshap_serve_reports";
-  std::filesystem::create_directories(dir);
-  const std::string base = dir + "/runreport.json";
-  const auto write = [](const std::string& path, const std::string& text) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs(text.c_str(), f);
-    std::fclose(f);
-  };
-  write(dir + "/runreport.pid100.json", "{}");
-  write(dir + "/runreport.pid200.json", "{}");
-  write(dir + "/runreport.json", "{}");       // the base itself: excluded
-  write(dir + "/other.pid300.json", "{}");    // different stem: excluded
-
-  const std::vector<std::string> siblings = obs::sibling_report_paths(base);
-  ASSERT_EQ(siblings.size(), 2u);
-  EXPECT_EQ(siblings[0], dir + "/runreport.pid100.json");
-  EXPECT_EQ(siblings[1], dir + "/runreport.pid200.json");
-  std::filesystem::remove_all(dir);
-}
-
-TEST(ServeReport, MergeSumsCountersAndCombinesTimers) {
-  auto mine = obs::JsonValue::parse(R"({
-    "tool": "bench_serve",
-    "counters": {"serve/requests": 10, "bench/only": 1},
-    "gauges": {"shared": 1.5},
-    "timers": {"t": {"count": 2, "total_ms": 10.0, "mean_ms": 5.0,
-                     "max_ms": 7.0}}
-  })");
-  const auto theirs = obs::JsonValue::parse(R"({
-    "tool": "drcshap_serve",
-    "counters": {"serve/requests": 32, "serve/batches": 4},
-    "gauges": {"shared": 9.0, "daemon_only": 2.0},
-    "notes": {"serve/model": "m#1"},
-    "timers": {"t": {"count": 1, "total_ms": 20.0, "mean_ms": 20.0,
-                     "max_ms": 20.0},
-               "u": {"count": 1, "total_ms": 1.0, "mean_ms": 1.0,
-                     "max_ms": 1.0}}
-  })");
-  obs::merge_run_report(mine, theirs);
-
-  EXPECT_EQ(mine.at("counters").at("serve/requests").as_number(), 42.0);
-  EXPECT_EQ(mine.at("counters").at("bench/only").as_number(), 1.0);
-  EXPECT_EQ(mine.at("counters").at("serve/batches").as_number(), 4.0);
-  // Gauges: the merging process keeps its own on collision, adopts the rest.
-  EXPECT_EQ(mine.at("gauges").at("shared").as_number(), 1.5);
-  EXPECT_EQ(mine.at("gauges").at("daemon_only").as_number(), 2.0);
-  EXPECT_EQ(mine.at("notes").at("serve/model").as_string(), "m#1");
-  // Timers: counts/totals sum, mean recomputed, max maxed.
-  const auto& timer = mine.at("timers").at("t");
-  EXPECT_EQ(timer.at("count").as_number(), 3.0);
-  EXPECT_EQ(timer.at("total_ms").as_number(), 30.0);
-  EXPECT_EQ(timer.at("mean_ms").as_number(), 10.0);
-  EXPECT_EQ(timer.at("max_ms").as_number(), 20.0);
-  EXPECT_EQ(mine.at("timers").at("u").at("count").as_number(), 1.0);
-  ASSERT_TRUE(mine.at("merged_from").is_array());
-  EXPECT_EQ(mine.at("merged_from").as_array()[0].as_string(),
-            "drcshap_serve");
 }
 
 // The span overload the batcher rides must agree with the Dataset one the

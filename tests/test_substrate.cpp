@@ -118,12 +118,7 @@ TEST_P(RouteDigest, MatchesPinnedGolden) {
   const RouteGolden& golden = GetParam();
   PipelineOptions options;
   options.generator.scale = 16.0;
-  const BenchmarkSpec spec = suite_spec(golden.design);
-  NetlistSpec netlist = generate_netlist(spec, options.generator);
-  PlacerOptions placer = options.placer;
-  placer.row_height = options.generator.row_height;
-  placer.seed = spec.seed * 31 + 1;
-  const Design design = place_design(netlist, placer);
+  const Design design = place_spec(suite_spec(golden.design), options);
 
   const obs::Snapshot before = obs::snapshot();
   const GlobalRouteResult route = global_route(design, options.router);

@@ -11,9 +11,8 @@
 // resident and serves edit -> hotspot-diff round trips against it.
 // SIGHUP hot-swaps the model
 // (re-reads the artifact in place); SIGINT/SIGTERM drain and exit. A run
-// report is written at exit ($DRCSHAP_RUNREPORT, with
-// $DRCSHAP_RUNREPORT_PER_PROCESS=1 adding a .pid suffix so a co-located
-// load generator can merge instead of clobber).
+// report is written at exit to $DRCSHAP_RUNREPORT (default
+// runreport.json); give a co-located load generator a different path.
 //
 // --make-fixture trains a small synthetic forest and saves it through the
 // artifact envelope — the fixture model the CI serve-smoke job (and local
@@ -89,8 +88,7 @@ int usage(const char* argv0) {
       "\n"
       "environment:\n"
       "  DRCSHAP_THREADS=N         cap the shared thread pool (at startup)\n"
-      "  DRCSHAP_RUNREPORT=PATH    write the exit run report here\n"
-      "  DRCSHAP_RUNREPORT_PER_PROCESS=1  suffix the report with .pid\n",
+      "  DRCSHAP_RUNREPORT=PATH    write the exit run report here\n",
       argv0, argv0);
   return 2;
 }
