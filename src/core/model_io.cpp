@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "util/artifact.hpp"
-#include "util/failpoint.hpp"
 
 namespace drcshap {
 
@@ -91,7 +90,6 @@ void save_forest(const RandomForestClassifier& forest, std::ostream& os) {
 
 void save_forest_file(const RandomForestClassifier& forest,
                       const std::string& path) {
-  DRCSHAP_FAILPOINT("model_io.write");
   std::ostringstream payload;
   save_forest(forest, payload);
   throw_if_error(

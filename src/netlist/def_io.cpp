@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "util/artifact.hpp"
-#include "util/failpoint.hpp"
 
 namespace drcshap {
 
@@ -119,7 +118,6 @@ void write_def_lite(const Design& d, std::ostream& os) {
 }
 
 void write_def_lite_file(const Design& design, const std::string& path) {
-  DRCSHAP_FAILPOINT("def_io.write");
   std::ostringstream payload;
   write_def_lite(design, payload);
   throw_if_error(

@@ -154,16 +154,16 @@ std::string temp_path_for(const std::string& path) {
   return path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
 }
 
-Status commit_temp_file(const std::string& tmp_path, const std::string& path) {
-  const std::string key(base_name(path));
-  const int fd = ::open(tmp_path.c_str(), O_RDONLY);
-  if (fd < 0) return io_error("open", tmp_path);
-  Status status;
-  if (::fsync(fd) != 0) status = io_error("fsync", tmp_path);
-  if (::close(fd) != 0 && status.ok()) status = io_error("close", tmp_path);
+namespace {
+
+/// The tail both commits share once the temp file is written and synced
+/// (`status` says whether that worked): the rename crash point, the rename
+/// onto `path`, and an unlink of the temp file on any failure.
+Status rename_into_place(Status status, const std::string& tmp_path,
+                         const std::string& path) {
   if (status.ok()) {
     try {
-      DRCSHAP_FAILPOINT_KEYED("artifact.rename", key);
+      DRCSHAP_FAILPOINT_KEYED("artifact.rename", base_name(path));
     } catch (...) {
       ::unlink(tmp_path.c_str());
       throw;
@@ -176,28 +176,26 @@ Status commit_temp_file(const std::string& tmp_path, const std::string& path) {
   return status;
 }
 
+}  // namespace
+
+Status commit_temp_file(const std::string& tmp_path, const std::string& path) {
+  const int fd = ::open(tmp_path.c_str(), O_RDONLY);
+  if (fd < 0) return io_error("open", tmp_path);
+  Status status;
+  if (::fsync(fd) != 0) status = io_error("fsync", tmp_path);
+  if (::close(fd) != 0 && status.ok()) status = io_error("close", tmp_path);
+  return rename_into_place(std::move(status), tmp_path, path);
+}
+
 Status write_file_atomic(const std::string& path, std::string_view contents) {
-  const std::string key(base_name(path));
-  DRCSHAP_FAILPOINT_KEYED("artifact.write_temp", key);
+  DRCSHAP_FAILPOINT_KEYED("artifact.write_temp", base_name(path));
   const std::string tmp = temp_path_for(path);
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return io_error("open", tmp);
   Status status = write_all(fd, contents, tmp);
   if (status.ok() && ::fsync(fd) != 0) status = io_error("fsync", tmp);
   if (::close(fd) != 0 && status.ok()) status = io_error("close", tmp);
-  if (status.ok()) {
-    try {
-      DRCSHAP_FAILPOINT_KEYED("artifact.rename", key);
-    } catch (...) {
-      ::unlink(tmp.c_str());
-      throw;
-    }
-    if (::rename(tmp.c_str(), path.c_str()) != 0) {
-      status = io_error("rename", path);
-    }
-  }
-  if (!status.ok()) ::unlink(tmp.c_str());
-  return status;
+  return rename_into_place(std::move(status), tmp, path);
 }
 
 StatusOr<std::string> read_file(const std::string& path) {

@@ -1,8 +1,5 @@
 #include "util/failpoint.hpp"
 
-#if DRCSHAP_FAILPOINTS_ENABLED
-
-#include <atomic>
 #include <cstdlib>
 #include <map>
 #include <mutex>
@@ -22,25 +19,14 @@ struct Rule {
 struct Config {
   std::mutex mu;
   std::map<std::string, Rule, std::less<>> rules;
-  // Keyed failpoints are also counted when unarmed, so sweep tests can
-  // discover how many commit points a scenario passes through.
+  // Hits of every site while some rule is armed (see failpoint_hits).
   std::map<std::string, std::uint64_t, std::less<>> hit_counts;
 };
-
-// Armed-state fast path: a single relaxed atomic load when nothing is
-// configured, so even a failpoint-enabled build pays ~nothing until a test
-// arms a rule.
-std::atomic<bool> g_armed{false};
 
 Config& config() {
   static Config* instance = new Config();
   return *instance;
 }
-
-// One-time environment arming: the first failpoint evaluation (or explicit
-// configure) picks up $DRCSHAP_FAILPOINTS, which is how the CI fault-
-// injection job arms release binaries without code changes.
-std::once_flag g_env_once;
 
 void parse_spec_locked(Config& cfg, std::string_view spec) {
   cfg.rules.clear();
@@ -84,20 +70,8 @@ void parse_spec_locked(Config& cfg, std::string_view spec) {
   }
 }
 
-void arm_from_env() {
-  std::call_once(g_env_once, [] {
-    const char* env = std::getenv("DRCSHAP_FAILPOINTS");
-    if (env == nullptr || env[0] == '\0') return;
-    Config& cfg = config();
-    std::lock_guard lock(cfg.mu);
-    parse_spec_locked(cfg, env);
-    g_armed.store(!cfg.rules.empty(), std::memory_order_relaxed);
-  });
-}
-
 void hit_impl(std::string_view name, const std::string_view* key) {
-  arm_from_env();
-  if (!g_armed.load(std::memory_order_relaxed)) return;
+  if (!failpoints_armed()) return;
   Config& cfg = config();
   std::string fired;
   {
@@ -127,11 +101,11 @@ void hit_impl(std::string_view name, const std::string_view* key) {
 }  // namespace
 
 void failpoints_configure(std::string_view spec) {
-  arm_from_env();  // consume the env slot so it cannot re-arm later
   Config& cfg = config();
   std::lock_guard lock(cfg.mu);
   parse_spec_locked(cfg, spec);
-  g_armed.store(!cfg.rules.empty(), std::memory_order_relaxed);
+  detail::g_failpoints_armed.store(!cfg.rules.empty(),
+                                   std::memory_order_relaxed);
 }
 
 void failpoints_clear() { failpoints_configure(""); }
@@ -150,5 +124,3 @@ void failpoint_hit(std::string_view name, std::string_view key) {
 }
 
 }  // namespace drcshap
-
-#endif  // DRCSHAP_FAILPOINTS_ENABLED

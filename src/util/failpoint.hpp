@@ -1,10 +1,9 @@
 #pragma once
 // Deterministic fault injection for crash-recovery tests. Named failpoints
-// are compiled into I/O commit points and experiment-loop tasks; a build
-// with -DDRCSHAP_FAILPOINTS=ON can arm them via the environment or from
-// test code:
+// sit at I/O commit points and experiment-loop tasks in every build, and
+// only code can arm them (tests, through ScopedFailpoints):
 //
-//   DRCSHAP_FAILPOINTS="model_io.write=fail@2,pipeline.design=throw@des_perf_1"
+//   ScopedFailpoints armed("ckpt.store=fail@2,pipeline.design=throw@fft_1");
 //
 // Spec grammar: comma-separated `<name>=<action>` entries with actions
 //   fail@N     throw FailpointError from the N-th hit of <name> onward
@@ -12,24 +11,16 @@
 //   throw@KEY  throw when the site is hit with key operand == KEY
 //              (poisons one design/fold/unit, leaving siblings healthy)
 //
-// In the default build (DRCSHAP_FAILPOINTS=OFF) every macro below expands
-// to nothing and the inline stubs vanish, so production binaries carry zero
-// fault-injection cost — the same compile-out discipline as src/obs.
+// A disarmed site costs one relaxed load of an "any armed" flag, checked
+// inline before any call is made or any key operand is evaluated.
 
+#include <atomic>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 
-#ifndef DRCSHAP_FAILPOINTS_ENABLED
-#define DRCSHAP_FAILPOINTS_ENABLED 0
-#endif
-
 namespace drcshap {
-
-/// Compile-time switch mirror, so tests can self-skip in builds where
-/// failpoints are compiled out.
-constexpr bool kFailpointsCompiled = DRCSHAP_FAILPOINTS_ENABLED != 0;
 
 /// Thrown when an armed failpoint fires. Carries the failpoint name so
 /// recovery tests can assert which commit point "crashed".
@@ -45,8 +36,6 @@ class FailpointError : public std::runtime_error {
   std::string name_;
 };
 
-#if DRCSHAP_FAILPOINTS_ENABLED
-
 /// Replace the active configuration with `spec` (see grammar above) and
 /// reset all hit counters. Empty spec disarms everything. Throws
 /// std::invalid_argument on a malformed spec.
@@ -55,13 +44,23 @@ void failpoints_configure(std::string_view spec);
 /// Disarm all failpoints and reset counters.
 void failpoints_clear();
 
-/// Total times the named failpoint has been evaluated since the last
-/// configure/clear — lets sweep tests size their kill schedule.
+/// Times the named failpoint was hit while some rule was armed, since the
+/// last configure/clear. Hits while nothing is armed are not counted, so a
+/// sweep test sizes its kill schedule by arming a rule that never fires.
 std::uint64_t failpoint_hits(std::string_view name);
 
 /// Failpoint sites (used via the macros below). May throw FailpointError.
 void failpoint_hit(std::string_view name);
 void failpoint_hit(std::string_view name, std::string_view key);
+
+namespace detail {
+inline std::atomic<bool> g_failpoints_armed{false};
+}  // namespace detail
+
+/// True while some rule is armed; the macros below test it inline.
+inline bool failpoints_armed() {
+  return detail::g_failpoints_armed.load(std::memory_order_relaxed);
+}
 
 /// RAII: configure on construction, clear on destruction (tests).
 class ScopedFailpoints {
@@ -75,27 +74,13 @@ class ScopedFailpoints {
   ScopedFailpoints& operator=(const ScopedFailpoints&) = delete;
 };
 
-#define DRCSHAP_FAILPOINT(name) ::drcshap::failpoint_hit(name)
-#define DRCSHAP_FAILPOINT_KEYED(name, key) ::drcshap::failpoint_hit(name, key)
-
-#else  // DRCSHAP_FAILPOINTS_ENABLED == 0: everything is a no-op.
-
-inline void failpoints_configure(std::string_view) {}
-inline void failpoints_clear() {}
-inline std::uint64_t failpoint_hits(std::string_view) { return 0; }
-inline void failpoint_hit(std::string_view) {}
-inline void failpoint_hit(std::string_view, std::string_view) {}
-
-class ScopedFailpoints {
- public:
-  explicit ScopedFailpoints(std::string_view) {}
-  ScopedFailpoints(const ScopedFailpoints&) = delete;
-  ScopedFailpoints& operator=(const ScopedFailpoints&) = delete;
-};
-
-#define DRCSHAP_FAILPOINT(name) ((void)0)
-#define DRCSHAP_FAILPOINT_KEYED(name, key) ((void)0)
-
-#endif  // DRCSHAP_FAILPOINTS_ENABLED
+#define DRCSHAP_FAILPOINT(name)                                        \
+  do {                                                                 \
+    if (::drcshap::failpoints_armed()) ::drcshap::failpoint_hit(name); \
+  } while (0)
+#define DRCSHAP_FAILPOINT_KEYED(name, key)                                  \
+  do {                                                                      \
+    if (::drcshap::failpoints_armed()) ::drcshap::failpoint_hit(name, key); \
+  } while (0)
 
 }  // namespace drcshap

@@ -1,8 +1,7 @@
 // Robustness layer: crash-safe artifact I/O, checkpoint/resume for the
 // experiment loops, and the deterministic fault-injection harness. The
-// Recovery.* and Quarantine.* tests need failpoints compiled in
-// (-DDRCSHAP_FAILPOINTS=ON) and self-skip otherwise; CI runs them in a
-// dedicated fault-injection job and under the sanitizer legs.
+// Failpoints.*, Recovery.* and Quarantine.* tests arm failpoints from code;
+// every build compiles them in.
 
 #include <gtest/gtest.h>
 
@@ -10,9 +9,11 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -27,6 +28,7 @@
 #include "ml/grid_search.hpp"
 #include "obs/registry.hpp"
 #include "util/artifact.hpp"
+#include "util/csv.hpp"
 #include "util/failpoint.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -573,15 +575,7 @@ TEST(Resume, GridSearchResumesBitIdentical) {
 
 // ------------------------------------------------------------- fault harness
 
-#define SKIP_WITHOUT_FAILPOINTS()                                   \
-  do {                                                              \
-    if (!kFailpointsCompiled) {                                     \
-      GTEST_SKIP() << "built without -DDRCSHAP_FAILPOINTS=ON";      \
-    }                                                               \
-  } while (0)
-
 TEST(Failpoints, SpecParsingRejectsMalformedEntries) {
-  SKIP_WITHOUT_FAILPOINTS();
   EXPECT_THROW(failpoints_configure("nonsense"), std::invalid_argument);
   EXPECT_THROW(failpoints_configure("x=zap@1"), std::invalid_argument);
   EXPECT_THROW(failpoints_configure("x=fail@0"), std::invalid_argument);
@@ -590,7 +584,6 @@ TEST(Failpoints, SpecParsingRejectsMalformedEntries) {
 }
 
 TEST(Failpoints, FailAtCountFiresFromNthHitOnward) {
-  SKIP_WITHOUT_FAILPOINTS();
   const ScopedFailpoints armed("io.commit=fail@3");
   EXPECT_NO_THROW(failpoint_hit("io.commit"));
   EXPECT_NO_THROW(failpoint_hit("io.commit"));
@@ -603,7 +596,6 @@ TEST(Failpoints, FailAtCountFiresFromNthHitOnward) {
 }
 
 TEST(Failpoints, ThrowOnKeyPoisonsOnlyThatKey) {
-  SKIP_WITHOUT_FAILPOINTS();
   const ScopedFailpoints armed("loop.unit=throw@fft_2");
   EXPECT_NO_THROW(failpoint_hit("loop.unit", "fft_1"));
   try {
@@ -616,8 +608,15 @@ TEST(Failpoints, ThrowOnKeyPoisonsOnlyThatKey) {
   EXPECT_NO_THROW(failpoint_hit("loop.unit"));  // unkeyed hit never matches
 }
 
+// Only code arms failpoints: a spec in the environment is ignored.
+TEST(Failpoints, EnvironmentArmsNothing) {
+  ::setenv("DRCSHAP_FAILPOINTS", "x=fail@1", 1);
+  EXPECT_NO_THROW(failpoint_hit("x"));
+  EXPECT_NO_THROW(DRCSHAP_FAILPOINT("x"));
+  ::unsetenv("DRCSHAP_FAILPOINTS");
+}
+
 TEST(Failpoints, AtomicCommitKeepsOldContentOnCrash) {
-  SKIP_WITHOUT_FAILPOINTS();
   const TempDir dir("atomic_crash");
   const std::string path = dir.path() + "/model.rf";
   ASSERT_TRUE(write_artifact_atomic(path, "demo", "version 1").ok());
@@ -638,16 +637,35 @@ TEST(Failpoints, AtomicCommitKeepsOldContentOnCrash) {
         FailpointError);
   }
   EXPECT_EQ(read_artifact(path, "demo").value(), "version 1");
-  std::size_t entries = 0;
-  for (const auto& e : fs::directory_iterator(dir.path())) {
-    (void)e;
-    ++entries;
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir.path()),
+                          fs::directory_iterator{}),
+            1);  // no .tmp litter
+}
+
+TEST(Failpoints, CsvCommitKeepsOldContentOnCrash) {
+  const TempDir dir("csv_crash");
+  const std::string path = dir.path() + "/table.csv";
+  {
+    CsvWriter writer(path);
+    writer.write_row({"version", "1"});
+    writer.close();
   }
-  EXPECT_EQ(entries, 1u);  // no .tmp litter
+  const std::string old_bytes = slurp(path);
+  // Crash the rename of the overwrite: the target keeps version 1 and the
+  // temp file the rows streamed into is gone.
+  {
+    CsvWriter writer(path);
+    writer.write_row({"version", "2"});
+    const ScopedFailpoints armed("artifact.rename=throw@table.csv");
+    EXPECT_THROW(writer.close(), FailpointError);
+  }
+  EXPECT_EQ(slurp(path), old_bytes);
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir.path()),
+                          fs::directory_iterator{}),
+            1);  // no .tmp litter
 }
 
 TEST(Failpoints, PoolChunkCrashPropagatesWithSiblingsJoined) {
-  SKIP_WITHOUT_FAILPOINTS();
   const ScopedFailpoints armed("pool.chunk=fail@2");
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(512);
@@ -671,12 +689,16 @@ std::uint64_t count_commit_points(std::string_view name, Fn&& scenario) {
   return failpoint_hits(name);
 }
 
-TEST(Recovery, SuiteBuildKillAtEveryCommitPoint) {
-  SKIP_WITHOUT_FAILPOINTS();
+// Kills the build at every commit point of one site, either just before a
+// shard commits ("ckpt.store") or just after ("ckpt.committed"), then
+// resumes with failpoints disarmed (the "restarted process") and requires
+// the resumed dataset to match the uninterrupted one bit for bit. Thread
+// counts alternate between serial and the shared pool. Each site is its own
+// test, so ctest runs the two sweeps in parallel processes (the failpoint
+// registry is global, so kill points cannot share a process concurrently).
+void suite_build_kill_sweep(const std::string& site) {
   const PipelineOptions options = tiny_pipeline();
   const auto specs = three_designs();
-  const std::uint64_t expected =
-      dataset_digest(build_suite_dataset(specs, options, nullptr, 1));
 
   const auto build_with = [&](const CheckpointStore& store,
                               std::size_t n_threads) {
@@ -686,41 +708,55 @@ TEST(Recovery, SuiteBuildKillAtEveryCommitPoint) {
   };
 
   // Size the kill schedule: how many commit points does a fresh build pass?
+  // That build is uninterrupted, and a checkpointed build equals a plain
+  // one (Resume.SuiteBuildReusesCommittedShards), so it is the reference.
   std::uint64_t commits = 0;
+  std::uint64_t expected = 0;
   {
     const TempDir dir("sweep_count");
     const CheckpointStore store(dir.path(), suite_config_digest(options));
-    commits = count_commit_points("ckpt.store",
-                                  [&] { (void)build_with(store, 1); });
+    commits = count_commit_points(
+        site, [&] { expected = dataset_digest(build_with(store, 1)); });
   }
   ASSERT_EQ(commits, specs.size());
 
-  // Kill the build at every commit point, both just before the shard commits
-  // ("ckpt.store") and just after ("ckpt.committed"), then resume with
-  // failpoints disarmed (the "restarted process") and require the resumed
-  // dataset to match the uninterrupted one bit for bit. Thread counts
-  // alternate between serial and the shared pool.
-  for (const char* site : {"ckpt.store", "ckpt.committed"}) {
-    for (std::uint64_t k = 1; k <= commits; ++k) {
-      const TempDir dir("sweep");
-      const CheckpointStore store(dir.path(), suite_config_digest(options));
-      const std::size_t n_threads = (k % 2 == 0) ? 0 : 1;
-      {
-        const ScopedFailpoints armed(std::string(site) + "=fail@" +
-                                     std::to_string(k));
-        EXPECT_THROW((void)build_with(store, n_threads), FailpointError)
-            << site << " kill " << k;
-      }
-      const Dataset resumed = build_with(store, n_threads);
-      EXPECT_EQ(dataset_digest(resumed), expected)
-          << "resume after " << site << " kill " << k
-          << " (n_threads=" << n_threads << ")";
+  for (std::uint64_t k = 1; k <= commits; ++k) {
+    const TempDir dir("sweep");
+    const CheckpointStore store(dir.path(), suite_config_digest(options));
+    const std::size_t n_threads = (k % 2 == 0) ? 0 : 1;
+    {
+      const ScopedFailpoints armed(site + "=fail@" + std::to_string(k));
+      EXPECT_THROW((void)build_with(store, n_threads), FailpointError)
+          << site << " kill " << k;
     }
+    const Dataset resumed = build_with(store, n_threads);
+    EXPECT_EQ(dataset_digest(resumed), expected)
+        << "resume after " << site << " kill " << k
+        << " (n_threads=" << n_threads << ")";
   }
 }
 
+TEST(Recovery, SuiteBuildKillBeforeEveryCommit) {
+  suite_build_kill_sweep("ckpt.store");
+}
+
+TEST(Recovery, SuiteBuildKillAfterEveryCommit) {
+  suite_build_kill_sweep("ckpt.committed");
+}
+
+/// "ckpt.store=fail@1" ... "ckpt.store=fail@<commits>", then `extra`: the
+/// kill schedule of a sweep.
+std::vector<std::string> kill_schedule(std::uint64_t commits,
+                                       const std::string& extra) {
+  std::vector<std::string> kills;
+  for (std::uint64_t k = 1; k <= commits; ++k) {
+    kills.push_back("ckpt.store=fail@" + std::to_string(k));
+  }
+  kills.push_back(extra);
+  return kills;
+}
+
 TEST(Recovery, CvKillAtEveryCommitPoint) {
-  SKIP_WITHOUT_FAILPOINTS();
   const Dataset data = grouped_data();
   const std::vector<int> groups{0, 1, 2};
   const auto uninterrupted =
@@ -741,21 +777,21 @@ TEST(Recovery, CvKillAtEveryCommitPoint) {
   }
   ASSERT_EQ(commits, groups.size());
 
-  for (std::uint64_t k = 1; k <= commits; ++k) {
+  // Every commit point, then a fold task that throws before it fits.
+  for (const std::string& kill : kill_schedule(commits, "cv.fold=throw@1")) {
     const TempDir dir("cv_sweep");
     const CheckpointStore store(dir.path(), dataset_digest(data));
     {
-      const ScopedFailpoints armed("ckpt.store=fail@" + std::to_string(k));
-      EXPECT_THROW((void)cv_with(store), FailpointError) << "kill " << k;
+      const ScopedFailpoints armed(kill);
+      EXPECT_THROW((void)cv_with(store), FailpointError) << kill;
     }
     const auto resumed = cv_with(store);
-    EXPECT_EQ(resumed.fold_auprc, uninterrupted.fold_auprc) << "kill " << k;
-    EXPECT_EQ(resumed.mean_auprc, uninterrupted.mean_auprc) << "kill " << k;
+    EXPECT_EQ(resumed.fold_auprc, uninterrupted.fold_auprc) << kill;
+    EXPECT_EQ(resumed.mean_auprc, uninterrupted.mean_auprc) << kill;
   }
 }
 
 TEST(Recovery, GridSearchKillAtEveryCommitPoint) {
-  SKIP_WITHOUT_FAILPOINTS();
   const Dataset data = grouped_data();
   const std::vector<int> groups{0, 1, 2};
   const std::map<std::string, std::vector<double>> grid{{"depth", {3.0, 5.0}}};
@@ -772,25 +808,26 @@ TEST(Recovery, GridSearchKillAtEveryCommitPoint) {
   // 2 candidates x (3 folds + 1 candidate score).
   ASSERT_EQ(commits, 8u);
 
-  for (std::uint64_t k = 1; k <= commits; ++k) {
+  // Every commit point, then a candidate task that throws before its CV.
+  for (const std::string& kill :
+       kill_schedule(commits, "grid.candidate=throw@1")) {
     const TempDir dir("grid_sweep");
     const CheckpointStore store(dir.path(), dataset_digest(data));
     {
-      const ScopedFailpoints armed("ckpt.store=fail@" + std::to_string(k));
+      const ScopedFailpoints armed(kill);
       EXPECT_THROW(
           (void)grid_search(grid_factory(), data, groups, grid, 1, &store),
           FailpointError)
-          << "kill " << k;
+          << kill;
     }
     const auto resumed =
         grid_search(grid_factory(), data, groups, grid, 1, &store);
-    EXPECT_EQ(resumed.best_params, uninterrupted.best_params) << "kill " << k;
-    EXPECT_EQ(resumed.best_score, uninterrupted.best_score) << "kill " << k;
+    EXPECT_EQ(resumed.best_params, uninterrupted.best_params) << kill;
+    EXPECT_EQ(resumed.best_score, uninterrupted.best_score) << kill;
   }
 }
 
 TEST(Quarantine, PoisonedDesignIsSkippedAndRecorded) {
-  SKIP_WITHOUT_FAILPOINTS();
   const PipelineOptions options = tiny_pipeline();
   const auto specs = three_designs();
   const Dataset full = build_suite_dataset(specs, options, nullptr, 1);
@@ -824,7 +861,6 @@ TEST(Quarantine, PoisonedDesignIsSkippedAndRecorded) {
 // quarantined exactly once: a design that failed in the probe is never
 // built, and the result equals the full build minus the failed groups.
 TEST(Quarantine, PoisonedDesignIsQuarantinedOnceInEitherPass) {
-  SKIP_WITHOUT_FAILPOINTS();
   if (shared_width(4) < 2) GTEST_SKIP() << "shared pool has one worker";
   const PipelineOptions options = tiny_pipeline();
   const auto specs = three_designs();
@@ -877,7 +913,6 @@ TEST(Quarantine, PoisonedDesignIsQuarantinedOnceInEitherPass) {
 }
 
 TEST(Quarantine, OffMeansFirstErrorPropagates) {
-  SKIP_WITHOUT_FAILPOINTS();
   const ScopedFailpoints armed("pipeline.design=throw@fft_1");
   EXPECT_THROW((void)build_suite_dataset(three_designs(), tiny_pipeline(),
                                          nullptr, 1),
