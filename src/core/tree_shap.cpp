@@ -980,8 +980,10 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
         pending.push_back(u);
       }
     }
-    obs::counter_add("shap/cache_hits", uniques.size() - pending.size());
-    obs::counter_add("shap/cache_misses", pending.size());
+    out.cache_hits = uniques.size() - pending.size();
+    out.cache_misses = pending.size();
+    obs::counter_add("shap/cache_hits", out.cache_hits);
+    obs::counter_add("shap/cache_misses", out.cache_misses);
   } else {
     pending = uniques;
   }

@@ -105,6 +105,10 @@ struct ShapMatrix {
   std::vector<double> values;
   std::size_t n_rows = 0;
   std::size_t n_features = 0;
+  /// Explanation-cache lookups of this call alone, one per unique row
+  /// (other users of a shared cache do not count); 0 without a cache.
+  std::size_t cache_hits = 0;
+  std::size_t cache_misses = 0;
 
   std::span<const double> row(std::size_t i) const {
     return {values.data() + i * n_features, n_features};

@@ -23,14 +23,6 @@ std::size_t histogram_bucket(std::size_t rows) {
   return bucket;
 }
 
-/// "le_1", "le_2", ..., "le_256", "gt_256" — the run-report counter names.
-std::string histogram_bucket_name(std::size_t bucket) {
-  if (bucket + 1 == kBatchHistogramBuckets) {
-    return "gt_" + std::to_string(std::size_t{1} << (bucket - 1));
-  }
-  return "le_" + std::to_string(std::size_t{1} << bucket);
-}
-
 }  // namespace
 
 Batcher::Batcher(const ModelRegistry& registry, BatchOptions options)
@@ -57,12 +49,9 @@ Response Batcher::submit(Request request) {
   if (queue_.size() > stats_.max_queue_depth) {
     stats_.max_queue_depth = queue_.size();
   }
-  obs::counter_add("serve/requests");
-  obs::gauge_set("serve/queue_depth", static_cast<double>(queue_.size()));
   runner_cv_.notify_one();
   done_cv_.wait(lock, [&] { return pending.done; });
   ++stats_.replies;
-  obs::counter_add("serve/replies");
   return std::move(pending.response);
 }
 
@@ -93,10 +82,6 @@ void Batcher::runner_loop() {
       batch_rows += pending->request.n_rows;
     }
     ++stats_.batch_rows_histogram[histogram_bucket(batch_rows)];
-    obs::gauge_set("serve/queue_depth", 0.0);
-    obs::counter_add("serve/batches");
-    obs::counter_add("serve/batch_rows_" +
-                     histogram_bucket_name(histogram_bucket(batch_rows)));
 
     lock.unlock();
     run_batch(batch);
@@ -160,7 +145,6 @@ void Batcher::serve_verb(const std::shared_ptr<const ServedModel>& model,
       std::lock_guard<std::mutex> guard(mu_);
       stats_.score_rows += total_rows;
     }
-    obs::counter_add("serve/score_rows", total_rows);
     const std::vector<double> probs = model->forest.predict_proba_all(
         std::span<const float>(matrix), total_rows, ForestEngine::kAuto);
     std::size_t offset = 0;
@@ -178,60 +162,18 @@ void Batcher::serve_verb(const std::shared_ptr<const ServedModel>& model,
   }
 
   DRCSHAP_OBS_TIMER("serve/batch_explain");
+  // The explainer snapshot inside ServedModel is immutable and shares the
+  // model's explanation cache with the resident EcoEngine, so the lookup
+  // counts come from this call's own result, not from the shared cache.
+  const TreeShapExplainer& explainer = model->explainer;
+  const ShapMatrix shap = explainer.shap_values_batch(
+      std::span<const float>(matrix), total_rows, options_.n_threads);
   {
     std::lock_guard<std::mutex> guard(mu_);
     (verb == Verb::kExplain ? stats_.explain_rows
                             : stats_.global_explain_rows) += total_rows;
-  }
-  obs::counter_add(verb == Verb::kExplain ? "serve/explain_rows"
-                                          : "serve/global_explain_rows",
-                   total_rows);
-  // The explainer snapshot inside ServedModel is immutable and shares the
-  // model's explanation cache.
-  const TreeShapExplainer& explainer = model->explainer;
-  const ExplanationCacheStats cache_before = model->explain_cache->stats();
-  const ShapMatrix shap = explainer.shap_values_batch(
-      std::span<const float>(matrix), total_rows, options_.n_threads);
-  const ExplanationCacheStats cache_after = model->explain_cache->stats();
-  const std::uint64_t hits = cache_after.hits - cache_before.hits;
-  const std::uint64_t misses = cache_after.misses - cache_before.misses;
-  double hit_rate = 0.0;
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    stats_.explain_cache_hits += hits;
-    stats_.explain_cache_misses += misses;
-    hit_rate = stats_.explain_cache_hit_rate();
-  }
-  if (hits > 0) obs::counter_add("serve/explain_cache_hits", hits);
-  if (misses > 0) obs::counter_add("serve/explain_cache_misses", misses);
-  obs::gauge_set("serve/explain_cache_hit_rate", hit_rate);
-
-  if (verb == Verb::kGlobalExplain) {
-    // Per request: fold its slice of the phi matrix through the streaming
-    // accumulator and reply with the O(n_features) stat rows only.
-    std::size_t offset = 0;
-    for (Pending* pending : items) {
-      Response& response = pending->response;
-      response.id = pending->request.id;
-      response.verb = verb;
-      response.status = StatusCode::kOk;
-      response.n_rows = pending->request.n_rows;
-      response.n_features = static_cast<std::uint32_t>(n_features);
-      response.base_value = explainer.base_value();
-      GlobalShapSummary summary(n_features);
-      for (std::uint32_t r = 0; r < pending->request.n_rows; ++r) {
-        summary.add(std::span<const double>(
-            shap.values.data() + (offset + r) * n_features, n_features));
-      }
-      response.values.resize(std::size_t{kGlobalStatRows} * n_features);
-      for (std::size_t f = 0; f < n_features; ++f) {
-        response.values[f] = summary.mean_abs(f);
-        response.values[n_features + f] = summary.mean_signed(f);
-        response.values[2 * n_features + f] = summary.positive_fraction(f);
-      }
-      offset += pending->request.n_rows;
-    }
-    return;
+    stats_.explain_cache_hits += shap.cache_hits;
+    stats_.explain_cache_misses += shap.cache_misses;
   }
 
   std::size_t offset = 0;
@@ -243,10 +185,24 @@ void Batcher::serve_verb(const std::shared_ptr<const ServedModel>& model,
     response.n_rows = pending->request.n_rows;
     response.n_features = static_cast<std::uint32_t>(n_features);
     response.base_value = explainer.base_value();
-    const double* begin = shap.values.data() + offset * n_features;
-    response.values.assign(begin,
-                           begin + response.n_rows * std::size_t{n_features});
+    const double* rows = shap.values.data() + offset * n_features;
     offset += response.n_rows;
+    if (verb == Verb::kExplain) {
+      response.values.assign(rows, rows + response.n_rows * n_features);
+      continue;
+    }
+    // global-explain: fold the request's slice of the phi matrix through
+    // the streaming accumulator and reply with the O(n_features) stat rows.
+    GlobalShapSummary summary(n_features);
+    for (std::uint32_t r = 0; r < response.n_rows; ++r) {
+      summary.add(std::span<const double>(rows + r * n_features, n_features));
+    }
+    response.values.resize(std::size_t{kGlobalStatRows} * n_features);
+    for (std::size_t f = 0; f < n_features; ++f) {
+      response.values[f] = summary.mean_abs(f);
+      response.values[n_features + f] = summary.mean_signed(f);
+      response.values[2 * n_features + f] = summary.positive_fraction(f);
+    }
   }
 }
 

@@ -17,6 +17,10 @@
 // hot swap can never split one batch (or one request) across two model
 // versions; the snapshot's shared_ptr keeps a retired model alive until
 // its last in-flight batch drains.
+//
+// Stats is the batcher's half of the serving ledger (see server.hpp): its
+// counts live only here; the batch path records nothing in obs but the
+// serve/batch_score|explain stage timers.
 
 #include <array>
 #include <chrono>
@@ -66,9 +70,10 @@ class Batcher {
     std::uint64_t explain_rows = 0;
     std::uint64_t global_explain_rows = 0;
     std::uint64_t rejected = 0;
-    /// Explanation-cache traffic of the explain/global-explain paths,
-    /// accumulated across model versions (each ServedModel owns a fresh
-    /// cache, so these outlive any single cache's own counters).
+    /// Explanation-cache lookups made by the explain/global-explain
+    /// batches themselves (ShapMatrix::cache_hits|misses), accumulated
+    /// across model versions. Lookups of other users of the same cache,
+    /// such as the resident EcoEngine, are not counted.
     std::uint64_t explain_cache_hits = 0;
     std::uint64_t explain_cache_misses = 0;
     std::size_t queue_depth = 0;      ///< requests pending right now

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/model_io.hpp"
-#include "obs/registry.hpp"
 
 namespace drcshap::serve {
 
@@ -56,7 +55,6 @@ Status ModelRegistry::load(const std::string& path) {
   }
   if (old != nullptr) {
     swaps_.fetch_add(1, std::memory_order_relaxed);
-    obs::counter_add("serve/model_swaps");
     retired_.push_back(old);
     // Compact entries whose drains already completed.
     std::erase_if(retired_,
@@ -64,7 +62,6 @@ Status ModelRegistry::load(const std::string& path) {
                     return retired.expired();
                   });
   }
-  obs::note_set("serve/model_version", fresh->version);
   return Status::ok_status();
 }
 

@@ -83,9 +83,48 @@ std::string_view change_name(HotspotDiffEntry::Change change) {
   return "unknown";
 }
 
+/// An ok reply whose payload is `text` (reload, stats, shutdown, eco).
+Response text_response(std::uint64_t id, Verb verb, std::string text) {
+  Response response;
+  response.id = id;
+  response.verb = verb;
+  response.text = std::move(text);
+  return response;
+}
+
 /// Diff entries beyond this land only in the counts, keeping an eco reply
 /// bounded no matter how large the edit's blast radius is.
 constexpr std::size_t kMaxDiffEntriesOnWire = 256;
+
+/// Publishes every leaf under `value` as a gauge (numbers, bools as 1/0)
+/// or a note (strings) named by its path from `name`.
+void publish_leaves(const obs::JsonValue& value, const std::string& name) {
+  switch (value.type()) {
+    case obs::JsonValue::Type::kObject:
+      for (const auto& [key, child] : value.as_object()) {
+        publish_leaves(child, name + "/" + key);
+      }
+      break;
+    case obs::JsonValue::Type::kArray: {
+      const obs::JsonValue::Array& array = value.as_array();
+      for (std::size_t i = 0; i < array.size(); ++i) {
+        publish_leaves(array[i], name + "/" + std::to_string(i));
+      }
+      break;
+    }
+    case obs::JsonValue::Type::kNumber:
+      obs::gauge_set(name, value.as_number());
+      break;
+    case obs::JsonValue::Type::kBool:
+      obs::gauge_set(name, value.as_bool() ? 1.0 : 0.0);
+      break;
+    case obs::JsonValue::Type::kString:
+      obs::note_set(name, value.as_string());
+      break;
+    case obs::JsonValue::Type::kNull:
+      break;
+  }
+}
 
 }  // namespace
 
@@ -104,6 +143,8 @@ void LatencyRecorder::record(double latency_ms) {
     next_ = (next_ + 1) % window_.capacity();
   }
   ++total_;
+  max_ms_ = std::max(max_ms_, latency_ms);
+  sum_ms_ += latency_ms;
 }
 
 double LatencyRecorder::percentile(double p) const {
@@ -121,6 +162,16 @@ double LatencyRecorder::percentile(double p) const {
 std::uint64_t LatencyRecorder::count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return total_;
+}
+
+double LatencyRecorder::max_ms() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return max_ms_;
+}
+
+double LatencyRecorder::mean_ms() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return total_ == 0 ? 0.0 : sum_ms_ / static_cast<double>(total_);
 }
 
 // ----------------------------------------------------------------- Server
@@ -220,15 +271,7 @@ void Server::accept_loop() {
       request_shutdown();
       break;
     }
-    // A pending SIGHUP swap is applied here, off signal context; the old
-    // model drains behind the in-flight batches that still hold it.
-    if (reload_pending_.exchange(false)) {
-      const Status status = registry_.reload();
-      obs::counter_add("serve/sighup_reloads");
-      if (!status.ok()) {
-        obs::note_set("serve/reload_error", status.to_string());
-      }
-    }
+    apply_pending_reload();
     pollfd pfd{listen_fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, /*timeout_ms=*/200);
     if (ready < 0 && errno != EINTR) break;
@@ -259,18 +302,21 @@ void Server::accept_loop() {
   }
 }
 
+void Server::apply_pending_reload() {
+  // Runs on the accept loop (or the stdio loop), off signal context; the
+  // old model drains behind the in-flight batches that still hold it.
+  if (!reload_pending_.exchange(false)) return;
+  const Status status = registry_.reload();
+  obs::counter_add("serve/sighup_reloads");
+  if (!status.ok()) obs::note_set("serve/reload_error", status.to_string());
+}
+
 void Server::connection_loop(int fd) {
   // fd < 0 selects stdio mode: read fd 0, write fd 1.
   const int in_fd = fd < 0 ? 0 : fd;
   const int out_fd = fd < 0 ? 1 : fd;
   for (;;) {
-    if (fd < 0 && reload_pending_.exchange(false)) {
-      const Status status = registry_.reload();
-      obs::counter_add("serve/sighup_reloads");
-      if (!status.ok()) {
-        obs::note_set("serve/reload_error", status.to_string());
-      }
-    }
+    if (fd < 0) apply_pending_reload();
     StatusOr<std::string> frame = read_frame(in_fd);
     if (!frame.ok()) {
       // kNotFound = clean EOF. Framing damage gets a best-effort typed
@@ -311,13 +357,9 @@ Response Server::dispatch(Request request) {
     case Verb::kGlobalExplain: {
       const Clock::time_point start = Clock::now();
       Response response = batcher_->submit(std::move(request));
-      const double latency = ms_since(start);
       // global-explain shares the explain window: same engine, same cost.
       (verb == Verb::kScore ? score_latency_ : explain_latency_)
-          .record(latency);
-      obs::timer_record(verb == Verb::kScore ? "serve/request_score"
-                                             : "serve/request_explain",
-                        static_cast<std::uint64_t>(latency * 1e6));
+          .record(ms_since(start));
       return response;
     }
     case Verb::kReload: {
@@ -325,32 +367,16 @@ Response Server::dispatch(Request request) {
       if (!status.ok()) {
         return error_response(id, verb, status.code(), status.message());
       }
-      Response response;
-      response.id = id;
-      response.verb = verb;
-      response.text = registry_.current()->version;
-      return response;
+      return text_response(id, verb, registry_.current()->version);
     }
-    case Verb::kStats: {
-      Response response;
-      response.id = id;
-      response.verb = verb;
-      response.text = stats_json();
-      return response;
-    }
-    case Verb::kShutdown: {
-      Response response;
-      response.id = id;
-      response.verb = verb;
-      return response;
-    }
+    case Verb::kStats:
+      return text_response(id, verb, stats_json());
+    case Verb::kShutdown:
+      return text_response(id, verb, {});
     case Verb::kEco: {
       const Clock::time_point start = Clock::now();
       Response response = serve_eco(request);
-      const double latency = ms_since(start);
-      eco_latency_.record(latency);
-      obs::timer_record("serve/request_eco",
-                        static_cast<std::uint64_t>(latency * 1e6));
+      eco_latency_.record(ms_since(start));
       return response;
     }
   }
@@ -383,7 +409,6 @@ Response Server::serve_eco(const Request& request) {
     design_name = eco_->design().name();
   }
   eco_edits_.fetch_add(1, std::memory_order_relaxed);
-  obs::counter_add("serve/eco_edits");
 
   obs::JsonValue doc = obs::JsonValue::make_object();
   doc["design"] = design_name;
@@ -432,11 +457,7 @@ Response Server::serve_eco(const Request& request) {
   diff["entries_truncated"] = result.diff.entries.size() > n_on_wire;
   doc["diff"] = std::move(diff);
 
-  Response response;
-  response.id = request.id;
-  response.verb = Verb::kEco;
-  response.text = doc.dump(2);
-  return response;
+  return text_response(request.id, Verb::kEco, doc.dump(2));
 }
 
 void Server::teardown() {
@@ -465,7 +486,9 @@ void Server::teardown() {
   publish_obs_gauges();
 }
 
-std::string Server::stats_json() const {
+std::string Server::stats_json() const { return stats_document().dump(2); }
+
+obs::JsonValue Server::stats_document() const {
   const std::shared_ptr<const ServedModel> model = registry_.current();
   const Batcher::Stats stats =
       batcher_ != nullptr ? batcher_->stats() : Batcher::Stats{};
@@ -532,6 +555,8 @@ std::string Server::stats_json() const {
     entry["count"] = recorder.count();
     entry["p50_ms"] = recorder.percentile(50.0);
     entry["p99_ms"] = recorder.percentile(99.0);
+    entry["max_ms"] = recorder.max_ms();
+    entry["mean_ms"] = recorder.mean_ms();
     return entry;
   };
   latency["score"] = verb_latency(score_latency_);
@@ -547,29 +572,11 @@ std::string Server::stats_json() const {
     eco["edits"] = eco_edits_.load(std::memory_order_relaxed);
   }
   doc["eco"] = std::move(eco);
-  return doc.dump(2);
+  return doc;
 }
 
 void Server::publish_obs_gauges() const {
-  obs::gauge_set("serve/score_p50_ms", score_latency_.percentile(50.0));
-  obs::gauge_set("serve/score_p99_ms", score_latency_.percentile(99.0));
-  obs::gauge_set("serve/explain_p50_ms", explain_latency_.percentile(50.0));
-  obs::gauge_set("serve/explain_p99_ms", explain_latency_.percentile(99.0));
-  if (eco_ != nullptr) {
-    obs::gauge_set("serve/eco_p50_ms", eco_latency_.percentile(50.0));
-    obs::gauge_set("serve/eco_p99_ms", eco_latency_.percentile(99.0));
-  }
-  obs::gauge_set("serve/models_retired_alive",
-                 static_cast<double>(registry_.retired_alive()));
-  if (batcher_ != nullptr) {
-    const Batcher::Stats stats = batcher_->stats();
-    obs::gauge_set("serve/queue_depth",
-                   static_cast<double>(stats.queue_depth));
-    obs::gauge_set("serve/max_queue_depth",
-                   static_cast<double>(stats.max_queue_depth));
-    obs::gauge_set("serve/explain_cache_hit_rate",
-                   stats.explain_cache_hit_rate());
-  }
+  publish_leaves(stats_document(), "serve");
 }
 
 }  // namespace drcshap::serve

@@ -10,6 +10,13 @@
 // (requests on a single connection are served in order; concurrency — and
 // therefore batching — comes from concurrent connections), plus the
 // Batcher's runner thread, which fans each batch out on the shared pool.
+//
+// The server's own state is its one ledger: Batcher::Stats, the model
+// registry's swap count, the per-verb LatencyRecorders and the eco edit
+// count. stats_document() renders it once; the stats verb dumps that
+// document live and publish_obs_gauges() copies its leaves into the run
+// report at teardown, so the two views cannot disagree. Request paths
+// record no obs metrics of their own.
 
 #include <atomic>
 #include <condition_variable>
@@ -21,6 +28,7 @@
 #include <vector>
 
 #include "eco/eco_engine.hpp"
+#include "obs/json.hpp"
 #include "serve/batcher.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/protocol.hpp"
@@ -40,8 +48,8 @@ struct ServerOptions {
   double eco_scale = 16.0;  ///< generator scale for the resident design
 };
 
-/// Sliding window of per-request latencies for the stats percentiles; the
-/// run report gets p50/p99 gauges from here at shutdown.
+/// Per-request latencies: a sliding window for the stats percentiles, plus
+/// the lifetime count, maximum and sum behind max_ms and mean_ms.
 class LatencyRecorder {
  public:
   explicit LatencyRecorder(std::size_t capacity = 8192);
@@ -50,12 +58,17 @@ class LatencyRecorder {
   /// Percentile over the retained window (nearest-rank); 0 when empty.
   double percentile(double p) const;
   std::uint64_t count() const;
+  /// Lifetime maximum and mean over every recorded latency; 0 when empty.
+  double max_ms() const;
+  double mean_ms() const;
 
  private:
   mutable std::mutex mu_;
   std::vector<double> window_;
   std::size_t next_ = 0;
   std::uint64_t total_ = 0;
+  double max_ms_ = 0.0;
+  double sum_ms_ = 0.0;
 };
 
 class Server {
@@ -90,18 +103,27 @@ class Server {
   const ModelRegistry& registry() const { return registry_; }
   ModelRegistry& registry() { return registry_; }
 
-  /// JSON document served by the stats verb: model identity/engine, queue
-  /// and batch stats, request counts, p50/p99 latency per verb.
+  /// The stats verb's reply: stats_document() dumped as JSON.
   std::string stats_json() const;
 
-  /// Publishes the serving gauges (p50/p99 per verb, drain counters) into
-  /// the obs registry so they land in the run report. run() does this at
-  /// teardown; tests call it directly.
+  /// Copies stats_document() into the obs registry so it lands in the run
+  /// report: each number or bool leaf becomes the gauge
+  /// serve/<section>/<key> (array elements end in /<index>, bools read
+  /// 1 or 0), each string leaf the note of that name. Gauges are set, not
+  /// added, so calling it twice is harmless. run() does this at teardown;
+  /// tests call it directly.
   void publish_obs_gauges() const;
 
  private:
+  /// The serving ledger as one document: model identity/engine/swaps,
+  /// queue, request counts, explanation cache, batch sizes, per-verb
+  /// latency (count, p50, p99, max, mean) and the resident eco state.
+  obs::JsonValue stats_document() const;
+
   void accept_loop();
   void connection_loop(int fd);
+  /// Applies a SIGHUP reload scheduled by notify_sighup(), if any.
+  void apply_pending_reload();
   Response dispatch(Request request);
   Response serve_eco(const Request& request);
   void teardown();

@@ -1,7 +1,7 @@
 // Tests for the serving layer (src/serve): wire protocol codecs, model
 // registry hot-swap semantics, the request batcher's byte-identity
-// guarantee against the direct batch engines, the end-to-end socket
-// server, and the multi-process run-report merge that serving adds to obs.
+// guarantee against the direct batch engines, the end-to-end socket and
+// stdio server, and the run report's rendering of the stats ledger.
 //
 // The two load-bearing guarantees of ISSUE 7 live here:
 //   * a batched reply is byte-identical to running the same request alone
@@ -11,9 +11,11 @@
 //     drops in-flight work (HotSwapUnderLoadNeverTears — run under TSan in
 //     the sanitizers CI job).
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -21,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <span>
 #include <thread>
@@ -33,6 +36,7 @@
 #include "core/random_forest.hpp"
 #include "core/tree_shap.hpp"
 #include "obs/json.hpp"
+#include "obs/registry.hpp"
 #include "serve/batcher.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/protocol.hpp"
@@ -875,6 +879,183 @@ TEST_F(EcoServerFixture, MalformedAndInvalidEditsAreTypedErrors) {
 
   const Response ok = client.call(eco_request(4, "move 0 1.0 0.0"));
   EXPECT_EQ(ok.status, StatusCode::kOk) << ok.message;
+}
+
+// The run report is the stats document, leaf for leaf: after score,
+// explain, global-explain, reload and eco traffic, every number, bool and
+// string of stats_json() reappears as the serve/... gauge or note of its
+// path, with the same value, and nothing else does.
+TEST_F(EcoServerFixture, RunReportGaugesRenderTheStatsLedger) {
+  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
+  ServeClient client(socket_path);
+  const std::uint32_t n_features = FeatureSchema::kNumFeatures;
+  const std::vector<float> rows = random_rows(71, 3, n_features);
+  for (const Verb verb : {Verb::kScore, Verb::kExplain, Verb::kGlobalExplain}) {
+    const Response reply =
+        client.call(matrix_request(1, verb, 3, n_features, rows));
+    EXPECT_EQ(reply.status, StatusCode::kOk) << reply.message;
+  }
+  Request reload;
+  reload.id = 2;
+  reload.verb = Verb::kReload;
+  EXPECT_EQ(client.call(reload).status, StatusCode::kOk);
+  const Response edit = client.call(eco_request(3, "move 0 5.0 0.0"));
+  EXPECT_EQ(edit.status, StatusCode::kOk) << edit.message;
+
+  const auto doc = obs::JsonValue::parse(server->stats_json());
+  EXPECT_EQ(doc.at("requests").at("received").as_number(), 3.0);
+  EXPECT_EQ(doc.at("model").at("swaps").as_number(), 1.0);
+  EXPECT_EQ(doc.at("eco").at("edits").as_number(), 1.0);
+  EXPECT_EQ(doc.at("latency_ms").at("explain").at("count").as_number(), 2.0);
+  EXPECT_GT(doc.at("latency_ms").at("eco").at("max_ms").as_number(), 0.0);
+
+  obs::reset();
+  server->publish_obs_gauges();
+  const obs::Snapshot snap = obs::snapshot();
+  std::size_t leaves = 0;
+  const std::function<void(const obs::JsonValue&, const std::string&)> check =
+      [&](const obs::JsonValue& value, const std::string& name) {
+        if (value.is_object()) {
+          for (const auto& [key, child] : value.as_object()) {
+            check(child, name + "/" + key);
+          }
+        } else if (value.is_array()) {
+          for (std::size_t i = 0; i < value.as_array().size(); ++i) {
+            check(value.as_array()[i], name + "/" + std::to_string(i));
+          }
+        } else if (value.is_string()) {
+          ++leaves;
+          ASSERT_EQ(snap.notes.count(name), 1u) << name;
+          EXPECT_EQ(snap.notes.at(name), value.as_string()) << name;
+        } else {
+          ++leaves;
+          ASSERT_EQ(snap.gauges.count(name), 1u) << name;
+          const double expected =
+              value.is_bool() ? (value.as_bool() ? 1.0 : 0.0)
+                              : value.as_number();
+          EXPECT_EQ(snap.gauges.at(name), expected) << name;
+        }
+      };
+  check(doc, "serve");
+  EXPECT_EQ(snap.gauges.size() + snap.notes.size(), leaves);
+}
+
+// The explanation cache is shared with the resident EcoEngine, so the
+// stats verb must count the explain batches' own lookups only: exactly one
+// per one-row request, however eco edits on another connection overlap.
+TEST_F(EcoServerFixture, ExplainCacheStatsCountOnlyExplainLookups) {
+  std::atomic<bool> explaining{true};
+  std::atomic<int> edits{0};
+  std::thread editor([&] {
+    ServeClient eco_client(socket_path);
+    for (std::uint64_t id = 1; explaining.load(); ++id) {
+      const Response reply = eco_client.call(
+          eco_request(id, id % 2 == 1 ? "move 0 5.0 0.0" : "move 0 -5.0 0.0"));
+      EXPECT_EQ(reply.status, StatusCode::kOk) << reply.message;
+      edits.fetch_add(1);
+    }
+  });
+  ServeClient client(socket_path);
+  const std::uint32_t n_features = FeatureSchema::kNumFeatures;
+  // Keep explaining distinct rows until several edits ran alongside.
+  std::uint64_t n_requests = 0;
+  while (n_requests < 2000 && (n_requests < 50 || edits.load() < 6)) {
+    const Response reply = client.call(
+        matrix_request(n_requests, Verb::kExplain, 1, n_features,
+                       random_rows(1000 + n_requests, 1, n_features)));
+    EXPECT_EQ(reply.status, StatusCode::kOk) << reply.message;
+    ++n_requests;
+  }
+  explaining.store(false);
+  editor.join();
+  EXPECT_GT(edits.load(), 0);
+
+  const auto doc = obs::JsonValue::parse(server->stats_json());
+  const auto& cache = doc.at("explain_cache");
+  EXPECT_EQ(cache.at("hits").as_number() + cache.at("misses").as_number(),
+            static_cast<double>(n_requests));
+}
+
+// --stdio serves one implicit connection on stdin/stdout: a stats frame
+// and a shutdown frame each get their reply, the stream then ends, the
+// daemon exits 0 and its run report carries the ledger.
+TEST(ServeStdio, StatsAndShutdownOverPipes) {
+  const std::string model_path = tmp_path("stdio.forest");
+  const std::string report_path = tmp_path("stdio_report.json");
+  save_forest_file(train_forest(81), model_path);
+  int to_child[2];
+  int from_child[2];
+  ASSERT_EQ(::pipe2(to_child, O_CLOEXEC), 0);
+  ASSERT_EQ(::pipe2(from_child, O_CLOEXEC), 0);
+
+  // Everything the child needs is built before fork: after it, the child
+  // only calls dup2, execve and _exit.
+  std::vector<std::string> args = {DRCSHAP_SERVE_BIN, "--model", model_path,
+                                   "--stdio"};
+  std::vector<std::string> env = {"DRCSHAP_RUNREPORT=" + report_path};
+  for (char** entry = environ; *entry != nullptr; ++entry) {
+    if (std::strncmp(*entry, "DRCSHAP_RUNREPORT=", 18) != 0) {
+      env.emplace_back(*entry);
+    }
+  }
+  std::vector<char*> argv;
+  std::vector<char*> envp;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  for (std::string& entry : env) envp.push_back(entry.data());
+  argv.push_back(nullptr);
+  envp.push_back(nullptr);
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::dup2(to_child[0], 0);
+    ::dup2(from_child[1], 1);
+    ::execve(argv[0], argv.data(), envp.data());
+    ::_exit(127);
+  }
+  ::close(to_child[0]);
+  ::close(from_child[1]);
+
+  const auto call = [&](std::uint64_t id, Verb verb) {
+    Request request;
+    request.id = id;
+    request.verb = verb;
+    EXPECT_TRUE(write_frame(to_child[1], encode_request(request)).ok());
+    const auto frame = read_frame(from_child[0]);
+    EXPECT_TRUE(frame.ok()) << frame.status().to_string();
+    auto decoded = frame.ok() ? decode_response(frame.value())
+                              : StatusOr<Response>(frame.status());
+    EXPECT_TRUE(decoded.ok()) << decoded.status().to_string();
+    Response response = decoded.ok() ? std::move(decoded).value() : Response{};
+    EXPECT_EQ(response.id, id);
+    EXPECT_EQ(response.status, StatusCode::kOk) << response.message;
+    return response;
+  };
+  const Response stats = call(1, Verb::kStats);
+  ASSERT_FALSE(stats.text.empty());
+  EXPECT_EQ(obs::JsonValue::parse(stats.text)
+                .at("model")
+                .at("n_features")
+                .as_number(),
+            6.0);
+  call(2, Verb::kShutdown);
+  EXPECT_EQ(read_frame(from_child[0]).status().code(), StatusCode::kNotFound);
+  ::close(to_child[1]);
+  ::close(from_child[0]);
+
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  if (obs::kEnabled) {
+    const auto report = obs::JsonValue::parse_file(report_path);
+    EXPECT_EQ(report.at("gauges").at("serve/model/n_features").as_number(),
+              6.0);
+    EXPECT_EQ(report.at("notes").at("serve/model/engine").as_string(),
+              "compiled");
+  }
+  std::remove(report_path.c_str());
+  std::remove(model_path.c_str());
 }
 
 // The span overload the batcher rides must agree with the Dataset one the

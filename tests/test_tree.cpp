@@ -311,7 +311,9 @@ TEST(DecisionTree, MinSamplesLeafRespected) {
   DecisionTree tree;
   tree.fit(d, options);
   for (const TreeNode& n : tree.nodes()) {
-    if (n.feature < 0) EXPECT_GE(n.cover, 30.0);
+    if (n.feature < 0) {
+      EXPECT_GE(n.cover, 30.0);
+    }
   }
 }
 
