@@ -1,12 +1,12 @@
 // Cost of the observability primitives themselves: a counter bump or gauge
-// set is one uncontended shard-mutex lock plus a map touch (~20-40 ns), a
-// scoped timer adds two clock reads (~100-120 ns). These per-call costs,
-// times the calls each stage makes, give the per-stage overhead table in
-// EXPERIMENTS.md: well under 1 % of every millisecond-scale stage, but a
-// few percent of a batch that is one cached SHAP row. The instrumented
-// parallel_for case exercises the per-thread shard path under the same
-// pool the SHAP batch engine uses. With -DDRCSHAP_OBS=OFF every primitive
-// compiles to nothing and these benches measure an empty loop.
+// set is one uncontended shard-mutex lock plus a map touch (~20-40 ns), and
+// a scoped timer adds two clock reads (BM_NowNs) to that. These per-call
+// costs, times the calls each stage makes, give the per-stage overhead
+// table in EXPERIMENTS.md. The timer's name is longer than libstdc++'s
+// 15-character small-string buffer, like most library timer sites, so the
+// bench shows that a scope allocates nothing for its name. The
+// instrumented parallel_for case exercises the per-thread shard path under
+// the same pool the SHAP batch engine uses.
 
 #include <benchmark/benchmark.h>
 
@@ -32,9 +32,17 @@ void BM_GaugeSet(benchmark::State& state) {
 }
 BENCHMARK(BM_GaugeSet);
 
+// The floor under every timer: one steady_clock read. A scope makes two.
+void BM_NowNs(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(obs::now_ns());
+  }
+}
+BENCHMARK(BM_NowNs);
+
 void BM_ScopedTimer(benchmark::State& state) {
   for (auto _ : state) {
-    DRCSHAP_OBS_TIMER("bench_obs/timer");
+    DRCSHAP_OBS_TIMER("bench_obs/scoped_timer");
   }
 }
 BENCHMARK(BM_ScopedTimer);

@@ -1,7 +1,5 @@
 #include "obs/registry.hpp"
 
-#if DRCSHAP_OBS_ENABLED
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -212,5 +210,3 @@ Snapshot snapshot() { return Registry::get().snapshot(); }
 void reset() { Registry::get().reset(); }
 
 }  // namespace drcshap::obs
-
-#endif  // DRCSHAP_OBS_ENABLED

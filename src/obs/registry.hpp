@@ -4,26 +4,14 @@
 // uncontended mutex each), so instrumented code is safe and cheap inside
 // ThreadPool::parallel_for; snapshot() merges every live shard plus the
 // folded data of exited threads into one deterministic view.
-//
-// The whole subsystem is compile-time switchable: configuring with
-// -DDRCSHAP_OBS=OFF defines DRCSHAP_OBS_ENABLED=0 and every call below
-// becomes an empty inline function the optimizer deletes, so the Release
-// hot path carries zero instrumentation cost.
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
 
-#ifndef DRCSHAP_OBS_ENABLED
-#define DRCSHAP_OBS_ENABLED 1
-#endif
-
 namespace drcshap::obs {
-
-/// Compile-time switch mirror, for code (and tests) that needs to know
-/// whether instrumentation actually records anything.
-constexpr bool kEnabled = DRCSHAP_OBS_ENABLED != 0;
 
 struct TimerStat {
   std::uint64_t count = 0;     ///< completed scopes
@@ -46,8 +34,6 @@ struct Snapshot {
   std::map<std::string, std::string> notes;
   std::map<std::string, TimerStat> timers;
 };
-
-#if DRCSHAP_OBS_ENABLED
 
 /// Add `delta` to the named monotonic counter (thread-safe, shard-local).
 void counter_add(std::string_view name, std::uint64_t delta = 1);
@@ -74,38 +60,22 @@ void reset();
 std::uint64_t now_ns();
 
 /// RAII wall-clock timer: records one TimerStat sample on destruction.
+/// The name must be a string literal: the timer keeps only a view of it, so
+/// a scope costs two clock reads and one timer_record, with no allocation.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(std::string_view name)
-      : name_(name), start_ns_(now_ns()) {}
+  template <std::size_t N>
+  explicit ScopedTimer(const char (&name)[N])
+      : name_(name, N - 1), start_ns_(now_ns()) {}
   ~ScopedTimer() { timer_record(name_, now_ns() - start_ns_); }
 
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
-  std::string name_;
+  std::string_view name_;
   std::uint64_t start_ns_;
 };
-
-#else  // DRCSHAP_OBS_ENABLED == 0: every call is an inline no-op.
-
-inline void counter_add(std::string_view, std::uint64_t = 1) {}
-inline void gauge_set(std::string_view, double) {}
-inline void note_set(std::string_view, std::string_view) {}
-inline void timer_record(std::string_view, std::uint64_t) {}
-inline Snapshot snapshot() { return {}; }
-inline void reset() {}
-inline std::uint64_t now_ns() { return 0; }
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(std::string_view) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-};
-
-#endif  // DRCSHAP_OBS_ENABLED
 
 }  // namespace drcshap::obs
 

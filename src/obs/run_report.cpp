@@ -47,7 +47,6 @@ JsonValue provenance_json(const RunReportOptions& options) {
   p["compiler"] = DRCSHAP_COMPILER_INFO;
   p["build_type"] = DRCSHAP_BUILD_TYPE;
   p["cxx_flags"] = DRCSHAP_CXX_FLAGS;
-  p["obs_enabled"] = kEnabled;
   p["timestamp_utc"] = utc_timestamp();
   p["hardware_threads"] =
       static_cast<std::uint64_t>(std::thread::hardware_concurrency());

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <exception>
 
 #include "util/failpoint.hpp"
+#include "util/log.hpp"
 
 namespace drcshap {
 
@@ -15,13 +17,26 @@ thread_local int tl_worker_index = -1;
 
 std::size_t global_pool_size() {
   if (const char* env = std::getenv("DRCSHAP_THREADS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) return static_cast<std::size_t>(parsed);
+    if (const auto n = parse_thread_count(env)) return *n;
+    log_warn("DRCSHAP_THREADS='", env, "' is not a whole number in [1, ",
+             kMaxEnvThreads, "]; using the default pool size");
   }
   return std::max<std::size_t>(2, std::thread::hardware_concurrency());
 }
 
 }  // namespace
+
+std::optional<std::size_t> parse_thread_count(std::string_view text) {
+  const char* const end = text.data() + text.size();
+  std::size_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  // from_chars into an unsigned type takes no sign and no space, and it
+  // reports a value past SIZE_MAX as out of range.
+  if (ec != std::errc() || ptr != end || value < 1 || value > kMaxEnvThreads) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 ThreadPool::ThreadPool(std::size_t n_threads) {
   if (n_threads == 0) {

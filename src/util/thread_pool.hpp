@@ -18,7 +18,9 @@
 #include <cstddef>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <queue>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -34,7 +36,7 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// The process-wide shared pool. Lazily constructed on first use, sized by
-  /// $DRCSHAP_THREADS when set, else hardware_concurrency with a floor of 2
+  /// $DRCSHAP_THREADS when valid, else hardware_concurrency with a floor of 2
   /// (so the concurrent machinery is exercised — and sanitizable — even on
   /// single-core hosts). Library code should run on this pool rather than
   /// constructing its own: per-call pools pay a thread spawn/join per call
@@ -86,6 +88,15 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stopping_ = false;
 };
+
+/// Largest pool DRCSHAP_THREADS may ask for. A larger value is taken for a
+/// typo rather than a machine, so it never becomes a thread count.
+inline constexpr std::size_t kMaxEnvThreads = 1024;
+
+/// The worker count a DRCSHAP_THREADS value names: a whole decimal string in
+/// [1, kMaxEnvThreads], with no sign, space or suffix. Anything else is
+/// nullopt, and ThreadPool::global() then warns and uses its default size.
+std::optional<std::size_t> parse_thread_count(std::string_view text);
 
 /// Run fn(i) for i in [0, n) on the shared global pool, capped at
 /// `n_threads` concurrent workers (0 = whole pool, 1 = serial inline).

@@ -574,7 +574,6 @@ TEST_F(EcoCache, KillSwitchEnvRunsByteIdenticalToCachedRuns) {
 using EcoObs = EcoFixture;
 
 TEST_F(EcoObs, ConstructionRecordsPipelineStageTimers) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const std::vector<std::string> stages = {
       "route/global_route", "features/aggregates", "drc/oracle",
       "features/extract"};

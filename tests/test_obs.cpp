@@ -4,7 +4,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <string>
 #include <thread>
+#include <type_traits>
 
 #include "benchsuite/pipeline.hpp"
 #include "benchsuite/suite.hpp"
@@ -20,8 +22,7 @@
 namespace drcshap {
 namespace {
 
-// Every test starts from an empty registry; the compile-time switch decides
-// whether anything is recorded at all (both configurations run in CI).
+// Every test starts from an empty registry.
 class Obs : public ::testing::Test {
  protected:
   void SetUp() override { obs::reset(); }
@@ -35,10 +36,6 @@ TEST_F(Obs, CounterSumsAcrossConcurrentWorkers) {
     obs::counter_add("obs_test/hits");
   });
   const obs::Snapshot snap = obs::snapshot();
-  if (!obs::kEnabled) {
-    EXPECT_TRUE(snap.counters.empty());
-    return;
-  }
   ASSERT_TRUE(snap.counters.contains("obs_test/hits"));
   EXPECT_EQ(snap.counters.at("obs_test/hits"), 10000u);
 }
@@ -47,7 +44,6 @@ TEST_F(Obs, CounterDeltaAccumulates) {
   obs::counter_add("obs_test/delta", 5);
   obs::counter_add("obs_test/delta", 7);
   const obs::Snapshot snap = obs::snapshot();
-  if (!obs::kEnabled) return;
   EXPECT_EQ(snap.counters.at("obs_test/delta"), 12u);
 }
 
@@ -74,33 +70,30 @@ TEST_F(Obs, MergeIsDeterministicAcrossRuns) {
     EXPECT_EQ(stat.count, second.timers.at(name).count);
     EXPECT_EQ(stat.total_ns, second.timers.at(name).total_ns);
   }
-  if (obs::kEnabled) {
-    EXPECT_EQ(first.counters.at("obs_test/a"), 4096u);
-    EXPECT_EQ(first.counters.at("obs_test/b"), 3u * 2048u);
-    EXPECT_EQ(first.timers.at("obs_test/t").count, 4096u);
-    EXPECT_EQ(first.timers.at("obs_test/t").total_ns, 4096u * 1000u);
-  }
+  EXPECT_EQ(first.counters.at("obs_test/a"), 4096u);
+  EXPECT_EQ(first.counters.at("obs_test/b"), 3u * 2048u);
+  EXPECT_EQ(first.timers.at("obs_test/t").count, 4096u);
+  EXPECT_EQ(first.timers.at("obs_test/t").total_ns, 4096u * 1000u);
 }
 
 TEST_F(Obs, ExitedThreadDataSurvivesInSnapshot) {
   std::thread worker([] { obs::counter_add("obs_test/from_thread", 42); });
   worker.join();
   const obs::Snapshot snap = obs::snapshot();
-  if (!obs::kEnabled) return;
   EXPECT_EQ(snap.counters.at("obs_test/from_thread"), 42u);
 }
 
 // -------------------------------------------------------------------- timers
+
+// A scoped timer keeps a view of its name, so only a string literal (which
+// outlives every scope) may name it; a std::string must not compile.
+static_assert(!std::is_constructible_v<obs::ScopedTimer, std::string>);
 
 TEST_F(Obs, ScopedTimerRecordsEachScope) {
   for (int i = 0; i < 3; ++i) {
     DRCSHAP_OBS_TIMER("obs_test/scoped");
   }
   const obs::Snapshot snap = obs::snapshot();
-  if (!obs::kEnabled) {
-    EXPECT_TRUE(snap.timers.empty());
-    return;
-  }
   const obs::TimerStat& stat = snap.timers.at("obs_test/scoped");
   EXPECT_EQ(stat.count, 3u);
   EXPECT_GE(stat.total_ns, stat.max_ns);
@@ -121,7 +114,6 @@ TEST_F(Obs, ConcurrentTimersKeepMaxOfAnyScope) {
   pool.parallel_for(64, [](std::size_t i) {
     obs::timer_record("obs_test/max", (i + 1) * 10);
   });
-  if (!obs::kEnabled) return;
   const obs::Snapshot snap = obs::snapshot();
   EXPECT_EQ(snap.timers.at("obs_test/max").max_ns, 640u);
 }
@@ -132,7 +124,6 @@ TEST_F(Obs, GaugeLastWriteWins) {
   obs::gauge_set("obs_test/g", 1.5);
   obs::gauge_set("obs_test/g", 2.5);
   const obs::Snapshot snap = obs::snapshot();
-  if (!obs::kEnabled) return;
   EXPECT_DOUBLE_EQ(snap.gauges.at("obs_test/g"), 2.5);
 }
 
@@ -142,7 +133,6 @@ TEST_F(Obs, GaugeLastWriteWinsAcrossThreads) {
   obs::gauge_set("obs_test/xg", 1.0);
   std::thread worker([] { obs::gauge_set("obs_test/xg", 9.0); });
   worker.join();
-  if (!obs::kEnabled) return;
   EXPECT_DOUBLE_EQ(obs::snapshot().gauges.at("obs_test/xg"), 9.0);
 }
 
@@ -152,10 +142,6 @@ TEST_F(Obs, NoteLastWriteWins) {
   obs::note_set("obs_test/n", "first");
   obs::note_set("obs_test/n", "second");
   const obs::Snapshot snap = obs::snapshot();
-  if (!obs::kEnabled) {
-    EXPECT_TRUE(snap.notes.empty());
-    return;
-  }
   EXPECT_EQ(snap.notes.at("obs_test/n"), "second");
 }
 
@@ -163,7 +149,6 @@ TEST_F(Obs, NoteLastWriteWinsAcrossThreads) {
   obs::note_set("obs_test/xn", "main");
   std::thread worker([] { obs::note_set("obs_test/xn", "worker"); });
   worker.join();
-  if (!obs::kEnabled) return;
   EXPECT_EQ(obs::snapshot().notes.at("obs_test/xn"), "worker");
 }
 
@@ -198,10 +183,6 @@ TEST_F(Obs, RetiredTimersSumCountsAndTotalsAndKeepMax) {
   std::thread second([] { obs::timer_record("obs_test/rt", 300); });
   second.join();
   const obs::Snapshot snap = obs::snapshot();
-  if (!obs::kEnabled) {
-    EXPECT_TRUE(snap.timers.empty());
-    return;
-  }
   const obs::TimerStat& stat = snap.timers.at("obs_test/rt");
   EXPECT_EQ(stat.count, 3u);
   EXPECT_EQ(stat.total_ns, 1100u);
@@ -229,11 +210,6 @@ TEST_F(Obs, RetiredGaugesAndNotesKeepTheLatestWrite) {
   on_exited_thread("obs_test/b_last", 2.0, "b");
 
   const obs::Snapshot snap = obs::snapshot();
-  if (!obs::kEnabled) {
-    EXPECT_TRUE(snap.gauges.empty());
-    EXPECT_TRUE(snap.notes.empty());
-    return;
-  }
   EXPECT_DOUBLE_EQ(snap.gauges.at("obs_test/main_last/g"), 3.0);
   EXPECT_EQ(snap.notes.at("obs_test/main_last/n"), "main");
   EXPECT_DOUBLE_EQ(snap.gauges.at("obs_test/b_last/g"), 2.0);
@@ -248,36 +224,13 @@ TEST_F(Obs, ResetClearsRetiredShards) {
     obs::timer_record("obs_test/rt", 10);
   });
   worker.join();
-  if (obs::kEnabled) {
-    ASSERT_EQ(obs::snapshot().counters.at("obs_test/rc"), 1u);
-  }
+  ASSERT_EQ(obs::snapshot().counters.at("obs_test/rc"), 1u);
   obs::reset();
   const obs::Snapshot snap = obs::snapshot();
   EXPECT_TRUE(snap.counters.empty());
   EXPECT_TRUE(snap.gauges.empty());
   EXPECT_TRUE(snap.notes.empty());
   EXPECT_TRUE(snap.timers.empty());
-}
-
-// ------------------------------------------------------- compile-time switch
-
-TEST_F(Obs, DisabledBuildRecordsNothing) {
-  // With -DDRCSHAP_OBS=OFF every primitive is an inline no-op; with ON this
-  // is the positive control. Either way the API stays callable.
-  obs::counter_add("obs_test/switch");
-  obs::gauge_set("obs_test/switch_g", 1.0);
-  {
-    DRCSHAP_OBS_TIMER("obs_test/switch_t");
-  }
-  const obs::Snapshot snap = obs::snapshot();
-  if (obs::kEnabled) {
-    EXPECT_EQ(snap.counters.at("obs_test/switch"), 1u);
-    EXPECT_EQ(snap.timers.at("obs_test/switch_t").count, 1u);
-  } else {
-    EXPECT_TRUE(snap.counters.empty());
-    EXPECT_TRUE(snap.gauges.empty());
-    EXPECT_TRUE(snap.timers.empty());
-  }
 }
 
 // ---------------------------------------------------------------------- json
@@ -354,27 +307,19 @@ TEST_F(Obs, RunReportRoundTripsThroughJson) {
                           "timestamp_utc", "hardware_threads"}) {
     EXPECT_TRUE(prov.contains(key)) << key;
   }
-  EXPECT_EQ(prov.at("obs_enabled").as_bool(), obs::kEnabled);
   EXPECT_DOUBLE_EQ(prov.at("seed").as_number(), 1234.0);
   EXPECT_DOUBLE_EQ(prov.at("n_threads").as_number(), 4.0);
   EXPECT_EQ(prov.at("scenario").as_string(), "round-trip");
 
-  if (obs::kEnabled) {
-    EXPECT_DOUBLE_EQ(
-        report.at("counters").at("obs_test/report_counter").as_number(), 7.0);
-    EXPECT_DOUBLE_EQ(
-        report.at("gauges").at("obs_test/report_gauge").as_number(), 0.5);
-    const obs::JsonValue& timer =
-        report.at("timers").at("obs_test/report_timer");
-    EXPECT_DOUBLE_EQ(timer.at("count").as_number(), 1.0);
-    EXPECT_DOUBLE_EQ(timer.at("total_ms").as_number(), 2.0);
-    EXPECT_EQ(report.at("notes").at("obs_test/report_note").as_string(),
-              "quarantined: boom");
-  } else {
-    EXPECT_TRUE(report.at("counters").as_object().empty());
-    EXPECT_TRUE(report.at("timers").as_object().empty());
-    EXPECT_TRUE(report.at("notes").as_object().empty());
-  }
+  EXPECT_DOUBLE_EQ(
+      report.at("counters").at("obs_test/report_counter").as_number(), 7.0);
+  EXPECT_DOUBLE_EQ(
+      report.at("gauges").at("obs_test/report_gauge").as_number(), 0.5);
+  const obs::JsonValue& timer = report.at("timers").at("obs_test/report_timer");
+  EXPECT_DOUBLE_EQ(timer.at("count").as_number(), 1.0);
+  EXPECT_DOUBLE_EQ(timer.at("total_ms").as_number(), 2.0);
+  EXPECT_EQ(report.at("notes").at("obs_test/report_note").as_string(),
+            "quarantined: boom");
 }
 
 TEST_F(Obs, RunReportWritesParsableFile) {
@@ -397,7 +342,6 @@ TEST_F(Obs, InstrumentedStagesAppearInSnapshot) {
   // registry when their code paths run (here: fit + predict + batched SHAP
   // through the public API; the route/features stages are covered by the
   // pipeline-driven integration tests and bench binaries).
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   // Dataset/forest kept tiny: this checks presence, not performance.
   Dataset data(4);
   std::vector<float> row(4);
@@ -436,7 +380,6 @@ TEST_F(Obs, ShapWalkNoteAndCacheCountersSurface) {
   // The fast-path instrumentation: which walk ran (avx2 where the CPU runs
   // it, else scalar) is a note, an attached explanation cache reports its
   // hit/miss traffic as counters, and so does the leaf-pattern memo.
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   Dataset data(4);
   std::vector<float> row(4);
   Rng rng(5);
@@ -477,7 +420,6 @@ TEST_F(Obs, SubstrateCountersAppearInRunReport) {
   // iterations, DRC cells scored — must populate both the snapshot and a
   // written run report when a pipeline actually runs. fft_b at scale 16 is
   // congested enough that the rip-up loop always iterates.
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   PipelineOptions options;
   options.generator.scale = 16.0;
   const DesignRun run = run_pipeline(suite_spec("fft_b"), options);

@@ -204,9 +204,6 @@ TEST(ParallelExperiments, NestedCvOverForestFitMatchesSerial) {
 }
 
 TEST(ParallelExperiments, CvEmitsPerFoldTimersAndCounters) {
-  if (!obs::kEnabled) {
-    GTEST_SKIP() << "built with DRCSHAP_OBS=OFF";
-  }
   obs::reset();
   const Dataset data = grouped_data();
   const std::vector<int> groups{0, 1, 2, 3};
@@ -220,9 +217,6 @@ TEST(ParallelExperiments, CvEmitsPerFoldTimersAndCounters) {
 }
 
 TEST(ParallelExperiments, GridSearchEmitsPerCandidateTimers) {
-  if (!obs::kEnabled) {
-    GTEST_SKIP() << "built with DRCSHAP_OBS=OFF";
-  }
   obs::reset();
   const Dataset data = grouped_data();
   const std::vector<int> groups{0, 1, 2, 3};
@@ -283,9 +277,6 @@ TEST(SvmParallel, KernelRowsBitIdenticalAcrossThreadCountsAndCacheSizes) {
 }
 
 TEST(SvmParallel, LruCacheHitsOnRevisitedRows) {
-  if (!obs::kEnabled) {
-    GTEST_SKIP() << "built with DRCSHAP_OBS=OFF";
-  }
   obs::reset();
   SvmRbfClassifier svm;
   svm.fit(svm_data());

@@ -372,7 +372,7 @@ TEST(SuiteSchedule, HeavyLastSpecListIsByteIdenticalAcrossWidths) {
   const auto specs = heavy_last_designs();
   std::vector<std::string> seen_serial, seen_parallel;
 
-  if (obs::kEnabled) obs::reset();
+  obs::reset();
   const Dataset serial = build_suite_dataset(
       specs, options,
       [&](const DesignRun& run) { seen_serial.push_back(run.spec.name); }, 1);
@@ -389,7 +389,7 @@ TEST(SuiteSchedule, HeavyLastSpecListIsByteIdenticalAcrossWidths) {
   EXPECT_EQ(seen_serial, spec_order);
   EXPECT_EQ(seen_parallel, spec_order);
 
-  if (obs::kEnabled && shared_width(4) > 1) {
+  if (shared_width(4) > 1) {
     // The probe ran for the 4-thread build and put the heavy design first.
     const obs::Snapshot snap = obs::snapshot();
     ASSERT_TRUE(snap.notes.count("pipeline/claim_order"));
@@ -404,7 +404,6 @@ TEST(SuiteSchedule, HeavyLastSpecListIsByteIdenticalAcrossWidths) {
 // At width 1 the claim order cannot matter, so the probe must cost
 // nothing: no probe timer, no claim-order note, and a skip counter.
 TEST(SuiteSchedule, ProbeSkippedAtWidthOne) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const PipelineOptions options = tiny_pipeline();
   obs::reset();
   (void)build_suite_dataset(heavy_last_designs(), options, nullptr, 1);
@@ -433,7 +432,6 @@ TEST(SuiteSchedule, ProbeSkippedAtWidthOne) {
 // builds anything, one missing shard is built without a probe, and two
 // missing shards are probed and built alone.
 TEST(SuiteSchedule, CachedDesignsSkipBothPasses) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   if (shared_width(4) < 2) GTEST_SKIP() << "shared pool has one worker";
   const PipelineOptions options = tiny_pipeline();
   const auto specs = three_designs();
@@ -832,7 +830,7 @@ TEST(Quarantine, PoisonedDesignIsSkippedAndRecorded) {
   const auto specs = three_designs();
   const Dataset full = build_suite_dataset(specs, options, nullptr, 1);
 
-  if (obs::kEnabled) obs::reset();
+  obs::reset();
   const ScopedFailpoints armed("pipeline.design=throw@fft_2");
   SuiteBuildControl control;
   control.quarantine_failures = true;
@@ -847,14 +845,12 @@ TEST(Quarantine, PoisonedDesignIsSkippedAndRecorded) {
   EXPECT_EQ(partial.labels(), reference.labels());
   EXPECT_EQ(partial.groups(), reference.groups());
 
-  if (obs::kEnabled) {
-    const obs::Snapshot snap = obs::snapshot();
-    ASSERT_TRUE(snap.counters.count("pipeline/designs_quarantined"));
-    EXPECT_EQ(snap.counters.at("pipeline/designs_quarantined"), 1u);
-    ASSERT_TRUE(snap.notes.count("quarantine/fft_2"));
-    EXPECT_NE(snap.notes.at("quarantine/fft_2").find("pipeline.design"),
-              std::string::npos);
-  }
+  const obs::Snapshot snap = obs::snapshot();
+  ASSERT_TRUE(snap.counters.count("pipeline/designs_quarantined"));
+  EXPECT_EQ(snap.counters.at("pipeline/designs_quarantined"), 1u);
+  ASSERT_TRUE(snap.notes.count("quarantine/fft_2"));
+  EXPECT_NE(snap.notes.at("quarantine/fft_2").find("pipeline.design"),
+            std::string::npos);
 }
 
 // With the schedule probe on, a design can fail in either pass. It must be
@@ -871,7 +867,7 @@ TEST(Quarantine, PoisonedDesignIsQuarantinedOnceInEitherPass) {
   // Fails in the probe (pass 1): fft_2 is never built, so the site is hit
   // three times in the probe and twice in the build.
   {
-    if (obs::kEnabled) obs::reset();
+    obs::reset();
     const ScopedFailpoints armed("pipeline.design=throw@fft_2");
     std::vector<std::string> built;
     const Dataset partial = build_suite_dataset(
@@ -883,18 +879,16 @@ TEST(Quarantine, PoisonedDesignIsQuarantinedOnceInEitherPass) {
     const Dataset reference = full.subset(full.rows_not_in_groups(gone));
     EXPECT_EQ(partial.features_flat(), reference.features_flat());
     EXPECT_EQ(partial.groups(), reference.groups());
-    if (obs::kEnabled) {
-      const obs::Snapshot snap = obs::snapshot();
-      EXPECT_EQ(obs_counter(snap, "pipeline/designs_quarantined"), 1u);
-      EXPECT_TRUE(snap.notes.count("quarantine/fft_2"));
-    }
+    const obs::Snapshot snap = obs::snapshot();
+    EXPECT_EQ(obs_counter(snap, "pipeline/designs_quarantined"), 1u);
+    EXPECT_TRUE(snap.notes.count("quarantine/fft_2"));
   }
 
   // Fails from the second hit on: two designs fail in the probe, the one
   // that passed it fails in the build (pass 2). Each is quarantined once
   // and the build pass runs only the survivor: 3 + 1 hits.
   {
-    if (obs::kEnabled) obs::reset();
+    obs::reset();
     const ScopedFailpoints armed("pipeline.design=fail@2");
     std::size_t built = 0;
     const Dataset partial = build_suite_dataset(
@@ -902,12 +896,10 @@ TEST(Quarantine, PoisonedDesignIsQuarantinedOnceInEitherPass) {
     EXPECT_EQ(failpoint_hits("pipeline.design"), 4u);
     EXPECT_EQ(built, 0u);
     EXPECT_EQ(partial.n_rows(), 0u);
-    if (obs::kEnabled) {
-      const obs::Snapshot snap = obs::snapshot();
-      EXPECT_EQ(obs_counter(snap, "pipeline/designs_quarantined"), 3u);
-      for (const BenchmarkSpec& spec : specs) {
-        EXPECT_TRUE(snap.notes.count("quarantine/" + spec.name)) << spec.name;
-      }
+    const obs::Snapshot snap = obs::snapshot();
+    EXPECT_EQ(obs_counter(snap, "pipeline/designs_quarantined"), 3u);
+    for (const BenchmarkSpec& spec : specs) {
+      EXPECT_TRUE(snap.notes.count("quarantine/" + spec.name)) << spec.name;
     }
   }
 }

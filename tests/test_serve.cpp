@@ -197,31 +197,6 @@ TEST(ServeProtocol, EcoRoundTrip) {
   EXPECT_EQ(decoded_error.value().status, StatusCode::kInvalid);
 }
 
-TEST(ServeProtocol, RejectsCorruption) {
-  const Request request = matrix_request(1, Verb::kScore, 1, 2, {1.f, 2.f});
-  const std::string body = encode_request(request);
-
-  // Truncation anywhere inside the body.
-  for (const std::size_t len : {std::size_t{0}, std::size_t{5},
-                                std::size_t{12}, body.size() - 1}) {
-    const auto decoded = decode_request(std::string_view(body).substr(0, len));
-    EXPECT_FALSE(decoded.ok());
-    EXPECT_EQ(decoded.status().code(), StatusCode::kCorrupt);
-  }
-  // Trailing bytes after a well-formed payload.
-  EXPECT_EQ(decode_request(body + "x").status().code(), StatusCode::kCorrupt);
-  // Unknown verb, preserving the id for the error reply.
-  std::string bad_verb = body;
-  bad_verb[8] = 99;
-  EXPECT_EQ(decode_request(bad_verb).status().code(), StatusCode::kCorrupt);
-  EXPECT_EQ(peek_request_id(bad_verb), 1u);
-  // A hostile row count must fail the range check, not allocate.
-  Request huge = request;
-  huge.n_rows = kMaxRowsPerRequest + 1;
-  EXPECT_EQ(decode_request(encode_request(huge)).status().code(),
-            StatusCode::kCorrupt);
-}
-
 TEST(ServeProtocol, FrameIoOverPipe) {
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
@@ -243,6 +218,122 @@ TEST(ServeProtocol, FrameIoOverPipe) {
   ::close(fds[1]);
   EXPECT_EQ(read_frame(fds[0]).status().code(), StatusCode::kCorrupt);
   ::close(fds[0]);
+}
+
+// ------------------------------------------------------------ protocol fuzz
+//
+// Seeded fuzzing of the two body decoders, starting from a valid encoding
+// of every verb's request, ok response and error response.
+
+std::vector<std::string> valid_request_bodies() {
+  std::vector<std::string> bodies;
+  for (const Verb verb : {Verb::kScore, Verb::kExplain, Verb::kGlobalExplain}) {
+    bodies.push_back(encode_request(
+        matrix_request(11, verb, 2, 3, {1.f, -2.f, 3.5f, 0.f, 5.f, 6.f})));
+  }
+  for (const Verb verb :
+       {Verb::kReload, Verb::kStats, Verb::kShutdown, Verb::kEco}) {
+    for (const char* text : {"", "move 2 1.5 -0.5"}) {
+      Request request = matrix_request(12, verb, 0, 0, {});
+      request.text = text;
+      bodies.push_back(encode_request(request));
+    }
+  }
+  return bodies;
+}
+
+std::vector<std::string> valid_response_bodies() {
+  std::vector<std::string> bodies;
+  for (std::uint8_t v = 1; v <= static_cast<std::uint8_t>(Verb::kEco); ++v) {
+    Response response;
+    response.id = 21;
+    response.verb = static_cast<Verb>(v);
+    // A score reply carries n_rows values, an explain reply n_rows x
+    // n_features and a global-explain reply kGlobalStatRows x n_features.
+    response.n_rows = kGlobalStatRows;
+    response.n_features = 2;
+    response.base_value = 0.125;
+    response.values.assign(
+        response.verb == Verb::kScore ? kGlobalStatRows : kGlobalStatRows * 2,
+        -0.5);
+    response.text = "{\"model\": \"a#01\"}";
+    bodies.push_back(encode_response(response));
+    bodies.push_back(encode_response(error_response(
+        22, response.verb, StatusCode::kInvalid, "feature count mismatch")));
+  }
+  return bodies;
+}
+
+/// Decodes `body` from an exactly sized heap copy, so AddressSanitizer
+/// reports any read past its end. The decoders are strict: the result is
+/// kCorrupt, or a known verb whose encoding is `body` again, byte for byte.
+template <typename Decode, typename Encode>
+bool decodes_exactly(const std::string& body, Decode decode, Encode encode) {
+  const std::unique_ptr<char[]> copy(new char[body.size()]);
+  std::memcpy(copy.get(), body.data(), body.size());
+  bool ok = false;
+  EXPECT_NO_THROW({
+    const auto result = decode(std::string_view(copy.get(), body.size()));
+    ok = result.ok();
+    if (ok) {
+      EXPECT_NE(verb_name(result.value().verb), "unknown");
+      EXPECT_EQ(encode(result.value()), body);
+    } else {
+      EXPECT_EQ(result.status().code(), StatusCode::kCorrupt);
+    }
+  });
+  return ok;
+}
+
+template <typename Decode, typename Encode>
+void fuzz_decoder(const std::vector<std::string>& bodies, Decode decode,
+                  Encode encode) {
+  Rng rng(bodies.size());
+  for (const std::string& body : bodies) {
+    SCOPED_TRACE(::testing::PrintToString(body));
+    EXPECT_TRUE(decodes_exactly(body, decode, encode));
+    EXPECT_FALSE(decodes_exactly(body + '\0', decode, encode));
+    for (std::size_t len = 0; len < body.size(); ++len) {
+      EXPECT_FALSE(decodes_exactly(body.substr(0, len), decode, encode));
+    }
+    for (int trial = 0; trial < 2000; ++trial) {
+      std::string flipped = body;
+      for (std::size_t flips = 1 + rng.index(3); flips > 0; --flips) {
+        flipped[rng.index(flipped.size())] ^=
+            static_cast<char>(1 + rng.index(255));
+      }
+      decodes_exactly(flipped, decode, encode);
+    }
+    // A hostile value in every u32 slot reaches each length and count field.
+    for (std::size_t at = 0; at + 4 <= body.size(); ++at) {
+      for (const std::uint32_t value :
+           {0u, 1u, 3u, 0xffffu, kMaxRowsPerRequest, kMaxRowsPerRequest + 1,
+            0xffffffffu, static_cast<std::uint32_t>(rng())}) {
+        std::string hostile = body;
+        std::memcpy(hostile.data() + at, &value, sizeof(value));
+        decodes_exactly(hostile, decode, encode);
+      }
+    }
+  }
+}
+
+TEST(ServeProtocolFuzz, RequestDecoderIsTotalAndRoundTrips) {
+  fuzz_decoder(
+      valid_request_bodies(),
+      [](std::string_view body) { return decode_request(body); },
+      [](const Request& request) { return encode_request(request); });
+  // A body too damaged to decode still names its request for the reply.
+  std::string bad_verb =
+      encode_request(matrix_request(7, Verb::kScore, 1, 1, {1.f}));
+  bad_verb[8] = 99;
+  EXPECT_EQ(peek_request_id(bad_verb), 7u);
+}
+
+TEST(ServeProtocolFuzz, ResponseDecoderIsTotalAndRoundTrips) {
+  fuzz_decoder(
+      valid_response_bodies(),
+      [](std::string_view body) { return decode_response(body); },
+      [](const Response& response) { return encode_response(response); });
 }
 
 // ---------------------------------------------------------------- registry
@@ -886,7 +977,6 @@ TEST_F(EcoServerFixture, MalformedAndInvalidEditsAreTypedErrors) {
 // string of stats_json() reappears as the serve/... gauge or note of its
 // path, with the same value, and nothing else does.
 TEST_F(EcoServerFixture, RunReportGaugesRenderTheStatsLedger) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   ServeClient client(socket_path);
   const std::uint32_t n_features = FeatureSchema::kNumFeatures;
   const std::vector<float> rows = random_rows(71, 3, n_features);
@@ -1047,13 +1137,10 @@ TEST(ServeStdio, StatsAndShutdownOverPipes) {
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   EXPECT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
-  if (obs::kEnabled) {
-    const auto report = obs::JsonValue::parse_file(report_path);
-    EXPECT_EQ(report.at("gauges").at("serve/model/n_features").as_number(),
-              6.0);
-    EXPECT_EQ(report.at("notes").at("serve/model/engine").as_string(),
-              "compiled");
-  }
+  const auto report = obs::JsonValue::parse_file(report_path);
+  EXPECT_EQ(report.at("gauges").at("serve/model/n_features").as_number(), 6.0);
+  EXPECT_EQ(report.at("notes").at("serve/model/engine").as_string(),
+            "compiled");
   std::remove(report_path.c_str());
   std::remove(model_path.c_str());
 }

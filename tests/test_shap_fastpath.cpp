@@ -108,7 +108,7 @@ ShapMatrix reference_phi(const RandomForestClassifier& forest,
   return pinned_walk_phi(forest, data, ShapWalk::kReference);
 }
 
-/// Reads one obs counter (0 when absent or when obs is compiled out).
+/// Reads one obs counter (0 when absent).
 std::uint64_t counter(const char* name) {
   const obs::Snapshot snap = obs::snapshot();
   const auto it = snap.counters.find(name);
@@ -336,9 +336,7 @@ TEST(ShapFastPath, CodeKeysShareSameBucketRows) {
   for (const Dataset* batch : {&first, &second}) {
     const std::uint64_t unique_before = counter("shap/batch_unique_rows");
     const ShapMatrix phi = explainer.shap_values_batch(*batch, 2);
-    if (obs::kEnabled) {
-      EXPECT_EQ(counter("shap/batch_unique_rows") - unique_before, 1u);
-    }
+    EXPECT_EQ(counter("shap/batch_unique_rows") - unique_before, 1u);
     expect_bits_equal(reference_phi(forest, *batch).values, phi.values);
     // Independently of any dedupe: each row's own single-sample recursion.
     for (std::size_t r = 0; r < batch->n_rows(); ++r) {
@@ -378,9 +376,7 @@ TEST(ShapFastPath, LeafMemoServesDistinctRowsSharingLeafHistories) {
       const std::uint64_t hits = counter("shap/leaf_memo_hits");
       expect_bits_equal(reference.values,
                         pinned_walk_phi(forest, eval, walk, threads).values);
-      if (obs::kEnabled) {
-        EXPECT_GT(counter("shap/leaf_memo_hits"), hits);
-      }
+      EXPECT_GT(counter("shap/leaf_memo_hits"), hits);
     }
   }
   check_all_configs(forest, eval);
@@ -452,9 +448,7 @@ TEST(ShapFastPath, TreesDeeperThanTheVectorWalkBoundTakeTheScalarWalk) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const auto phi = pinned_walk_phi(forest, eval, ShapWalk::kAuto, threads);
     expect_bits_equal(reference.values, phi.values);
-    if (obs::kEnabled) {
-      EXPECT_EQ(obs::snapshot().notes.at("shap/walk"), "scalar");
-    }
+    EXPECT_EQ(obs::snapshot().notes.at("shap/walk"), "scalar");
   }
 }
 
@@ -479,9 +473,7 @@ TEST(ShapFastPath, DuplicateFeatureHeavyTreeKeysOnHistory) {
   const Dataset eval = uniform_rows(64, 3, 141);
   const std::uint64_t hits = counter("shap/leaf_memo_hits");
   check_all_configs(forest, eval);
-  if (obs::kEnabled) {
-    EXPECT_GT(counter("shap/leaf_memo_hits"), hits);
-  }
+  EXPECT_GT(counter("shap/leaf_memo_hits"), hits);
 }
 
 /// The cache salt must cover every array phi depends on. Model B moves one

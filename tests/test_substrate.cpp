@@ -131,13 +131,11 @@ TEST_P(RouteDigest, MatchesPinnedGolden) {
       << std::hex << routes_digest(route.routes);
   EXPECT_EQ(route.edge_overflow, golden.edge_overflow);
   EXPECT_EQ(route.via_overflow, golden.via_overflow);
-  if (obs::kEnabled) {
-    const auto count = [](const obs::Snapshot& s) {
-      const auto it = s.counters.find("route/maze_expansions");
-      return it == s.counters.end() ? std::uint64_t{0} : it->second;
-    };
-    EXPECT_EQ(count(after) - count(before), golden.maze_expansions);
-  }
+  const auto count = [](const obs::Snapshot& s) {
+    const auto it = s.counters.find("route/maze_expansions");
+    return it == s.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  EXPECT_EQ(count(after) - count(before), golden.maze_expansions);
 }
 
 INSTANTIATE_TEST_SUITE_P(

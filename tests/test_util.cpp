@@ -4,7 +4,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/artifact.hpp"
 #include "util/csv.hpp"
@@ -16,6 +19,20 @@ namespace drcshap {
 namespace {
 
 // ---------------------------------------------------------------- ThreadPool
+
+// DRCSHAP_THREADS sizes the shared pool, so a typo must not become a
+// thread count. Only the pure parse runs: no pool is built, no thread
+// starts.
+TEST(ThreadPool, ThreadCountParseAcceptsOnlyWholeNumbersUpToTheCap) {
+  EXPECT_EQ(parse_thread_count("8"), 8u);
+  EXPECT_EQ(parse_thread_count(std::to_string(kMaxEnvThreads)), kMaxEnvThreads);
+  const std::vector<std::string> bad_values = {
+      "8abc", "0", "-3", "", " 8", "+8", "12345678901234567890",
+      "99999999999999999999", std::to_string(kMaxEnvThreads + 1)};
+  for (const std::string& bad : bad_values) {
+    EXPECT_EQ(parse_thread_count(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
 
 TEST(ThreadPool, RunsAllTasks) {
   ThreadPool pool(4);
