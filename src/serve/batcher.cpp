@@ -1,6 +1,5 @@
 #include "serve/batcher.hpp"
 
-#include <chrono>
 #include <span>
 #include <string>
 #include <utility>
@@ -11,8 +10,6 @@
 namespace drcshap::serve {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 std::size_t histogram_bucket(std::size_t rows) {
   std::size_t bucket = 0;
@@ -41,9 +38,7 @@ Response Batcher::submit(Request request) {
     return error_response(pending.request.id, pending.request.verb,
                           StatusCode::kInvalid, "server is shutting down");
   }
-  if (queue_.empty()) oldest_enqueue_ = Clock::now();
   queue_.push_back(&pending);
-  queued_rows_ += pending.request.n_rows;
   ++stats_.requests;
   stats_.queue_depth = queue_.size();
   if (queue_.size() > stats_.max_queue_depth) {
@@ -59,22 +54,11 @@ void Batcher::runner_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     runner_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (stopping_) return;
-      continue;
-    }
-    // Deadline-or-batch-full coalescing window, skipped when draining.
-    if (!stopping_ && queued_rows_ < options_.max_batch_rows) {
-      const auto deadline =
-          oldest_enqueue_ + std::chrono::microseconds(options_.flush_us);
-      while (!stopping_ && queued_rows_ < options_.max_batch_rows &&
-             Clock::now() < deadline) {
-        runner_cv_.wait_until(lock, deadline);
-      }
-    }
-    std::vector<Pending*> batch(queue_.begin(), queue_.end());
-    queue_.clear();
-    queued_rows_ = 0;
+    if (queue_.empty()) return;  // stopping, and the queue is drained
+    // Everything queued is one batch; what arrives while it runs waits
+    // for the next.
+    std::vector<Pending*> batch;
+    batch.swap(queue_);
     stats_.queue_depth = 0;
     ++stats_.batches;
     std::size_t batch_rows = 0;

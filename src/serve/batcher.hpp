@@ -4,10 +4,10 @@
 // that ride the existing batch engines (predict_proba_all /
 // shap_values_batch) on the shared thread pool.
 //
-// Flush policy is deadline-or-batch-full: a flush happens as soon as the
-// pending rows reach max_batch_rows, or flush_us after the oldest pending
-// request arrived, whichever is first — one knob trades p50 latency against
-// batch efficiency. Each request keeps its slot (row offset) inside the
+// Batches form on their own: when the runner is free it takes every
+// pending request as one batch and serves it at once, so a lone request
+// waits for no window, and the requests that arrive while a batch runs
+// form the next one. Each request keeps its slot (row offset) inside the
 // concatenated batch matrix, and both batch engines compute every row
 // independently in fixed tree order, so the slice a request gets back is
 // byte-identical to running that request alone (proved by
@@ -23,10 +23,8 @@
 // serve/batch_score|explain stage timers.
 
 #include <array>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -37,8 +35,6 @@
 namespace drcshap::serve {
 
 struct BatchOptions {
-  std::size_t max_batch_rows = 256;  ///< flush when pending rows reach this
-  std::uint32_t flush_us = 200;      ///< ...or this long after the oldest
   std::size_t n_threads = 0;  ///< worker cap for the batch engines
 };
 
@@ -109,9 +105,7 @@ class Batcher {
   mutable std::mutex mu_;
   std::condition_variable runner_cv_;
   std::condition_variable done_cv_;
-  std::deque<Pending*> queue_;
-  std::size_t queued_rows_ = 0;
-  std::chrono::steady_clock::time_point oldest_enqueue_;
+  std::vector<Pending*> queue_;
   bool stopping_ = false;
 
   Stats stats_;

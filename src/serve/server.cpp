@@ -539,9 +539,6 @@ obs::JsonValue Server::stats_document() const {
 
   obs::JsonValue batch = obs::JsonValue::make_object();
   batch["batches"] = stats.batches;
-  batch["max_batch_rows"] =
-      static_cast<std::uint64_t>(options_.batch.max_batch_rows);
-  batch["flush_us"] = static_cast<std::uint64_t>(options_.batch.flush_us);
   obs::JsonValue histogram = obs::JsonValue::make_array();
   for (const std::uint64_t count : stats.batch_rows_histogram) {
     histogram.push_back(count);

@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <latch>
 #include <memory>
 #include <span>
 #include <thread>
@@ -399,6 +400,20 @@ struct BatcherFixture : ::testing::Test {
   }
   void TearDown() override { std::remove(path.c_str()); }
 
+  /// The direct engine call a score or explain request must equal.
+  std::vector<double> solo(Verb verb, const std::vector<float>& features,
+                           std::uint32_t n_rows) const {
+    const auto model = registry.current();
+    if (verb == Verb::kScore) {
+      return model->forest.predict_proba_all(
+          std::span<const float>(features), n_rows, ForestEngine::kAuto);
+    }
+    TreeShapExplainer explainer = model->explainer;
+    return explainer
+        .shap_values_batch(std::span<const float>(features), n_rows, 1)
+        .values;
+  }
+
   std::string path;
   ModelRegistry registry;
 };
@@ -513,13 +528,10 @@ TEST_F(BatcherFixture, HotSwapGetsFreshExplanationCache) {
 }
 
 TEST_F(BatcherFixture, ConcurrentSubmitsAreByteIdenticalToSolo) {
-  // A long flush window plus concurrent clients forces real coalescing:
-  // requests land in shared batches at arbitrary row offsets, and each
-  // reply must still equal the solo run bit for bit.
-  BatchOptions options;
-  options.max_batch_rows = 64;
-  options.flush_us = 1000;
-  Batcher batcher(registry, options);
+  // Concurrent clients coalesce on their own: whatever queues while the
+  // runner serves one batch lands in the next at an arbitrary row offset,
+  // and each reply must still equal the solo run bit for bit.
+  Batcher batcher(registry, {});
 
   constexpr std::size_t kClients = 8;
   constexpr std::size_t kRequests = 6;
@@ -534,22 +546,10 @@ TEST_F(BatcherFixture, ConcurrentSubmitsAreByteIdenticalToSolo) {
         const Verb verb = (c + r) % 2 == 0 ? Verb::kScore : Verb::kExplain;
         const Response response = batcher.submit(
             matrix_request(c * 100 + r, verb, n_rows, 6, features));
-        if (response.status != StatusCode::kOk) {
+        if (response.status != StatusCode::kOk ||
+            response.values != solo(verb, features, n_rows)) {
           ++mismatches;
-          continue;
         }
-        std::vector<double> expected;
-        if (verb == Verb::kScore) {
-          expected = registry.current()->forest.predict_proba_all(
-              std::span<const float>(features), n_rows, ForestEngine::kAuto);
-        } else {
-          TreeShapExplainer explainer = registry.current()->explainer;
-          expected = explainer
-                         .shap_values_batch(std::span<const float>(features),
-                                            n_rows, 1)
-                         .values;
-        }
-        if (response.values != expected) ++mismatches;
       }
     });
   }
@@ -562,6 +562,54 @@ TEST_F(BatcherFixture, ConcurrentSubmitsAreByteIdenticalToSolo) {
   // Coalescing actually happened: fewer batches than requests.
   EXPECT_LT(stats.batches, stats.requests);
   EXPECT_EQ(stats.queue_depth, 0u);
+}
+
+TEST_F(BatcherFixture, RequestsQueuedDuringABatchRideTheNextOne) {
+  // The runner takes everything queued the moment it is free. Hold it in
+  // one large explain batch, release kClients submitters that are already
+  // waiting, and every one of them must be served by the second batch,
+  // with a reply byte-identical to its solo run.
+  Batcher batcher(registry, {});
+  constexpr std::uint32_t kBigRows = 4'000;
+  std::thread holder([&] {
+    const Response response = batcher.submit(matrix_request(
+        1, Verb::kExplain, kBigRows, 6, random_rows(900, kBigRows, 6)));
+    EXPECT_EQ(response.status, StatusCode::kOk);
+  });
+
+  constexpr std::size_t kClients = 8;
+  std::latch go(1);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      const std::uint32_t n_rows = 1 + c % 3;
+      const std::vector<float> features = random_rows(910 + c, n_rows, 6);
+      const Verb verb = c % 2 == 0 ? Verb::kScore : Verb::kExplain;
+      go.wait();
+      const Response response = batcher.submit(
+          matrix_request(10 + c, verb, n_rows, 6, features));
+      if (response.status != StatusCode::kOk ||
+          response.values != solo(verb, features, n_rows)) {
+        ++mismatches;
+      }
+    });
+  }
+  // The big request is running once it has left the queue.
+  for (Batcher::Stats stats = batcher.stats();
+       stats.requests == 0 || stats.queue_depth != 0;
+       stats = batcher.stats()) {
+    std::this_thread::yield();
+  }
+  go.count_down();
+  for (std::thread& thread : threads) thread.join();
+  holder.join();
+  EXPECT_EQ(mismatches.load(), 0);
+
+  const Batcher::Stats stats = batcher.stats();
+  EXPECT_EQ(stats.requests, kClients + 1);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.max_queue_depth, kClients);
 }
 
 TEST_F(BatcherFixture, FeatureCountMismatchIsTypedInvalid) {
@@ -589,10 +637,7 @@ TEST_F(BatcherFixture, HotSwapUnderLoadNeverTears) {
   const std::string path_b = tmp_path("batcher_b.forest");
   save_forest_file(train_forest(22), path_b);
 
-  BatchOptions options;
-  options.max_batch_rows = 32;
-  options.flush_us = 300;
-  Batcher batcher(registry, options);
+  Batcher batcher(registry, {});
 
   constexpr std::uint32_t kRows = 3;
   const std::vector<float> features = random_rows(35, kRows, 6);
@@ -680,7 +725,6 @@ struct ServerFixture : ::testing::Test {
     ServerOptions options;
     options.model_path = model_path;
     options.socket_path = socket_path;
-    options.batch.flush_us = 100;
     server = std::make_unique<Server>(options);
     ASSERT_TRUE(server->start().ok());
     runner = std::thread([this] { server->run(); });
@@ -894,7 +938,6 @@ struct EcoServerFixture : ::testing::Test {
     ServerOptions options;
     options.model_path = model_path();
     options.socket_path = socket_path;
-    options.batch.flush_us = 100;
     options.eco_design = "bridge32_a";
     options.eco_scale = 16.0;
     server = std::make_unique<Server>(options);
@@ -970,6 +1013,70 @@ TEST_F(EcoServerFixture, MalformedAndInvalidEditsAreTypedErrors) {
 
   const Response ok = client.call(eco_request(4, "move 0 1.0 0.0"));
   EXPECT_EQ(ok.status, StatusCode::kOk) << ok.message;
+}
+
+// Seeded fuzz of the eco edit parser through the eco verb: every
+// truncation and random byte flips of valid move, resize and reroute lines.
+// Each reply is a typed kOk or kInvalid, only a kOk counts as an edit in
+// the stats ledger, and the daemon still answers stats afterwards.
+TEST_F(EcoServerFixture, FuzzedEditLinesAreTypedAndLeaveTheLedgerExact) {
+  PipelineOptions pipeline;
+  pipeline.generator.scale = 16.0;
+  const Design design = place_spec(suite_spec("bridge32_a"), pipeline);
+  const Rect box = design.macro(1).box;
+  char resize[160];
+  std::snprintf(resize, sizeof(resize), "resize 1 %.3f %.3f %.3f %.3f",
+                box.x_lo, box.y_lo, box.x_hi,
+                box.y_lo + 0.75 * (box.y_hi - box.y_lo));
+  const std::vector<std::string> valid = {
+      "move 0 5.0 0.0", resize,
+      "reroute " + design.net(0).name + "," +
+          design.net(design.num_nets() / 2).name};
+
+  ServeClient client(socket_path);
+  std::uint64_t id = 0;
+  const auto edits = [&] {
+    Request request;
+    request.id = ++id;
+    request.verb = Verb::kStats;
+    const Response reply = client.call(request);
+    EXPECT_EQ(reply.status, StatusCode::kOk);
+    return obs::JsonValue::parse(reply.text).at("eco").at("edits").as_number();
+  };
+  double expected_edits = edits();
+  std::size_t n_ok = 0;
+  std::size_t n_invalid = 0;
+  const auto send = [&](const std::string& text) {
+    SCOPED_TRACE(::testing::PrintToString(text));
+    const Response reply = client.call(eco_request(++id, text));
+    if (reply.status == StatusCode::kOk) {
+      ++n_ok;
+      ++expected_edits;
+    } else {
+      EXPECT_EQ(reply.status, StatusCode::kInvalid) << reply.message;
+      ++n_invalid;
+    }
+    EXPECT_EQ(edits(), expected_edits);
+  };
+
+  Rng rng(24);
+  for (const std::string& line : valid) {
+    for (std::size_t len = 0; len <= line.size(); ++len) {
+      send(line.substr(0, len));
+    }
+    for (int trial = 0; trial < 40; ++trial) {
+      std::string flipped = line;
+      for (std::size_t flips = 1 + rng.index(3); flips > 0; --flips) {
+        flipped[rng.index(flipped.size())] ^=
+            static_cast<char>(1 + rng.index(255));
+      }
+      send(flipped);
+    }
+  }
+  // Both outcomes were reached, and the daemon still serves.
+  EXPECT_GT(n_ok, 0u);
+  EXPECT_GT(n_invalid, 0u);
+  EXPECT_EQ(edits(), expected_edits);
 }
 
 // The run report is the stats document, leaf for leaf: after score,

@@ -51,8 +51,7 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --model PATH (--socket PATH | --stdio)\n"
-      "          [--max-batch ROWS] [--flush-us US] [--threads N]\n"
-      "          [--eco-design NAME] [--eco-scale S]\n"
+      "          [--threads N] [--eco-design NAME] [--eco-scale S]\n"
       "       %s --make-fixture PATH [--features N] [--rows N] [--trees N]\n"
       "          [--seed S]\n"
       "\n"
@@ -72,8 +71,6 @@ int usage(const char* argv0) {
       "  --model PATH        forest artifact to serve\n"
       "  --socket PATH       Unix stream socket (daemon mode)\n"
       "  --stdio             serve one connection on stdin/stdout\n"
-      "  --max-batch ROWS    batcher row cap per dispatched batch\n"
-      "  --flush-us US       batcher flush window in microseconds\n"
       "  --threads N         worker threads per batch (0 = whole pool)\n"
       "  --eco-design NAME   benchmark-suite design to hold resident for\n"
       "                      the eco verb (requires a pipeline-schema model)\n"
@@ -167,14 +164,6 @@ int main(int argc, char** argv) {
       options.socket_path = next_arg(i);
     } else if (arg == "--stdio") {
       stdio = true;
-    } else if (arg == "--max-batch") {
-      if (!parse_number(next_arg(i), options.batch.max_batch_rows)) {
-        return usage(argv[0]);
-      }
-    } else if (arg == "--flush-us") {
-      if (!parse_number(next_arg(i), options.batch.flush_us)) {
-        return usage(argv[0]);
-      }
     } else if (arg == "--threads") {
       if (!parse_number(next_arg(i), options.batch.n_threads)) {
         return usage(argv[0]);
