@@ -5,14 +5,15 @@
 // workers. Every stage is bit-identical across thread counts (tested in
 // test_parallel_experiments.cpp), so these numbers measure pure scheduling.
 //
-// Wall-clock scaling is capped by the host's hardware threads (recorded as
-// `hardware_threads` in the BENCH_e2e.json context, with the git sha and
-// build type); on a one-core host the >1-thread legs only prove the
-// parallel path adds no overhead. Set DRCSHAP_THREADS=8 when recording so
-// the 8-way legs really run 8 workers. The >1-thread suite legs also run
+// Wall-clock scaling is capped by the host's hardware threads; on a
+// one-core host the >1-thread legs only prove the parallel path adds no
+// overhead. Set DRCSHAP_THREADS=8 when timing them so the 8-way legs
+// really run 8 workers. The >1-thread suite legs also run
 // build_suite_dataset's schedule probe (heaviest design claimed first).
-// CI gates the 1-thread legs (fully serial, so CPU time is stable across
-// runners) via tools/check_bench.py against BENCH_e2e.json.
+// CI gates the median of 5 repetitions of the 1-thread legs (fully serial,
+// so CPU time is stable across runners) via tools/check_bench.py against
+// BENCH_e2e.json, which holds only those legs; its context records
+// num_cpus, the git sha and the build type.
 
 #include <benchmark/benchmark.h>
 

@@ -146,9 +146,10 @@ BENCHMARK(BM_TreeShapBatch_Threads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 //                     scatters the in-batch duplicates and the cache
 //                     scatters the rest, so this leg measures the full
 //                     dedupe-before-compute path, not the tree walk.
-// CI computes the in-run ratios between these legs (see ci.yml): the legs
-// run in the same process on the same host, so the ratio is immune to
-// runner-fleet drift in a way absolute gates are not.
+// CI checks the in-run ratios between these legs with tools/check_bench.py
+// --ratio (see ci.yml): the legs run in the same process on the same host,
+// so the ratio is immune to runner-fleet drift in a way absolute gates are
+// not.
 
 void BM_ShapExplainSerialReference(benchmark::State& state) {
   const Dataset& data = paper_scale_data();

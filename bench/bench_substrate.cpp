@@ -7,10 +7,11 @@
 // its per-cell RNG streams serially up front; features are slot-per-row
 // writes), so the >1-thread legs measure pure scheduling. Routing is serial
 // at every leg and is nearly all of BM_Pipeline, so the >1-thread pipeline
-// legs barely move even on a multi-core host (the BENCH_substrate.json
-// context records the host's hardware_threads, git sha and build type).
-// CI gates the 1-thread legs (fully serial, so CPU time is stable across
-// runners) via tools/check_bench.py against BENCH_substrate.json.
+// legs barely move even on a multi-core host. CI gates the median of 5
+// repetitions of the 1-thread legs (fully serial, so CPU time is stable
+// across runners) via tools/check_bench.py against BENCH_substrate.json,
+// which holds only those legs; its context records num_cpus, the git sha
+// and the build type.
 
 #include <benchmark/benchmark.h>
 

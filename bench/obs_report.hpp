@@ -4,7 +4,9 @@
 // completed benchmark lands in the obs registry as gauges
 // ("bench/<name>/real_time_ms", ".../cpu_time_ms", ".../items_per_second")
 // next to the library's own stage timers; the emitted runreport.json is what
-// tools/check_bench.py gates against BENCH_shap.json in CI. Table/figure
+// tools/check_bench.py gates against the BENCH_*.json baselines in CI (with
+// --benchmark_repetitions, each aggregate lands as "bench/<name>_median/..."
+// and so on, and the gate reads the median). Table/figure
 // binaries just call drcshap::obs::write_default_run_report() before exit.
 
 #include <benchmark/benchmark.h>

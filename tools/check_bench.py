@@ -3,31 +3,41 @@
 
 Usage:
     tools/check_bench.py BENCH_shap.json runreport.json [--tolerance 0.25]
+        [--metric cpu] [--require REGEX] [--ratio NUM DEN MIN ...]
 
-The baseline is google-benchmark JSON (the checked-in BENCH_shap.json). The
-candidate is either:
+The only place a CI speed verdict is computed. The baseline is
+google-benchmark JSON (a checked-in BENCH_*.json). The candidate is either:
   * a drcshap runreport.json (schema_version 1) whose gauges carry
     "bench/<name>/real_time_ms" and ".../cpu_time_ms" entries written by
     ObsRecordingReporter, or
-  * raw google-benchmark JSON (--benchmark_out=... format),
-so the gate works both on the observability pipeline and on plain benchmark
-dumps.
+  * raw google-benchmark JSON (--benchmark_out=... format).
+
+Medians, not samples: CI runs every gated leg with
+--benchmark_repetitions=5 --benchmark_report_aggregates_only=true. Where a
+file holds a median aggregate for a benchmark (a "<name>_median" row or
+gauge), that median is the benchmark's time for every check; a benchmark
+without one reads its iteration row.
 
 Only benchmarks present in BOTH files are compared (CI runs a reduced
 filter), but zero overlap is an error — a silently empty comparison must
 not pass. A benchmark regresses when its time exceeds
 baseline * (1 + tolerance); faster-than-baseline results only warn when
-they are suspiciously fast (more than `tolerance` below baseline), since
-that usually means the baseline is stale.
+they are more than `tolerance` below baseline (a stale baseline?).
 
 --require REGEX hardens a gate against silent shrinkage: every baseline
 benchmark whose name matches the regex must be present in the candidate
-report, otherwise the gate fails (exit 2) with a one-line diagnosis. CI
-passes a --require matching each job's --benchmark_filter, so deleting or
-renaming a gated benchmark can never slip through as "0 skipped, OK".
+report, otherwise the gate fails (exit 2). CI passes a --require matching
+each job's --benchmark_filter, so deleting or renaming a gated benchmark
+can never slip through as "0 skipped, OK".
 
-Exit status: 0 = pass, 1 = regression or no overlap, 2 = usage/IO error or
-a --require'd benchmark missing from the candidate report.
+--ratio NUM DEN MIN (repeatable) checks an in-run speedup from the
+candidate report alone: time(NUM) / time(DEN) must be at least MIN. Both
+legs ran in one process on one host, so the ratio does not rot when the
+runner fleet drifts away from the baseline host.
+
+Exit status: 0 = pass, 1 = regression, failed ratio or no overlap,
+2 = usage/IO error, a --require'd benchmark or a ratio leg missing from
+the candidate report.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ import re
 import sys
 
 TO_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
+MEDIAN = "_median"
 
 
 class ReportError(Exception):
@@ -47,9 +58,9 @@ class ReportError(Exception):
 def load_json_object(path: str) -> dict:
     """Parse `path` as a JSON object, failing with an actionable message.
 
-    A truncated or half-written report (e.g. a run killed mid-benchmark
-    before this repo grew atomic report commits) must produce a clear
-    one-line diagnosis, not a traceback or a silently empty comparison.
+    A truncated or half-written report (e.g. a run killed mid-benchmark)
+    must produce a clear one-line diagnosis, not a traceback or a silently
+    empty comparison.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -77,23 +88,30 @@ def load_json_object(path: str) -> dict:
 def load_baseline(path: str, metric: str) -> dict[str, float]:
     """Google-benchmark JSON -> {benchmark name: time in ms}."""
     doc = load_json_object(path)
-    out: dict[str, float] = {}
     benches = doc.get("benchmarks", [])
     if not isinstance(benches, list):
         raise ReportError(f"check_bench: {path}: 'benchmarks' is not a list")
+    out: dict[str, float] = {}
+    medians: dict[str, float] = {}
     for bench in benches:
         if not isinstance(bench, dict):
             raise ReportError(f"check_bench: {path}: malformed benchmark row")
-        if bench.get("run_type", "iteration") != "iteration":
-            continue  # skip aggregate rows (mean/median/stddev)
+        is_median = bench.get("aggregate_name") == "median"
+        if bench.get("run_type", "iteration") != "iteration" and not is_median:
+            continue  # mean/stddev/cv rows
         try:
             unit = bench.get("time_unit", "ns")
-            out[bench["name"]] = bench[f"{metric}_time"] * TO_MS[unit]
+            ms = bench[f"{metric}_time"] * TO_MS[unit]
+            name = bench["run_name" if is_median else "name"]
         except (KeyError, TypeError) as err:
             raise ReportError(
                 f"check_bench: {path}: benchmark row missing/invalid "
                 f"field {err} — corrupt report")
-    return out
+        if is_median:
+            medians[name] = ms
+        else:
+            out[name] = ms
+    return out | medians
 
 
 def load_candidate(path: str, metric: str) -> dict[str, float]:
@@ -105,16 +123,38 @@ def load_candidate(path: str, metric: str) -> dict[str, float]:
     if not isinstance(gauges, dict):
         raise ReportError(f"check_bench: {path}: 'gauges' is not an object")
     out: dict[str, float] = {}
+    medians: dict[str, float] = {}
     prefix, suffix = "bench/", f"/{metric}_time_ms"
     for key, value in gauges.items():
-        if key.startswith(prefix) and key.endswith(suffix):
-            try:
-                out[key[len(prefix):-len(suffix)]] = float(value)
-            except (TypeError, ValueError):
-                raise ReportError(
-                    f"check_bench: {path}: gauge '{key}' is not a number "
-                    "— corrupt report")
-    return out
+        if not (key.startswith(prefix) and key.endswith(suffix)):
+            continue
+        name = key[len(prefix):-len(suffix)]
+        try:
+            ms = float(value)
+        except (TypeError, ValueError):
+            raise ReportError(
+                f"check_bench: {path}: gauge '{key}' is not a number "
+                "— corrupt report")
+        if name.endswith(MEDIAN):
+            medians[name.removesuffix(MEDIAN)] = ms
+        else:
+            out[name] = ms
+    return out | medians
+
+
+def parse_ratios(raw: list[list[str]]) -> list[tuple[str, str, float]]:
+    """--ratio triples -> (num, den, min); a bad MIN raises ValueError."""
+    ratios = []
+    for num, den, text in raw:
+        try:
+            bound = float(text)
+        except ValueError:
+            bound = 0.0
+        if not bound > 0:  # also rejects nan
+            raise ValueError(f"--ratio {num} {den}: MIN '{text}' is not a "
+                             "positive number")
+        ratios.append((num, den, bound))
+    return ratios
 
 
 def main() -> int:
@@ -130,11 +170,19 @@ def main() -> int:
     parser.add_argument("--require", metavar="REGEX", default=None,
                         help="baseline benchmarks matching REGEX must be "
                              "present in the report, else fail (exit 2)")
+    parser.add_argument("--ratio", nargs=3, action="append", default=[],
+                        metavar=("NUM", "DEN", "MIN"),
+                        help="require time(NUM) / time(DEN) >= MIN in the "
+                             "report (repeatable)")
     args = parser.parse_args()
     try:
         required = re.compile(args.require) if args.require else None
+        ratios = parse_ratios(args.ratio)
     except re.error as err:
         print(f"check_bench: bad --require regex: {err}", file=sys.stderr)
+        return 2
+    except ValueError as err:
+        print(f"check_bench: {err}", file=sys.stderr)
         return 2
 
     try:
@@ -142,9 +190,6 @@ def main() -> int:
         candidate = load_candidate(args.report, args.metric)
     except ReportError as err:
         print(str(err), file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError) as err:
-        print(f"check_bench: cannot load inputs: {err}", file=sys.stderr)
         return 2
 
     if required is not None:
@@ -156,6 +201,12 @@ def main() -> int:
                   f"renamed, or filtered out?): {', '.join(missing)}",
                   file=sys.stderr)
             return 2
+    absent_legs = sorted({leg for num, den, _ in ratios for leg in (num, den)
+                          if leg not in candidate})
+    if absent_legs:
+        print(f"check_bench: FAIL — ratio leg(s) missing from "
+              f"{args.report}: {', '.join(absent_legs)}", file=sys.stderr)
+        return 2
 
     common = sorted(set(baseline) & set(candidate))
     if not common:
@@ -165,7 +216,7 @@ def main() -> int:
         return 1
 
     width = max(len(name) for name in common)
-    regressions = []
+    failures = []
     print(f"{'benchmark':<{width}}  {'baseline':>12}  {'current':>12}  "
           f"{'ratio':>7}  verdict")
     for name in common:
@@ -173,25 +224,34 @@ def main() -> int:
         ratio = cur_ms / base_ms if base_ms > 0 else float("inf")
         if ratio > 1.0 + args.tolerance:
             verdict = "REGRESSION"
-            regressions.append(name)
+            failures.append(name)
         elif ratio < 1.0 - args.tolerance:
             verdict = "fast (stale baseline?)"
         else:
             verdict = "ok"
         print(f"{name:<{width}}  {base_ms:>10.3f}ms  {cur_ms:>10.3f}ms  "
               f"{ratio:>6.2f}x  {verdict}")
+    for num, den, bound in ratios:
+        num_ms, den_ms = candidate[num], candidate[den]
+        ratio = num_ms / den_ms if den_ms > 0 else float("inf")
+        if ratio < bound:
+            failures.append(f"{num} / {den}")
+        print(f"ratio {num} / {den} = {num_ms:.3f}ms / {den_ms:.3f}ms = "
+              f"{ratio:.2f}x (min {bound:g}x)  "
+              f"{'ok' if ratio >= bound else 'RATIO BELOW MIN'}")
 
     skipped = len(baseline) - len(common)
     if skipped:
         print(f"note: {skipped} baseline benchmark(s) absent from the "
               "report (reduced run) — not compared")
-    if regressions:
-        print(f"check_bench: FAIL — {len(regressions)} regression(s) beyond "
-              f"+{args.tolerance:.0%}: {', '.join(regressions)}",
+    if failures:
+        print(f"check_bench: FAIL — {len(failures)} check(s) failed "
+              f"(tolerance +{args.tolerance:.0%}): {', '.join(failures)}",
               file=sys.stderr)
         return 1
+    met = f", {len(ratios)} ratio(s) met" if ratios else ""
     print(f"check_bench: OK — {len(common)} benchmark(s) within "
-          f"+{args.tolerance:.0%} of baseline")
+          f"+{args.tolerance:.0%} of baseline{met}")
     return 0
 
 

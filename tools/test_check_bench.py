@@ -2,11 +2,12 @@
 """Self-tests for tools/check_bench.py — the CI perf gate.
 
 Every perf and serving job trusts check_bench.py's exit-code contract:
-0 = pass, 1 = regression or zero overlap, 2 = malformed report or a
---require'd benchmark missing. These tests pin that contract (and the
-diagnosis text for the exit-2 paths) by invoking the script the way CI
-does: as a subprocess on real files. Stdlib unittest only, so the suite
-runs anywhere python3 exists:
+0 = pass, 1 = regression, failed --ratio or zero overlap, 2 = malformed
+report, bad argument, or a --require'd benchmark or --ratio leg missing.
+These tests pin that contract (and the diagnosis text for the exit-2 paths)
+by invoking the script the way CI does: as a subprocess on real files.
+Stdlib unittest only, so the suite runs anywhere python3 exists; ctest runs
+it as check_bench.self_tests:
 
     python3 tools/test_check_bench.py
 """
@@ -22,13 +23,25 @@ CHECK_BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "check_bench.py")
 
 
-def benchmark_json(times_ms, aggregates=()):
-    """Google-benchmark JSON with per-iteration rows (times in ms)."""
+def benchmark_json(times_ms, aggregates=(), medians=None):
+    """Google-benchmark JSON with per-iteration rows (times in ms).
+
+    `aggregates` adds unnamed aggregate rows with huge times; `medians`
+    ({name: ms}) adds median aggregate rows the way
+    --benchmark_repetitions writes them.
+    """
     rows = [{"name": name, "run_type": "iteration", "real_time": ms,
              "cpu_time": ms, "time_unit": "ms"}
             for name, ms in times_ms.items()]
     rows += [{"name": name, "run_type": "aggregate", "real_time": 1e9,
               "cpu_time": 1e9, "time_unit": "ms"} for name in aggregates]
+    for name, ms in (medians or {}).items():
+        for aggregate, value in (("mean", 1e9), ("median", ms),
+                                 ("stddev", 1e9)):
+            rows.append({"name": f"{name}_{aggregate}", "run_name": name,
+                         "run_type": "aggregate", "aggregate_name": aggregate,
+                         "real_time": value, "cpu_time": value,
+                         "time_unit": "ms"})
     return {"benchmarks": rows}
 
 
@@ -81,6 +94,42 @@ class CheckBenchTest(unittest.TestCase):
                                "--require", "bm_a")
         self.assertEqual(result.returncode, 0, result.stderr)
 
+    def test_baseline_median_row_beats_iteration_rows(self):
+        # Repetitions write both the samples and their median: the gate
+        # reads the median (10.0), not the last sample (20.0) or the mean.
+        rows = benchmark_json({}, medians={"bm_a": 10.0})
+        rows["benchmarks"][:0] = benchmark_json(
+            {"bm_a": 20.0})["benchmarks"] * 3
+        baseline = self.write("base.json", rows)
+        report = self.write("report.json", runreport_json({"bm_a": 12.0}))
+        result = self.run_gate(baseline, report, "--tolerance", "0.25",
+                               "--require", "bm_a")
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.assertIn("10.000ms", result.stdout)
+
+    def test_runreport_median_gauge_beats_other_aggregates(self):
+        # --benchmark_report_aggregates_only leaves <name>_mean/_median/
+        # _stddev/_cv gauges; only the median is gated, under <name>.
+        baseline = self.write("base.json", benchmark_json({"bm_a": 10.0}))
+        report = self.write("report.json", runreport_json({
+            "bm_a_mean": 1e9, "bm_a_median": 11.0, "bm_a_stddev": 1e9,
+            "bm_a_cv": 1e9}))
+        result = self.run_gate(baseline, report, "--require", "bm_a")
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.assertIn("11.000ms", result.stdout)
+        slow = self.write("slow.json", runreport_json({"bm_a_median": 13.0}))
+        self.assertEqual(self.run_gate(baseline, slow).returncode, 1)
+
+    def test_ratio_met_passes(self):
+        baseline = self.write("base.json", benchmark_json({"bm_a": 10.0}))
+        report = self.write("report.json", runreport_json({
+            "bm_a": 10.0, "bm_slow_median": 30.0, "bm_fast_median": 9.0}))
+        result = self.run_gate(baseline, report,
+                               "--ratio", "bm_slow", "bm_fast", "3",
+                               "--ratio", "bm_a", "bm_fast", "1")
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.assertIn("2 ratio(s) met", result.stdout)
+
     def test_gates_on_selected_metric(self):
         # cpu gauges only; --metric cpu finds them, --metric real has no
         # overlap and must fail rather than silently pass.
@@ -108,7 +157,38 @@ class CheckBenchTest(unittest.TestCase):
         self.assertEqual(result.returncode, 1)
         self.assertIn("no benchmarks in common", result.stderr)
 
+    def test_ratio_below_min_fails(self):
+        # Computed from the candidate alone: the absolute check passes, the
+        # in-run speedup does not.
+        baseline = self.write("base.json", benchmark_json({"bm_a": 10.0}))
+        report = self.write("report.json", runreport_json({
+            "bm_a": 10.0, "bm_slow": 29.0, "bm_fast": 10.0}))
+        result = self.run_gate(baseline, report,
+                               "--ratio", "bm_slow", "bm_fast", "3")
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("RATIO BELOW MIN", result.stdout)
+        self.assertIn("bm_slow / bm_fast", result.stderr)
+
     # ------------------------------------------------------- exit 2 paths
+
+    def test_ratio_leg_missing_diagnosed(self):
+        baseline = self.write("base.json", benchmark_json({"bm_a": 10.0}))
+        report = self.write("report.json", runreport_json({
+            "bm_a": 10.0, "bm_slow": 30.0}))
+        result = self.run_gate(baseline, report,
+                               "--ratio", "bm_slow", "bm_fast", "3")
+        self.assertEqual(result.returncode, 2)
+        self.assertIn("bm_fast", result.stderr)
+
+    def test_non_numeric_ratio_min_diagnosed(self):
+        baseline = self.write("base.json", benchmark_json({"bm_a": 10.0}))
+        report = self.write("report.json", runreport_json({
+            "bm_a": 10.0, "bm_slow": 30.0, "bm_fast": 10.0}))
+        for bound in ("three", "nan", "0"):
+            result = self.run_gate(baseline, report,
+                                   "--ratio", "bm_slow", "bm_fast", bound)
+            self.assertEqual(result.returncode, 2, bound)
+            self.assertIn("not a positive number", result.stderr)
 
     def test_empty_report_diagnosed(self):
         baseline = self.write("base.json", benchmark_json({"bm_a": 10.0}))
