@@ -79,15 +79,9 @@ class CompiledForest {
   const std::int32_t* child() const { return child_.data(); }
   const double* value() const { return value_.data(); }
 
-  /// Distinct sorted thresholds of `feature` (rank = u16 code).
-  std::size_t n_cuts(std::size_t feature) const {
-    return static_cast<std::size_t>(cut_begin_[feature + 1] -
-                                    cut_begin_[feature]);
-  }
-
-  /// Code one sample: codes[f] = #thresholds of f strictly below x[f]
-  /// (NaN maps to n_cuts(f), i.e. "greater than everything"). `codes` must
-  /// hold n_features() entries.
+  /// Code one sample: codes[f] = #distinct thresholds of f strictly below
+  /// x[f] (NaN maps to the number of distinct thresholds of f, i.e. "greater
+  /// than everything"). `codes` must hold n_features() entries.
   void quantize_sample(const float* x, std::uint16_t* codes) const;
 
   /// P(y=1 | x): scalar quantize + branch-free descent, byte-identical to

@@ -45,20 +45,11 @@ std::vector<GCellAggregate> compute_gcell_aggregates(const Design& design) {
 
   // Local nets: all pins land in the same g-cell.
   for (NetId n = 0; n < design.num_nets(); ++n) {
+    if (!design.is_local_net(n)) continue;
     const Net& net = design.net(n);
-    if (net.pins.empty()) continue;
-    const std::size_t first = grid.locate(design.pin(net.pins.front()).position);
-    bool local = true;
-    for (const PinId p : net.pins) {
-      if (grid.locate(design.pin(p).position) != first) {
-        local = false;
-        break;
-      }
-    }
-    if (local) {
-      ++agg[first].n_local_nets;
-      agg[first].n_local_net_pins += static_cast<int>(net.pins.size());
-    }
+    const std::size_t cell = grid.locate(design.pin(net.pins.front()).position);
+    ++agg[cell].n_local_nets;
+    agg[cell].n_local_net_pins += static_cast<int>(net.pins.size());
   }
 
   // Mean pairwise Manhattan pin spacing.

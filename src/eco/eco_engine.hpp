@@ -131,7 +131,6 @@ class EcoEngine {
   const std::vector<double>& probabilities() const { return probs_; }
   /// Row-major g-cells x kNumFeatures SHAP matrix.
   const std::vector<double>& shap_values() const { return phi_; }
-  double shap_base_value() const { return explainer_.base_value(); }
   long edge_overflow() const { return state_.edge_overflow; }
   long via_overflow() const { return state_.via_overflow; }
   std::size_t num_cells() const { return design_.grid().size(); }

@@ -8,11 +8,6 @@ double manhattan(const Point& a, const Point& b) {
   return std::abs(a.x - b.x) + std::abs(a.y - b.y);
 }
 
-Rect Rect::from_center(Point center, double width, double height) {
-  return {center.x - width / 2.0, center.y - height / 2.0,
-          center.x + width / 2.0, center.y + height / 2.0};
-}
-
 double Rect::intersection_area(const Rect& other) const {
   return intersect(other).area();
 }
@@ -22,13 +17,6 @@ Rect Rect::intersect(const Rect& other) const {
          std::min(x_hi, other.x_hi), std::min(y_hi, other.y_hi)};
   if (r.empty()) return {0.0, 0.0, 0.0, 0.0};
   return r;
-}
-
-Rect Rect::unite(const Rect& other) const {
-  if (empty()) return other;
-  if (other.empty()) return *this;
-  return {std::min(x_lo, other.x_lo), std::min(y_lo, other.y_lo),
-          std::max(x_hi, other.x_hi), std::max(y_hi, other.y_hi)};
 }
 
 Rect Rect::inflated(double margin) const {

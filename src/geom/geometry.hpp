@@ -28,8 +28,6 @@ struct Rect {
   double x_hi = 0.0;
   double y_hi = 0.0;
 
-  static Rect from_center(Point center, double width, double height);
-
   double width() const { return x_hi - x_lo; }
   double height() const { return y_hi - y_lo; }
   double area() const { return std::max(0.0, width()) * std::max(0.0, height()); }
@@ -56,9 +54,6 @@ struct Rect {
 
   /// The intersection rect (possibly empty).
   Rect intersect(const Rect& other) const;
-
-  /// Smallest rect covering both.
-  Rect unite(const Rect& other) const;
 
   /// Rect inflated by `margin` on each side (may be negative to shrink).
   Rect inflated(double margin) const;

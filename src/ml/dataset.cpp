@@ -4,8 +4,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "util/csv.hpp"
-
 namespace drcshap {
 
 Dataset::Dataset(std::size_t n_features,
@@ -78,51 +76,6 @@ std::vector<std::size_t> Dataset::rows_not_in_groups(
 std::vector<int> Dataset::distinct_groups() const {
   const std::set<int> distinct(group_.begin(), group_.end());
   return {distinct.begin(), distinct.end()};
-}
-
-void Dataset::save_csv(const std::string& path) const {
-  CsvWriter writer(path);
-  std::vector<std::string> header;
-  header.reserve(n_features_ + 2);
-  for (std::size_t f = 0; f < n_features_; ++f) {
-    header.push_back(feature_names_.empty() ? "f" + std::to_string(f)
-                                            : feature_names_[f]);
-  }
-  header.push_back("label");
-  header.push_back("group");
-  writer.write_row(header);
-  std::vector<double> cells(n_features_ + 2);
-  for (std::size_t i = 0; i < n_rows(); ++i) {
-    const auto r = row(i);
-    for (std::size_t f = 0; f < n_features_; ++f) cells[f] = r[f];
-    cells[n_features_] = y_[i];
-    cells[n_features_ + 1] = group_[i];
-    writer.write_row_doubles(cells);
-  }
-  writer.close();  // commit atomically; throws instead of losing rows
-}
-
-Dataset Dataset::load_csv(const std::string& path) {
-  const auto rows = csv_read_file(path);
-  if (rows.size() < 1 || rows.front().size() < 3) {
-    throw std::runtime_error("Dataset::load_csv: malformed file " + path);
-  }
-  const std::size_t n_features = rows.front().size() - 2;
-  std::vector<std::string> names(rows.front().begin(), rows.front().end() - 2);
-  Dataset out(n_features, std::move(names));
-  std::vector<float> features(n_features);
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    const auto& cells = rows[i];
-    if (cells.size() != n_features + 2) {
-      throw std::runtime_error("Dataset::load_csv: ragged row");
-    }
-    for (std::size_t f = 0; f < n_features; ++f) {
-      features[f] = std::stof(cells[f]);
-    }
-    out.append_row(features, std::stoi(cells[n_features]),
-                   std::stoi(cells[n_features + 1]));
-  }
-  return out;
 }
 
 }  // namespace drcshap

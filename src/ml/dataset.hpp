@@ -55,9 +55,6 @@ class Dataset {
   /// Writable access for in-place scaling.
   float* mutable_features() { return x_.data(); }
 
-  void save_csv(const std::string& path) const;
-  static Dataset load_csv(const std::string& path);
-
  private:
   std::size_t n_features_ = 0;
   std::vector<float> x_;

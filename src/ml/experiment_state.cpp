@@ -1,9 +1,9 @@
 #include "ml/experiment_state.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
-#include <sstream>
 
 #include "util/failpoint.hpp"
 
@@ -12,6 +12,15 @@ namespace drcshap {
 namespace {
 
 constexpr std::string_view kCheckpointKind = "checkpoint";
+
+/// Parses all of `text` as a decimal count spelled the one way
+/// std::to_string spells it: digits only, no sign, space or leading zero.
+bool parse_count(std::string_view text, std::uint64_t* out) {
+  if (text.empty() || (text.size() > 1 && text.front() == '0')) return false;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
 
 bool unit_name_ok(std::string_view unit) {
   if (unit.empty()) return false;
@@ -115,13 +124,21 @@ StatusOr<Dataset> decode_dataset_shard(std::string_view payload) {
   const auto corrupt = [](const std::string& why) {
     return Status(StatusCode::kCorrupt, "dataset shard: " + why);
   };
+  // Header: "SHARD <n_features> <n_rows>\n", spelled exactly as
+  // encode_dataset_shard writes it.
   const std::size_t eol = payload.find('\n');
   if (eol == std::string_view::npos) return corrupt("missing header");
-  std::istringstream header{std::string(payload.substr(0, eol))};
-  std::string tag;
+  std::string_view header = payload.substr(0, eol);
+  constexpr std::string_view kTag = "SHARD ";
+  if (!header.starts_with(kTag)) return corrupt("bad header");
+  header.remove_prefix(kTag.size());
+  const std::size_t space = header.find(' ');
   std::uint64_t n_features = 0, n_rows = 0;
-  header >> tag >> n_features >> n_rows;
-  if (!header || tag != "SHARD") return corrupt("bad header");
+  if (space == std::string_view::npos ||
+      !parse_count(header.substr(0, space), &n_features) ||
+      !parse_count(header.substr(space + 1), &n_rows)) {
+    return corrupt("bad header");
+  }
   if (n_features == 0 || n_features > (1u << 20)) {
     return corrupt("implausible feature count " + std::to_string(n_features));
   }
@@ -164,16 +181,19 @@ std::string encode_score(double score, bool scored) {
 }
 
 Status decode_score(std::string_view payload, double* score, bool* scored) {
-  std::istringstream in{std::string(payload)};
-  std::string tag, hex;
-  int scored_flag = -1;
-  in >> tag >> hex >> scored_flag;
-  if (!in || tag != "SCORE" || hex.size() != 16 ||
-      (scored_flag != 0 && scored_flag != 1)) {
+  // "SCORE <16 lowercase hex> <0|1>\n", spelled exactly as encode_score
+  // writes it.
+  constexpr std::string_view kTag = "SCORE ";
+  constexpr std::size_t kHexDigits = 16;
+  const std::size_t flag_at = kTag.size() + kHexDigits + 1;
+  if (payload.size() != flag_at + 2 || !payload.starts_with(kTag) ||
+      payload[flag_at - 1] != ' ' ||
+      (payload[flag_at] != '0' && payload[flag_at] != '1') ||
+      payload.back() != '\n') {
     return {StatusCode::kCorrupt, "score checkpoint: bad payload"};
   }
   std::uint64_t bits = 0;
-  for (const char c : hex) {
+  for (const char c : payload.substr(kTag.size(), kHexDigits)) {
     int digit = 0;
     if (c >= '0' && c <= '9') {
       digit = c - '0';
@@ -185,7 +205,7 @@ Status decode_score(std::string_view payload, double* score, bool* scored) {
     bits = (bits << 4) | static_cast<std::uint64_t>(digit);
   }
   std::memcpy(score, &bits, sizeof(bits));
-  *scored = scored_flag == 1;
+  *scored = payload[flag_at] == '1';
   if (*scored && std::isnan(*score)) {
     return {StatusCode::kCorrupt, "score checkpoint: NaN score"};
   }

@@ -99,20 +99,6 @@ bool Design::is_local_net(NetId id) const {
   return true;
 }
 
-double Design::net_hpwl(NetId id) const {
-  const Net& n = net(id);
-  if (n.pins.empty()) return 0.0;
-  double x_lo = die_.x_hi, x_hi = die_.x_lo, y_lo = die_.y_hi, y_hi = die_.y_lo;
-  for (const PinId p : n.pins) {
-    const Point pos = pin(p).position;
-    x_lo = std::min(x_lo, pos.x);
-    x_hi = std::max(x_hi, pos.x);
-    y_lo = std::min(y_lo, pos.y);
-    y_hi = std::max(y_hi, pos.y);
-  }
-  return (x_hi - x_lo) + (y_hi - y_lo);
-}
-
 void Design::validate() const {
   for (std::size_t i = 0; i < pins_.size(); ++i) {
     const Pin& p = pins_[i];

@@ -134,9 +134,6 @@ class Design {
   /// True if the net's pins all fall inside one g-cell ("local net" feature).
   bool is_local_net(NetId id) const;
 
-  /// Half-perimeter wirelength of a net's pin bounding box.
-  double net_hpwl(NetId id) const;
-
   /// Consistency check (every pin on a valid net, every net pin listed back,
   /// cells inside die, ...). Throws std::logic_error describing the first
   /// violation; used by tests and the generator.

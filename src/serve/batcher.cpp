@@ -96,6 +96,15 @@ void Batcher::run_batch(std::vector<Pending*>& batch) {
               std::to_string(model->n_features));
       continue;
     }
+    if (request.verb == Verb::kExplain &&
+        explain_reply_bytes(request.n_rows, request.n_features) >
+            kMaxFrameBytes) {
+      pending->response = error_response(
+          request.id, request.verb, StatusCode::kInvalid,
+          "explain reply for " + std::to_string(request.n_rows) +
+              " rows would exceed the frame cap; split the request");
+      continue;
+    }
     (request.verb == Verb::kScore
          ? score_items
          : request.verb == Verb::kExplain ? explain_items : global_items)

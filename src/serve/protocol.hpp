@@ -68,6 +68,17 @@ struct Request {
   std::string text;
 };
 
+/// Body bytes of an ok kExplain reply: id, verb, status, n_rows,
+/// n_features, base_value, then the n_rows x n_features float64 phi matrix.
+/// The batcher refuses an explain whose reply would exceed kMaxFrameBytes
+/// before it computes anything, since write_frame could never send it.
+constexpr std::size_t explain_reply_bytes(std::uint32_t n_rows,
+                                          std::uint32_t n_features) {
+  return sizeof(std::uint64_t) + 2 * sizeof(std::uint8_t) +
+         2 * sizeof(std::uint32_t) + sizeof(double) +
+         std::size_t{n_rows} * n_features * sizeof(double);
+}
+
 /// Stat-row count of a kGlobalExplain reply: its `values` payload is
 /// kGlobalStatRows x n_features doubles — mean |SHAP|, signed mean, and
 /// positive fraction per feature, in that row order.

@@ -1,7 +1,7 @@
 #pragma once
 // Crash-safe artifact I/O: the durability layer every persisted file in the
-// repo (models, def-lite designs, checkpoints, run reports, CSVs) commits
-// through. Two guarantees:
+// repo (models, checkpoints, run reports, CSVs) commits through. Two
+// guarantees:
 //
 //   1. Atomicity — files are written to a same-directory temp name, flushed
 //      to disk, and renamed into place, so a reader can never observe a
@@ -13,9 +13,9 @@
 //
 // Errors are reported as Status/StatusOr values on the primitive layer so
 // recovery code (checkpoint/resume) can branch on the failure class without
-// exception plumbing; the public file APIs that predate this layer
-// (model_io, def_io) keep throwing, but now throw ArtifactError, which
-// carries the same StatusCode.
+// exception plumbing; the public file API that predates this layer
+// (model_io) keeps throwing, but now throws ArtifactError, which carries
+// the same StatusCode.
 
 #include <cstdint>
 #include <optional>
@@ -171,7 +171,7 @@ StatusOr<std::string> read_file(const std::string& path);
 //   \nFNV1A <16-hex digest of payload>\n
 //
 // The header pins the format version and the artifact kind (a reader asking
-// for a "forest" fails cleanly on a "def-lite" file); the byte count makes
+// for a "forest" fails cleanly on a "checkpoint" file); the byte count makes
 // truncation detectable before hashing; the trailer checksum catches bit
 // rot and torn writes that slipped past rename atomicity (e.g. a corrupt
 // backing store).

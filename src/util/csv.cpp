@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/artifact.hpp"
@@ -59,14 +58,6 @@ void CsvWriter::write_row(const std::vector<std::string>& cells) {
   impl_->out << '\n';
 }
 
-void CsvWriter::write_row_doubles(const std::vector<double>& values) {
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i) impl_->out << ',';
-    impl_->out << values[i];
-  }
-  impl_->out << '\n';
-}
-
 std::string csv_escape(const std::string& cell) {
   if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
   std::string out = "\"";
@@ -76,48 +67,6 @@ std::string csv_escape(const std::string& cell) {
   }
   out += '"';
   return out;
-}
-
-std::vector<std::string> csv_parse_line(const std::string& line) {
-  std::vector<std::string> cells;
-  std::string cur;
-  bool quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cur += '"';
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        cur += c;
-      }
-    } else if (c == '"') {
-      quoted = true;
-    } else if (c == ',') {
-      cells.push_back(std::move(cur));
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  cells.push_back(std::move(cur));
-  return cells;
-}
-
-std::vector<std::vector<std::string>> csv_read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("csv_read_file: cannot open " + path);
-  std::vector<std::vector<std::string>> rows;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    rows.push_back(csv_parse_line(line));
-  }
-  return rows;
 }
 
 }  // namespace drcshap

@@ -1,8 +1,7 @@
 #pragma once
-// Minimal CSV reading/writing with RFC-4180 quoting. Used to persist feature
-// matrices and benchmark series so results can be post-processed externally.
+// Minimal CSV writing with RFC-4180 quoting. `bench_table2 --csv` exports
+// the Table II series through it so results can be post-processed externally.
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -24,7 +23,6 @@ class CsvWriter {
   CsvWriter& operator=(const CsvWriter&) = delete;
 
   void write_row(const std::vector<std::string>& cells);
-  void write_row_doubles(const std::vector<double>& values);
 
   /// Flushes, fsyncs and renames the temp file onto the target path.
   /// Throws ArtifactError (a std::runtime_error) if the commit fails;
@@ -38,11 +36,5 @@ class CsvWriter {
 
 /// Quote a cell if it contains a comma, quote, or newline.
 std::string csv_escape(const std::string& cell);
-
-/// Parse one CSV line into cells (handles quoted cells with embedded commas).
-std::vector<std::string> csv_parse_line(const std::string& line);
-
-/// Read a whole CSV file into rows of cells.
-std::vector<std::vector<std::string>> csv_read_file(const std::string& path);
 
 }  // namespace drcshap

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-
 #include "ml/scaler.hpp"
 
 namespace drcshap {
@@ -70,25 +67,6 @@ TEST(Dataset, GroupQueries) {
             (std::vector<std::size_t>{2, 3}));
   EXPECT_EQ(d.rows_in_groups(std::vector<int>{20, 30}),
             (std::vector<std::size_t>{2, 3}));
-}
-
-TEST(Dataset, CsvRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "drcshap_ds.csv").string();
-  const Dataset d = tiny_dataset();
-  d.save_csv(path);
-  const Dataset loaded = Dataset::load_csv(path);
-  EXPECT_EQ(loaded.n_rows(), d.n_rows());
-  EXPECT_EQ(loaded.n_features(), d.n_features());
-  EXPECT_EQ(loaded.feature_names(), d.feature_names());
-  for (std::size_t i = 0; i < d.n_rows(); ++i) {
-    EXPECT_EQ(loaded.label(i), d.label(i));
-    EXPECT_EQ(loaded.group(i), d.group(i));
-    for (std::size_t f = 0; f < d.n_features(); ++f) {
-      EXPECT_FLOAT_EQ(loaded.row(i)[f], d.row(i)[f]);
-    }
-  }
-  std::remove(path.c_str());
 }
 
 // -------------------------------------------------------------- scaler

@@ -76,15 +76,6 @@ TEST(Design, LocalNetDetection) {
   EXPECT_FALSE(d.is_local_net(global));
 }
 
-TEST(Design, NetHpwl) {
-  Design d = make_design();
-  const NetId n = d.add_net({"n", {}, false, false});
-  d.add_pin({kInvalidId, n, {10, 20}, false, false});
-  d.add_pin({kInvalidId, n, {40, 25}, false, false});
-  d.add_pin({kInvalidId, n, {30, 60}, false, false});
-  EXPECT_DOUBLE_EQ(d.net_hpwl(n), 30.0 + 40.0);
-}
-
 TEST(Design, ValidatePassesOnConsistentDesign) {
   Design d = make_design();
   const CellId c = d.add_cell({"c", {5, 5, 7, 7}, false});

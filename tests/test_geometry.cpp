@@ -28,11 +28,6 @@ TEST(Rect, EmptyAndDegenerate) {
   EXPECT_DOUBLE_EQ((Rect{3, 0, 1, 5}).area(), 0.0);
 }
 
-TEST(Rect, FromCenter) {
-  const Rect r = Rect::from_center({5, 5}, 2, 4);
-  EXPECT_EQ(r, (Rect{4, 3, 6, 7}));
-}
-
 TEST(Rect, ContainsPointHalfOpen) {
   const Rect r{0, 0, 10, 10};
   EXPECT_TRUE(r.contains(Point{0, 0}));
@@ -63,12 +58,9 @@ TEST(Rect, IntersectionArea) {
   EXPECT_DOUBLE_EQ(a.intersection_area(a), 16.0);
 }
 
-TEST(Rect, UniteAndInflate) {
+TEST(Rect, Inflate) {
   const Rect a{0, 0, 1, 1};
-  const Rect b{2, 2, 3, 3};
-  EXPECT_EQ(a.unite(b), (Rect{0, 0, 3, 3}));
   EXPECT_EQ(a.inflated(1.0), (Rect{-1, -1, 2, 2}));
-  EXPECT_EQ(a.unite(Rect{}), a);
 }
 
 // ----------------------------------------------------------------- GCellGrid

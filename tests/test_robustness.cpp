@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -32,6 +33,8 @@
 #include "util/failpoint.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+
+#include "decoder_fuzz.hpp"
 
 namespace drcshap {
 namespace {
@@ -84,12 +87,12 @@ TEST(Artifact, FrameRoundTripBinaryPayload) {
 
 TEST(Artifact, UnframeRejectsWrongKind) {
   const std::string framed = frame_artifact("forest", "payload");
-  const auto back = unframe_artifact(framed, "def-lite");
+  const auto back = unframe_artifact(framed, "checkpoint");
   ASSERT_FALSE(back.ok());
   EXPECT_EQ(back.status().code(), StatusCode::kCorrupt);
   // The message names both kinds so the error is actionable.
   EXPECT_NE(back.status().message().find("forest"), std::string::npos);
-  EXPECT_NE(back.status().message().find("def-lite"), std::string::npos);
+  EXPECT_NE(back.status().message().find("checkpoint"), std::string::npos);
 }
 
 TEST(Artifact, UnframeRejectsEveryTruncationAndBitFlip) {
@@ -283,6 +286,94 @@ TEST(Checkpoint, ScoreRoundTripIsBitExact) {
   EXPECT_FALSE(scored);
   EXPECT_FALSE(decode_score("SCORE zz 1", &score, &scored).ok());
   EXPECT_FALSE(decode_score("bogus", &score, &scored).ok());
+}
+
+// --------------------------------------------------------- checkpoint fuzz
+//
+// Seeded fuzzing of the two checkpoint payload decoders
+// (tests/decoder_fuzz.hpp), starting from valid encodings, plus hostile
+// header fields.
+
+StatusOr<std::string> reencode_shard(std::string_view payload) {
+  const StatusOr<Dataset> shard = decode_dataset_shard(payload);
+  if (!shard.ok()) return shard.status();
+  return encode_dataset_shard(shard.value());
+}
+
+StatusOr<std::string> reencode_score(std::string_view payload) {
+  double score = 0.0;
+  bool scored = false;
+  const Status status = decode_score(payload, &score, &scored);
+  if (!status.ok()) return status;
+  return encode_score(score, scored);
+}
+
+TEST(Checkpoint, DatasetShardDecoderIsTotalAndRoundTrips) {
+  Dataset shard(3);
+  Rng rng(23);
+  for (int i = 0; i < 4; ++i) {
+    shard.append_row(
+        std::vector<float>{static_cast<float>(rng.normal(0.0, 1.0)),
+                           std::numeric_limits<float>::denorm_min(), -0.0f},
+        i % 2, i - 2);
+  }
+  const std::string good = encode_dataset_shard(shard);
+  Rng fuzz_rng(2);
+  for (const std::string& payload : {good, encode_dataset_shard(Dataset(2))}) {
+    SCOPED_TRACE(::testing::PrintToString(payload));
+    fuzz::truncations_and_flips(payload, fuzz_rng, reencode_shard);
+  }
+
+  // Hostile header fields in front of the valid 4-row, 3-feature body.
+  const std::string body = good.substr(good.find('\n') + 1);
+  const std::vector<std::string> counts = {
+      "0", "1", "3", "4", "5", "1048576", "1048577", "4294967296",
+      "18446744073709551615", "18446744073709551616", "-4", "+4", "04",
+      "4 ", " 4", "\t4", "4x", ""};
+  for (const std::string& n_features : counts) {
+    for (const std::string& n_rows : counts) {
+      const std::string header = "SHARD " + n_features + " " + n_rows;
+      SCOPED_TRACE(header);
+      const bool ok =
+          fuzz::reencodes_exactly(header + "\n" + body, reencode_shard);
+      EXPECT_EQ(ok, n_features == "3" && n_rows == "4");
+    }
+  }
+  for (const std::string header :
+       {"SHARD\t3 4", "SHARD 3\t4", "SHARD  3 4", " SHARD 3 4", "SHARD 3 4 x",
+        "SHARD 3 4\r", "shard 3 4", "SHARD 3 4 5"}) {
+    SCOPED_TRACE(header);
+    EXPECT_FALSE(
+        fuzz::reencodes_exactly(header + ("\n" + body), reencode_shard));
+  }
+}
+
+TEST(Checkpoint, ScoreDecoderIsTotalAndRoundTrips) {
+  const std::vector<std::string> payloads = {
+      encode_score(0.3, true), encode_score(-0.0, false),
+      encode_score(std::numeric_limits<double>::quiet_NaN(), false),
+      encode_score(std::numeric_limits<double>::denorm_min(), true)};
+  Rng rng(payloads.size());
+  for (const std::string& payload : payloads) {
+    SCOPED_TRACE(payload);
+    fuzz::truncations_and_flips(payload, rng, reencode_score);
+  }
+
+  // The encoding has one spelling: "SCORE <16 lowercase hex> <0|1>\n".
+  const std::string hex = payloads[0].substr(6, 16);
+  std::string upper = hex;
+  for (char& c : upper) c = static_cast<char>(std::toupper(c));
+  for (const std::string& bad :
+       {"SCORE\t" + hex + " 1\n", "SCORE " + hex + "\t1\n",
+        "SCORE  " + hex + " 1\n", " SCORE " + hex + " 1\n",
+        "SCORE " + hex + " 1 \n", "SCORE " + hex + " 01\n",
+        "SCORE " + hex + " +1\n", "SCORE " + hex + " 1x\n",
+        "SCORE " + hex + " 1\r\n", "SCORE " + hex + " 1\nSCORE",
+        "SCORE " + upper + " 1\n", "SCORE " + hex + "0 1\n",
+        "SCORE " + hex + " 2\n"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(fuzz::reencodes_exactly(bad, reencode_score));
+  }
 }
 
 // -------------------------------------------------------- checkpoint resume

@@ -44,6 +44,8 @@
 #include "serve/server.hpp"
 #include "util/rng.hpp"
 
+#include "decoder_fuzz.hpp"
+
 namespace drcshap::serve {
 namespace {
 
@@ -137,6 +139,7 @@ TEST(ServeProtocol, ResponseRoundTrip) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
   EXPECT_EQ(decoded.value().base_value, 0.25);
   EXPECT_EQ(decoded.value().values, response.values);
+  EXPECT_EQ(encode_response(response).size(), explain_reply_bytes(2, 3));
 
   const Response error =
       error_response(10, Verb::kScore, StatusCode::kNotFound, "no model");
@@ -265,46 +268,21 @@ std::vector<std::string> valid_response_bodies() {
   return bodies;
 }
 
-/// Decodes `body` from an exactly sized heap copy, so AddressSanitizer
-/// reports any read past its end. The decoders are strict: the result is
-/// kCorrupt, or a known verb whose encoding is `body` again, byte for byte.
-template <typename Decode, typename Encode>
-bool decodes_exactly(const std::string& body, Decode decode, Encode encode) {
-  const std::unique_ptr<char[]> copy(new char[body.size()]);
-  std::memcpy(copy.get(), body.data(), body.size());
-  bool ok = false;
-  EXPECT_NO_THROW({
-    const auto result = decode(std::string_view(copy.get(), body.size()));
-    ok = result.ok();
-    if (ok) {
-      EXPECT_NE(verb_name(result.value().verb), "unknown");
-      EXPECT_EQ(encode(result.value()), body);
-    } else {
-      EXPECT_EQ(result.status().code(), StatusCode::kCorrupt);
-    }
-  });
-  return ok;
-}
-
+/// Fuzzes a body decoder: every input decodes to a known verb whose
+/// encoding is the input again, or is kCorrupt (tests/decoder_fuzz.hpp).
 template <typename Decode, typename Encode>
 void fuzz_decoder(const std::vector<std::string>& bodies, Decode decode,
                   Encode encode) {
+  const auto reencode = [&](std::string_view body) -> StatusOr<std::string> {
+    const auto result = decode(body);
+    if (!result.ok()) return result.status();
+    EXPECT_NE(verb_name(result.value().verb), "unknown");
+    return encode(result.value());
+  };
   Rng rng(bodies.size());
   for (const std::string& body : bodies) {
     SCOPED_TRACE(::testing::PrintToString(body));
-    EXPECT_TRUE(decodes_exactly(body, decode, encode));
-    EXPECT_FALSE(decodes_exactly(body + '\0', decode, encode));
-    for (std::size_t len = 0; len < body.size(); ++len) {
-      EXPECT_FALSE(decodes_exactly(body.substr(0, len), decode, encode));
-    }
-    for (int trial = 0; trial < 2000; ++trial) {
-      std::string flipped = body;
-      for (std::size_t flips = 1 + rng.index(3); flips > 0; --flips) {
-        flipped[rng.index(flipped.size())] ^=
-            static_cast<char>(1 + rng.index(255));
-      }
-      decodes_exactly(flipped, decode, encode);
-    }
+    fuzz::truncations_and_flips(body, rng, reencode);
     // A hostile value in every u32 slot reaches each length and count field.
     for (std::size_t at = 0; at + 4 <= body.size(); ++at) {
       for (const std::uint32_t value :
@@ -312,7 +290,7 @@ void fuzz_decoder(const std::vector<std::string>& bodies, Decode decode,
             0xffffffffu, static_cast<std::uint32_t>(rng())}) {
         std::string hostile = body;
         std::memcpy(hostile.data() + at, &value, sizeof(value));
-        decodes_exactly(hostile, decode, encode);
+        fuzz::reencodes_exactly(hostile, reencode);
       }
     }
   }
@@ -1173,6 +1151,79 @@ TEST_F(EcoServerFixture, ExplainCacheStatsCountOnlyExplainLookups) {
             static_cast<double>(n_requests));
 }
 
+/// `drcshap_serve --model <model_path> --stdio` on two pipes, writing its
+/// run report to `report_path`.
+struct StdioDaemon {
+  StdioDaemon(const std::string& model_path, const std::string& report_path) {
+    int to_child[2];
+    int from_child[2];
+    EXPECT_EQ(::pipe2(to_child, O_CLOEXEC), 0);
+    EXPECT_EQ(::pipe2(from_child, O_CLOEXEC), 0);
+
+    // Everything the child needs is built before fork: after it, the child
+    // only calls dup2, execve and _exit.
+    std::vector<std::string> args = {DRCSHAP_SERVE_BIN, "--model", model_path,
+                                     "--stdio"};
+    std::vector<std::string> env = {"DRCSHAP_RUNREPORT=" + report_path};
+    for (char** entry = environ; *entry != nullptr; ++entry) {
+      if (std::strncmp(*entry, "DRCSHAP_RUNREPORT=", 18) != 0) {
+        env.emplace_back(*entry);
+      }
+    }
+    std::vector<char*> argv;
+    std::vector<char*> envp;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    for (std::string& entry : env) envp.push_back(entry.data());
+    argv.push_back(nullptr);
+    envp.push_back(nullptr);
+
+    pid = ::fork();
+    EXPECT_GE(pid, 0);
+    if (pid == 0) {
+      ::dup2(to_child[0], 0);
+      ::dup2(from_child[1], 1);
+      ::execve(argv[0], argv.data(), envp.data());
+      ::_exit(127);
+    }
+    ::close(to_child[0]);
+    ::close(from_child[1]);
+    to_daemon = to_child[1];
+    from_daemon = from_child[0];
+  }
+
+  /// Sends one request body and decodes its reply.
+  Response call(std::string_view body) {
+    EXPECT_TRUE(write_frame(to_daemon, body).ok());
+    const auto frame = read_frame(from_daemon);
+    EXPECT_TRUE(frame.ok()) << frame.status().to_string();
+    auto decoded = frame.ok() ? decode_response(frame.value())
+                              : StatusOr<Response>(frame.status());
+    EXPECT_TRUE(decoded.ok()) << decoded.status().to_string();
+    Response response = decoded.ok() ? std::move(decoded).value() : Response{};
+    EXPECT_EQ(response.id, peek_request_id(body));
+    return response;
+  }
+
+  /// Sends kShutdown, checks the reply and the end of the stream, and
+  /// returns the daemon's wait status.
+  int shut_down(std::uint64_t id) {
+    Request request;
+    request.id = id;
+    request.verb = Verb::kShutdown;
+    EXPECT_EQ(call(encode_request(request)).status, StatusCode::kOk);
+    EXPECT_EQ(read_frame(from_daemon).status().code(), StatusCode::kNotFound);
+    ::close(to_daemon);
+    ::close(from_daemon);
+    int status = 0;
+    EXPECT_EQ(::waitpid(pid, &status, 0), pid);
+    return status;
+  }
+
+  pid_t pid = -1;
+  int to_daemon = -1;
+  int from_daemon = -1;
+};
+
 // --stdio serves one implicit connection on stdin/stdout: a stats frame
 // and a shutdown frame each get their reply, the stream then ends, the
 // daemon exits 0 and its run report carries the ledger.
@@ -1180,74 +1231,73 @@ TEST(ServeStdio, StatsAndShutdownOverPipes) {
   const std::string model_path = tmp_path("stdio.forest");
   const std::string report_path = tmp_path("stdio_report.json");
   save_forest_file(train_forest(81), model_path);
-  int to_child[2];
-  int from_child[2];
-  ASSERT_EQ(::pipe2(to_child, O_CLOEXEC), 0);
-  ASSERT_EQ(::pipe2(from_child, O_CLOEXEC), 0);
+  StdioDaemon daemon(model_path, report_path);
 
-  // Everything the child needs is built before fork: after it, the child
-  // only calls dup2, execve and _exit.
-  std::vector<std::string> args = {DRCSHAP_SERVE_BIN, "--model", model_path,
-                                   "--stdio"};
-  std::vector<std::string> env = {"DRCSHAP_RUNREPORT=" + report_path};
-  for (char** entry = environ; *entry != nullptr; ++entry) {
-    if (std::strncmp(*entry, "DRCSHAP_RUNREPORT=", 18) != 0) {
-      env.emplace_back(*entry);
-    }
-  }
-  std::vector<char*> argv;
-  std::vector<char*> envp;
-  for (std::string& arg : args) argv.push_back(arg.data());
-  for (std::string& entry : env) envp.push_back(entry.data());
-  argv.push_back(nullptr);
-  envp.push_back(nullptr);
-
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    ::dup2(to_child[0], 0);
-    ::dup2(from_child[1], 1);
-    ::execve(argv[0], argv.data(), envp.data());
-    ::_exit(127);
-  }
-  ::close(to_child[0]);
-  ::close(from_child[1]);
-
-  const auto call = [&](std::uint64_t id, Verb verb) {
-    Request request;
-    request.id = id;
-    request.verb = verb;
-    EXPECT_TRUE(write_frame(to_child[1], encode_request(request)).ok());
-    const auto frame = read_frame(from_child[0]);
-    EXPECT_TRUE(frame.ok()) << frame.status().to_string();
-    auto decoded = frame.ok() ? decode_response(frame.value())
-                              : StatusOr<Response>(frame.status());
-    EXPECT_TRUE(decoded.ok()) << decoded.status().to_string();
-    Response response = decoded.ok() ? std::move(decoded).value() : Response{};
-    EXPECT_EQ(response.id, id);
-    EXPECT_EQ(response.status, StatusCode::kOk) << response.message;
-    return response;
-  };
-  const Response stats = call(1, Verb::kStats);
+  Request request;
+  request.id = 1;
+  request.verb = Verb::kStats;
+  const Response stats = daemon.call(encode_request(request));
+  EXPECT_EQ(stats.status, StatusCode::kOk) << stats.message;
   ASSERT_FALSE(stats.text.empty());
   EXPECT_EQ(obs::JsonValue::parse(stats.text)
                 .at("model")
                 .at("n_features")
                 .as_number(),
             6.0);
-  call(2, Verb::kShutdown);
-  EXPECT_EQ(read_frame(from_child[0]).status().code(), StatusCode::kNotFound);
-  ::close(to_child[1]);
-  ::close(from_child[0]);
-
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  const int status = daemon.shut_down(2);
   EXPECT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
   const auto report = obs::JsonValue::parse_file(report_path);
   EXPECT_EQ(report.at("gauges").at("serve/model/n_features").as_number(), 6.0);
   EXPECT_EQ(report.at("notes").at("serve/model/engine").as_string(),
             "compiled");
+  std::remove(report_path.c_str());
+  std::remove(model_path.c_str());
+}
+
+// An explain whose phi reply could never fit in one frame gets a typed
+// kInvalid before any compute, and the same connection then serves a
+// 1 000-row explain. Its request (128 MiB of zeros) fits the frame cap;
+// only the float64 reply would not. At 6 features no request row count
+// (kMaxRowsPerRequest) can overflow the cap, so the model is wider.
+TEST(ServeStdio, OversizedExplainReplyIsTypedInvalidAndConnectionSurvives) {
+  constexpr std::uint32_t kWide = 64;
+  const std::string model_path = tmp_path("wide.forest");
+  const std::string report_path = tmp_path("wide_report.json");
+  save_forest_file(train_forest(83, kWide, 2), model_path);
+  StdioDaemon daemon(model_path, report_path);
+
+  const auto big_rows = static_cast<std::uint32_t>(
+      kMaxFrameBytes / (std::size_t{kWide} * sizeof(double)) + 1);
+  ASSERT_LE(big_rows, kMaxRowsPerRequest);
+  ASSERT_GT(explain_reply_bytes(big_rows, kWide), kMaxFrameBytes);
+  {
+    // Encode the header alone, then append the zero feature matrix in
+    // place: one 128 MiB buffer instead of a vector plus its encoding.
+    std::string body = encode_request(
+        matrix_request(1, Verb::kExplain, big_rows, kWide, {}));
+    body.resize(body.size() + std::size_t{big_rows} * kWide * sizeof(float));
+    ASSERT_LE(body.size(), kMaxFrameBytes);
+    const Response refused = daemon.call(body);
+    EXPECT_EQ(refused.status, StatusCode::kInvalid);
+    EXPECT_NE(refused.message.find("frame cap"), std::string::npos)
+        << refused.message;
+  }
+
+  constexpr std::uint32_t kRows = 1000;
+  const std::vector<float> features = random_rows(84, kRows, kWide);
+  const Response served = daemon.call(encode_request(
+      matrix_request(2, Verb::kExplain, kRows, kWide, features)));
+  ASSERT_EQ(served.status, StatusCode::kOk) << served.message;
+  const RandomForestClassifier served_forest = load_forest_file(model_path);
+  TreeShapExplainer explainer(served_forest);
+  const ShapMatrix direct =
+      explainer.shap_values_batch(std::span<const float>(features), kRows, 1);
+  EXPECT_EQ(served.values, direct.values);
+
+  const int status = daemon.shut_down(3);
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
   std::remove(report_path.c_str());
   std::remove(model_path.c_str());
 }
