@@ -10,6 +10,12 @@ namespace drcshap {
 
 namespace {
 
+// Netlist statistics, fixed for every suite design.
+constexpr double kAvgPinsPerNet = 3.4;
+constexpr double kClockNetFraction = 0.01;
+constexpr double kNdrNetFraction = 0.02;
+constexpr double kMultiHeightFraction = 0.02;
+
 /// Places `count` square-ish macros inside the die without mutual overlap
 /// (deterministic rejection sampling with a relaxation fallback).
 std::vector<Macro> make_macros(int count, double die, Rng& rng) {
@@ -185,7 +191,7 @@ NetlistSpec generate_netlist(const BenchmarkSpec& spec,
   for (std::size_t c = 0; c < n_cells; ++c) {
     CellSpec cell;
     cell.width = mean_width * rng.uniform(0.6, 1.5);
-    cell.multi_height = rng.bernoulli(options.multi_height_fraction);
+    cell.multi_height = rng.bernoulli(kMultiHeightFraction);
     cell.height = cell.multi_height ? 2.0 * height : height;
     cell.cluster = draw_cluster();
     cluster_cells[cell.cluster].push_back(static_cast<std::uint32_t>(c));
@@ -270,7 +276,7 @@ NetlistSpec generate_netlist(const BenchmarkSpec& spec,
     NetSpec net;
     // Fanout: 2 + geometric-ish tail, capped.
     std::size_t fanout = 2;
-    while (fanout < 11 && rng.bernoulli(1.0 / options.avg_pins_per_net)) {
+    while (fanout < 11 && rng.bernoulli(1.0 / kAvgPinsPerNet)) {
       ++fanout;
     }
     const bool cross = rng.bernoulli(p_cross) && n_clusters > 1;
@@ -288,14 +294,14 @@ NetlistSpec generate_netlist(const BenchmarkSpec& spec,
       const bool remote = cross && p + 1 == fanout;  // tail pin goes far
       net.cells.push_back(draw_cell_in_cluster(remote ? away : home));
     }
-    net.has_ndr = rng.bernoulli(options.ndr_net_fraction);
+    net.has_ndr = rng.bernoulli(kNdrNetFraction);
     netlist.nets.push_back(std::move(net));
   }
 
   // Clock nets: a few high-fanout nets spanning many clusters.
   const std::size_t n_clock = std::max<std::size_t>(
       1, static_cast<std::size_t>(static_cast<double>(n_nets) *
-                                  options.clock_net_fraction));
+                                  kClockNetFraction));
   for (std::size_t c = 0; c < n_clock; ++c) {
     NetSpec net;
     net.is_clock = true;

@@ -16,10 +16,6 @@ struct GeneratorOptions {
   /// are preserved. 1.0 = the paper's full Table I sizes.
   double scale = 1.0;
   double row_height = 2.0;
-  double avg_pins_per_net = 3.4;
-  double clock_net_fraction = 0.01;
-  double ndr_net_fraction = 0.02;
-  double multi_height_fraction = 0.02;
 };
 
 NetlistSpec generate_netlist(const BenchmarkSpec& spec,

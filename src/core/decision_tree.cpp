@@ -154,6 +154,9 @@ float BinnedMatrix::split_threshold(std::size_t feature, int b) const {
 
 namespace {
 
+/// A split must reduce the weighted Gini impurity by more than this.
+constexpr double kMinImpurityDecrease = 0.0;
+
 double gini(double w_neg, double w_pos) {
   const double total = w_neg + w_pos;
   if (total <= 0.0) return 0.0;
@@ -362,7 +365,7 @@ std::size_t DecisionTree::fit_binned(const BinnedMatrix& binned,
       }
     }
 
-    if (!best.valid || best.gain <= options.min_impurity_decrease) continue;
+    if (!best.valid || best.gain <= kMinImpurityDecrease) continue;
 
     const PackedCounts right_counts = item.counts - best.left;
     const std::size_t n_left = neg_count(best.left) + pos_count(best.left);

@@ -97,7 +97,6 @@ struct DecisionTreeOptions {
   std::size_t min_samples_split = 2;
   /// Candidate features per split; -1 = all, 0 = floor(sqrt(n_features)).
   int max_features = -1;
-  double min_impurity_decrease = 0.0;
   double positive_weight = 1.0;     ///< class weight on label 1
   std::uint64_t seed = 1;
 };

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace drcshap {
@@ -107,27 +106,6 @@ std::vector<Explanation> explain_batch(const TreeShapExplainer& explainer,
                      feature_names);
   }
   return out;
-}
-
-std::vector<double> mean_abs_shap(const TreeShapExplainer& explainer,
-                                  const Dataset& data, std::size_t max_rows,
-                                  std::uint64_t seed) {
-  if (data.n_rows() == 0) {
-    throw std::invalid_argument("mean_abs_shap: empty dataset");
-  }
-  Rng rng(seed);
-  std::vector<std::size_t> rows;
-  if (data.n_rows() <= max_rows) {
-    rows.resize(data.n_rows());
-    std::iota(rows.begin(), rows.end(), 0);
-  } else {
-    rows = rng.sample_without_replacement(data.n_rows(), max_rows);
-  }
-  // One batched pass over the sampled rows instead of a per-row loop.
-  const ShapMatrix phi = explainer.shap_values_batch(data.subset(rows));
-  GlobalShapSummary summary(data.n_features());
-  summary.add(phi);
-  return summary.mean_abs_all();
 }
 
 // ----------------------------------------------------- GlobalShapSummary

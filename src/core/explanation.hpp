@@ -65,13 +65,6 @@ std::vector<Explanation> explain_batch(const TreeShapExplainer& explainer,
                                        std::vector<std::string> feature_names,
                                        std::size_t n_threads = 0);
 
-/// Global feature importance: mean |SHAP value| per feature over (at most
-/// max_rows of) the dataset — the standard SHAP summary aggregation.
-std::vector<double> mean_abs_shap(const TreeShapExplainer& explainer,
-                                  const Dataset& data,
-                                  std::size_t max_rows = 500,
-                                  std::uint64_t seed = 7);
-
 /// Streaming accumulator of the global SHAP summary (the Fig. 5 bar chart
 /// at serving scale): per-feature mean |SHAP|, signed mean, and sign split,
 /// built row by row in O(n_features) memory — no retained phi matrix. A

@@ -24,6 +24,32 @@ std::string to_string(DrcErrorType type) {
 
 namespace {
 
+// The oracle's calibration (tabled in DESIGN.md §1).
+
+/// Unobservable detailed-router variance; raising it lowers the achievable
+/// predictive ceiling (calibrated so strong models land at AUPRC ~0.4-0.8
+/// like the paper's Table II).
+constexpr double kNoiseSigma = 1.0;
+/// Per-design random offset (designs differ in how forgiving their detailed
+/// routing is), creating the cross-design generalization gap of Table II.
+constexpr double kDesignEffectSigma = 0.35;
+
+// Cause weights.
+constexpr double kWOverflow = 1.3;        ///< per log1p(own-cell overflow)
+constexpr double kWOverflowUpper = 0.6;   ///< extra for M4/M5 overflow
+constexpr double kWNeighbor = 0.20;       ///< per log1p(4-nbhd overflow)
+constexpr double kWVia = 1.5;             ///< per via pressure above thresh
+constexpr double kViaThreshold = 0.85;
+constexpr double kWPin = 0.05;            ///< per pin above kPinThreshold
+constexpr double kPinThreshold = 24.0;
+constexpr double kPinCap = 1.2;           ///< cap on pin + local-net terms
+constexpr double kWLocal = 0.05;          ///< per local net
+constexpr double kWNdr = 0.30;            ///< per NDR pin
+constexpr double kWClock = 0.12;          ///< per clock pin
+constexpr double kWMacro = 0.9;           ///< macro adjacency x congestion
+constexpr double kWDensity = 1.5;         ///< cell-area fraction above 0.8
+constexpr double kWSpacing = 0.8;         ///< tight mean pin spacing
+
 double logistic(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 
 /// Per-cause score breakdown; the dominant cause drives the violation type.
@@ -40,7 +66,7 @@ struct CauseScores {
 
 CauseScores cause_scores(const Design& design, const TrackModel& track,
                          const std::vector<GCellAggregate>& agg,
-                         std::size_t cell, const DrcOracleOptions& opt) {
+                         std::size_t cell) {
   const std::size_t nx = design.grid().nx();
   const std::size_t ny = design.grid().ny();
   const int metals = track.num_metal_layers();
@@ -51,8 +77,8 @@ CauseScores cause_scores(const Design& design, const TrackModel& track,
   for (int m = 0; m < metals; ++m) {
     const double over = track.edge_overflow(cell, m);
     own_overflow_total += over;
-    double w = opt.w_overflow;
-    if (m >= 3) w += opt.w_overflow_upper;  // M4/M5 detour layers
+    double w = kWOverflow;
+    if (m >= 3) w += kWOverflowUpper;  // M4/M5 detour layers
     // Log compression: the first overflowed track matters far more than the
     // fortieth (a totally blown region is already hopeless).
     s.wire += w * std::log1p(over);
@@ -71,13 +97,13 @@ CauseScores cause_scores(const Design& design, const TrackModel& track,
   if (c + 1 < nx) add_nbr(cell + 1);
   if (r > 0) add_nbr(cell - nx);
   if (r + 1 < ny) add_nbr(cell + nx);
-  s.wire += opt.w_neighbor * std::log1p(nbr_overflow);
+  s.wire += kWNeighbor * std::log1p(nbr_overflow);
 
   double worst_via = -1.0;
   for (int v = 0; v < metals - 1; ++v) {
     const double pressure = track.via_pressure(cell, v);
-    const double above = std::max(0.0, pressure - opt.via_threshold);
-    s.via += opt.w_via * above;
+    const double above = std::max(0.0, pressure - kViaThreshold);
+    s.via += kWVia * above;
     if (pressure > worst_via) {
       worst_via = pressure;
       s.worst_via_layer = v;
@@ -85,25 +111,24 @@ CauseScores cause_scores(const Design& design, const TrackModel& track,
   }
 
   const GCellAggregate& a = agg[cell];
-  s.pin += opt.w_pin *
-           std::max(0.0, static_cast<double>(a.n_pins) - opt.pin_threshold);
-  s.pin += opt.w_local * a.n_local_nets;
-  s.pin = std::min(s.pin, opt.pin_cap);  // crowding saturates
-  s.pin += opt.w_ndr * a.n_ndr_pins;
-  s.pin += opt.w_clock * a.n_clock_pins;
-  s.pin += opt.w_density * std::max(0.0, a.cell_area_frac - 0.8);
+  s.pin += kWPin * std::max(0.0, static_cast<double>(a.n_pins) - kPinThreshold);
+  s.pin += kWLocal * a.n_local_nets;
+  s.pin = std::min(s.pin, kPinCap);  // crowding saturates
+  s.pin += kWNdr * a.n_ndr_pins;
+  s.pin += kWClock * a.n_clock_pins;
+  s.pin += kWDensity * std::max(0.0, a.cell_area_frac - 0.8);
   // Tight mean pin spacing (below 20% of the g-cell pitch) with several pins.
   const double pitch = design.grid().cell_width();
   if (a.n_pins >= 4 && a.pin_spacing > 0.0 && a.pin_spacing < 0.2 * pitch) {
-    s.pin += opt.w_spacing * (0.2 * pitch - a.pin_spacing) / (0.2 * pitch);
+    s.pin += kWSpacing * (0.2 * pitch - a.pin_spacing) / (0.2 * pitch);
   }
 
   if (a.macro_adjacent) {
     // Blocked lower layers force traffic upward; couple with local pressure.
     const double coupling =
         std::min(2.0, own_overflow_total + 0.25 * nbr_overflow +
-                          std::max(0.0, worst_via - opt.via_threshold) * 2.0);
-    s.macro += opt.w_macro * (0.15 + coupling);
+                          std::max(0.0, worst_via - kViaThreshold) * 2.0);
+    s.macro += kWMacro * (0.15 + coupling);
   }
   return s;
 }
@@ -116,9 +141,9 @@ void emit_cell_violations(const Design& design, const TrackModel& track,
                           double design_effect, Rng& cell_rng,
                           std::vector<DrcViolation>& out) {
   const GCellGrid& grid = design.grid();
-  const CauseScores s = cause_scores(design, track, agg, cell, options);
+  const CauseScores s = cause_scores(design, track, agg, cell);
   const double latent = options.bias + s.total() + design_effect +
-                        cell_rng.normal(0.0, options.noise_sigma);
+                        cell_rng.normal(0.0, kNoiseSigma);
   if (!cell_rng.bernoulli(logistic(latent))) return;
 
   // Violation count grows with how far past the threshold the cell is.
@@ -178,7 +203,7 @@ std::vector<Rng> drc_cell_streams(const Design& design,
                                   const DrcOracleOptions& options,
                                   double& design_effect) {
   Rng rng(options.seed ^ fnv1a(design.name()));
-  design_effect = rng.normal(0.0, options.design_effect_sigma);
+  design_effect = rng.normal(0.0, kDesignEffectSigma);
 
   // One fork per cell keeps the stream independent of how many draws each
   // cell makes (stable labels under parameter tweaks elsewhere). The forks
@@ -197,9 +222,9 @@ std::vector<Rng> drc_cell_streams(const Design& design,
 }  // namespace
 
 double drc_difficulty(const Design& design, const TrackModel& track,
-                      const std::vector<GCellAggregate>& agg, std::size_t cell,
-                      const DrcOracleOptions& options) {
-  return cause_scores(design, track, agg, cell, options).total();
+                      const std::vector<GCellAggregate>& agg,
+                      std::size_t cell) {
+  return cause_scores(design, track, agg, cell).total();
 }
 
 DrcReport run_drc_oracle(const Design& design, const CongestionMap& congestion,

@@ -40,33 +40,11 @@ struct DrcViolation {
   Rect box;             ///< error bounding box (layout coordinates)
 };
 
+/// The cause weights, thresholds and noise terms are fixed calibration
+/// constants in drc_oracle.cpp (tabled in DESIGN.md §1).
 struct DrcOracleOptions {
   std::uint64_t seed = 99;
-
-  // Unobservable detailed-router variance; raising it lowers the achievable
-  // predictive ceiling (calibrated so strong models land at AUPRC ~0.4-0.8
-  // like the paper's Table II).
-  double noise_sigma = 1.0;
-  // Per-design random offset (designs differ in how forgiving their detailed
-  // routing is), creating the cross-design generalization gap of Table II.
-  double design_effect_sigma = 0.35;
   double bias = -6.6;  ///< controls the overall hotspot rate (rare positives)
-
-  // Cause weights.
-  double w_overflow = 1.3;         ///< per log1p(own-cell edge overflow)
-  double w_overflow_upper = 0.6;   ///< extra for M4/M5 overflow
-  double w_neighbor = 0.20;        ///< per log1p(4-neighborhood overflow)
-  double w_via = 1.5;              ///< per unit of via pressure above thresh
-  double via_threshold = 0.85;
-  double w_pin = 0.05;             ///< per pin above pin_threshold, capped
-  double pin_threshold = 24.0;
-  double pin_cap = 1.2;
-  double w_local = 0.05;           ///< per local net, capped with pins
-  double w_ndr = 0.30;             ///< per NDR pin
-  double w_clock = 0.12;           ///< per clock pin
-  double w_macro = 0.9;            ///< macro adjacency x congestion coupling
-  double w_density = 1.5;          ///< cell-area fraction above 0.8
-  double w_spacing = 0.8;          ///< tight mean pin spacing
 };
 
 /// The oracle's output, kept per cell: violations stay bucketed by the
@@ -116,10 +94,10 @@ void rescore_drc(DrcReport& report, const Design& design,
                  const DrcOracleOptions& options = {},
                  std::size_t n_threads = 0);
 
-/// The latent difficulty score of one g-cell *excluding* noise terms;
-/// exposed for calibration tools and tests (monotonicity properties).
+/// The latent difficulty score of one g-cell *excluding* bias and noise
+/// terms; exposed for calibration tools and tests (monotonicity
+/// properties).
 double drc_difficulty(const Design& design, const TrackModel& track,
-                      const std::vector<GCellAggregate>& agg, std::size_t cell,
-                      const DrcOracleOptions& options);
+                      const std::vector<GCellAggregate>& agg, std::size_t cell);
 
 }  // namespace drcshap

@@ -236,7 +236,7 @@ void EcoEngine::rescore_dirty(const std::vector<std::size_t>& dirty,
   }
 
   // --- diff: only dirty rows can have moved -----------------------------
-  const double thr = options_.hotspot_threshold;
+  const double thr = kHotspotThreshold;
   for (std::size_t i = 0; i < dirty.size(); ++i) {
     const double before = old_probs[i];
     const double after = new_probs[i];
@@ -247,7 +247,7 @@ void EcoEngine::rescore_dirty(const std::vector<std::size_t>& dirty,
     } else if (before >= thr && after < thr) {
       entry.change = HotspotDiffEntry::Change::kVanished;
       ++result.diff.n_vanished;
-    } else if (std::abs(after - before) >= options_.min_prob_delta) {
+    } else if (std::abs(after - before) >= kMinProbDelta) {
       entry.change = HotspotDiffEntry::Change::kChanged;
       ++result.diff.n_changed;
     } else {
@@ -264,7 +264,7 @@ void EcoEngine::rescore_dirty(const std::vector<std::size_t>& dirty,
       const double d = new_phi.values[i * kF + f] - old_phi[i * kF + f];
       if (d != 0.0) deltas.emplace_back(static_cast<std::uint32_t>(f), d);
     }
-    const std::size_t k = std::min(options_.top_k, deltas.size());
+    const std::size_t k = std::min(kTopK, deltas.size());
     std::partial_sort(deltas.begin(), deltas.begin() + k, deltas.end(),
                       [](const auto& a, const auto& b) {
                         const double ma = std::abs(a.second);

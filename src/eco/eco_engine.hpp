@@ -61,7 +61,7 @@ struct HotspotDiffEntry {
   enum class Change : std::uint8_t {
     kAppeared = 0,   ///< prob crossed the hotspot threshold upward
     kVanished = 1,   ///< prob crossed it downward
-    kChanged = 2,    ///< still on the same side, |delta| >= min_prob_delta
+    kChanged = 2,    ///< still on the same side, |delta| >= kMinProbDelta
   };
   std::size_t cell = 0;
   Change change = Change::kChanged;
@@ -100,13 +100,18 @@ struct EcoOptions {
   /// Worker cap for the parallel stages of a rebuild/apply; results are
   /// byte-identical at any value (0 = whole shared pool, 1 = serial).
   std::size_t n_threads = 0;
-  double hotspot_threshold = 0.5;
-  double min_prob_delta = 0.05;
-  std::size_t top_k = 5;
 };
 
 class EcoEngine {
  public:
+  /// The diff's rules: a cell is a predicted hotspot at probability >=
+  /// kHotspotThreshold; a cell that stays on its side enters the diff when
+  /// its probability moves by at least kMinProbDelta; each entry keeps its
+  /// kTopK largest |phi| deltas.
+  static constexpr double kHotspotThreshold = 0.5;
+  static constexpr double kMinProbDelta = 0.05;
+  static constexpr std::size_t kTopK = 5;
+
   /// Builds the full resident state (build_design_state, then predict +
   /// explain over every g-cell) — the same work a one-shot pipeline run
   /// does, which is also the baseline apply() is benchmarked against.

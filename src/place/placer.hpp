@@ -56,7 +56,6 @@ struct NetlistSpec {
 
 struct PlacerOptions {
   double row_height = 2.0;       ///< placement row pitch, microns
-  double target_density = 0.85;  ///< max row fill fraction before spilling
   std::uint64_t seed = 1;
 };
 

@@ -16,6 +16,8 @@ namespace drcshap {
 
 class CongestionMap {
  public:
+  /// An empty map of no cells, until a snapshot is assigned over it.
+  CongestionMap() = default;
   /// Snapshot the current loads/capacities of `graph`.
   static CongestionMap extract(const GridGraph& graph);
 
@@ -54,8 +56,6 @@ class CongestionMap {
   std::string ascii_heatmap(int metal) const;
 
  private:
-  CongestionMap() = default;
-
   std::size_t edge_index(int metal, std::size_t low_cell) const;
 
   std::size_t nx_ = 0;

@@ -80,6 +80,14 @@ bool touches_overflow(const GridGraph& graph, const RoutePath& path) {
 
 namespace {
 
+// Negotiated-congestion schedule of rip-up-and-reroute.
+constexpr int kMaxRipupIterations = 3;
+/// History added to each overflowed edge per iteration, scaled by its
+/// overflow amount.
+constexpr double kHistoryIncrement = 0.5;
+/// Cap on segments re-routed per iteration (keeps worst-case time bounded).
+constexpr std::size_t kMaxReroutesPerIteration = 50000;
+
 /// Conservative cell-granularity divergence set of a replay run vs its base
 /// trace. Invariant the reuse checks rely on: if a cell is clean, every
 /// resource incident to it has had an identical (capacity, load, history)
@@ -200,7 +208,7 @@ GlobalRouteResult global_route(const Design& design,
                                RouteTrace* trace_out,
                                const RouteReplayInput* replay) {
   DRCSHAP_OBS_TIMER("route/global_route");
-  GridGraph graph(design, options.cost);
+  GridGraph graph(design);
   const GCellGrid& grid = design.grid();
 
   const RouteTrace* base = (replay != nullptr) ? replay->base : nullptr;
@@ -249,9 +257,7 @@ GlobalRouteResult global_route(const Design& design,
 
   // Flatten all nets into 2-pin segments, track which net owns each.
   std::vector<TraceSegment> segments;
-  CongestionMap placeholder = CongestionMap::extract(graph);
-  GlobalRouteResult result{std::move(graph), std::move(placeholder),
-                           {}, 0, 0, 0, 0, 0};
+  GlobalRouteResult result{std::move(graph), {}, {}, 0, 0, 0, 0, 0};
   result.routes.resize(design.num_nets());
   const std::size_t nx = grid.nx();
   for (NetId n = 0; n < design.num_nets(); ++n) {
@@ -317,7 +323,7 @@ GlobalRouteResult global_route(const Design& design,
   MazeRouter maze(g);
   if (options.use_maze) {
     DRCSHAP_OBS_TIMER("route/ripup_reroute");
-    for (int iter = 0; iter < options.max_ripup_iterations; ++iter) {
+    for (int iter = 0; iter < kMaxRipupIterations; ++iter) {
       if (g.total_edge_overflow() == 0 && g.total_via_overflow() == 0) break;
       ++result.iterations_run;
       obs::counter_add("route/ripup_iterations");
@@ -327,7 +333,7 @@ GlobalRouteResult global_route(const Design& design,
         const int over = g.edge_overflow(static_cast<EdgeId>(e));
         if (over > 0) {
           g.add_edge_history(static_cast<EdgeId>(e),
-                             options.history_increment * over);
+                             kHistoryIncrement * over);
         }
       }
 
@@ -355,7 +361,7 @@ GlobalRouteResult global_route(const Design& design,
       std::size_t rerouted = 0;
       for (std::size_t i = 0; i < segments.size(); ++i) {
         const TraceSegment& s = segments[i];
-        if (rerouted >= options.max_reroutes_per_iteration) break;
+        if (rerouted >= kMaxReroutesPerIteration) break;
         RoutePath& path = result.routes[s.net].segments[s.seg_index];
         if (path.empty() || !touches_overflow(g, path)) continue;
         consume_skipped_records(i);

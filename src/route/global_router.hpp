@@ -15,14 +15,7 @@
 namespace drcshap {
 
 struct GlobalRouterOptions {
-  /// Cost model of the route's grid graph (both routers read its table).
-  RouteCostParams cost;
-  int max_ripup_iterations = 3;
-  /// History added to each overflowed resource per iteration, scaled by its
-  /// overflow amount.
-  double history_increment = 0.5;
-  /// Cap on segments re-routed per iteration (keeps worst-case time bounded).
-  std::size_t max_reroutes_per_iteration = 50000;
+  /// False skips rip-up-and-reroute: the result is the pattern routes.
   bool use_maze = true;
 };
 

@@ -6,12 +6,11 @@
 
 namespace drcshap {
 
-GridGraph::GridGraph(const Design& design, const RouteCostParams& cost)
+GridGraph::GridGraph(const Design& design)
     : nx_(design.grid().nx()),
       ny_(design.grid().ny()),
       num_metal_(design.tech().num_metal_layers),
-      grid_(design.grid()),
-      cost_(cost) {
+      grid_(design.grid()) {
   edge_offset_.resize(static_cast<std::size_t>(num_metal_) + 1, 0);
   for (int m = 0; m < num_metal_; ++m) {
     const std::size_t count = Technology::is_horizontal(m)

@@ -10,8 +10,8 @@
 //   capacity  C  - max wires/vias, derated by blockages and cell density,
 //   load      L  - wires/vias currently routed through,
 //   history   h  - PathFinder-style accumulated congestion cost (edges),
-//   cost         - the route cost of one more wire/via under the graph's
-//                  RouteCostParams, cached and refreshed by every mutator.
+//   cost         - the route cost of one more wire/via under the kRoute*
+//                  cost model, cached and refreshed by every mutator.
 // The (C, L, C-L) triples are exactly what the paper's congestion-map
 // features consume; the cost table is what the routers read.
 
@@ -45,20 +45,20 @@ struct ViaState {
 /// Congestion-aware cost model used by both routers (PathFinder-flavored:
 /// a base wire cost, a soft utilization slope, a hard overflow penalty
 /// scaled by accumulated history).
-struct RouteCostParams {
-  double base = 1.0;             ///< cost per grid edge
-  double via = 2.0;              ///< cost per via
-  double util_slope = 0.5;       ///< soft pressure as an edge fills up
-  double overflow_penalty = 16.0;///< per unit of (load+1) - capacity
-  double history_weight = 2.0;   ///< multiplier on accumulated history
-};
+inline constexpr double kRouteBaseCost = 1.0;    ///< cost per grid edge
+inline constexpr double kRouteViaCost = 2.0;     ///< cost per via
+/// Soft pressure as an edge fills up.
+inline constexpr double kRouteUtilSlope = 0.5;
+/// Per unit of (load+1) - capacity.
+inline constexpr double kRouteOverflowPenalty = 16.0;
+/// Multiplier on accumulated history.
+inline constexpr double kRouteHistoryWeight = 2.0;
 
 class GridGraph {
  public:
   /// Builds the graph for `design`, applies the capacity model (blockage +
-  /// density deration) and fills the cost table under `cost`. Loads start
-  /// at zero.
-  explicit GridGraph(const Design& design, const RouteCostParams& cost = {});
+  /// density deration) and fills the cost table. Loads start at zero.
+  explicit GridGraph(const Design& design);
 
   std::size_t nx() const { return nx_; }
   std::size_t ny() const { return ny_; }
@@ -152,9 +152,6 @@ class GridGraph {
   /// Clears every load (capacities and history are kept).
   void reset_loads();
 
-  /// The cost model the table is evaluated under.
-  const RouteCostParams& cost_params() const { return cost_; }
-
   /// Neighbor cell of `cell` in `dir`, or nullopt at the border.
   std::optional<std::size_t> neighbor(std::size_t cell, Dir dir) const;
 
@@ -171,7 +168,6 @@ class GridGraph {
   std::vector<std::size_t> edge_offset_;  ///< per metal layer
   std::vector<EdgeState> edges_;
   std::vector<ViaState> vias_;
-  RouteCostParams cost_;
   // The cost table, parallel to edges_ / vias_.
   std::vector<double> edge_cost_;
   std::vector<double> via_cost_;
@@ -184,16 +180,15 @@ class GridGraph {
 /// Cost of one more wire or via on a resource with `load` of `capacity`
 /// used, on top of its `fixed` part (base + weighted history for a wire,
 /// the via cost for a via). The one implementation of the cost model.
-inline double route_step_cost(double fixed, int load, int capacity,
-                              const RouteCostParams& p) {
+inline double route_step_cost(double fixed, int load, int capacity) {
   const int next = load + 1;
   double cost = fixed;
   if (capacity <= 0) {
-    cost += p.overflow_penalty * next;
+    cost += kRouteOverflowPenalty * next;
   } else if (next > capacity) {
-    cost += p.overflow_penalty * static_cast<double>(next - capacity);
+    cost += kRouteOverflowPenalty * static_cast<double>(next - capacity);
   } else {
-    cost += p.util_slope * static_cast<double>(next) /
+    cost += kRouteUtilSlope * static_cast<double>(next) /
             static_cast<double>(capacity);
   }
   return cost;
@@ -203,9 +198,8 @@ inline double route_step_cost(double fixed, int load, int capacity,
 /// current state (what GridGraph::edge_cost caches).
 inline double edge_route_cost(const GridGraph& g, EdgeId e) {
   const EdgeState& s = g.edge_state(e);
-  const RouteCostParams& p = g.cost_params();
-  return route_step_cost(p.base + p.history_weight * s.history, s.load,
-                         s.capacity, p);
+  return route_step_cost(kRouteBaseCost + kRouteHistoryWeight * s.history,
+                         s.load, s.capacity);
 }
 
 /// Cost of pushing one more via through (via layer, cell), evaluated from
@@ -213,8 +207,7 @@ inline double edge_route_cost(const GridGraph& g, EdgeId e) {
 inline double via_route_cost(const GridGraph& g, int via_layer,
                              std::size_t cell) {
   const ViaState& s = g.via_state(via_layer, cell);
-  return route_step_cost(g.cost_params().via, s.load, s.capacity,
-                         g.cost_params());
+  return route_step_cost(kRouteViaCost, s.load, s.capacity);
 }
 
 }  // namespace drcshap

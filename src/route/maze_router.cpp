@@ -100,7 +100,6 @@ MazeResult MazeRouter::route(std::size_t cell_a, std::size_t cell_b) {
   const std::size_t ny = g_.ny();
   const std::size_t num_cells = g_.num_cells();
   const int num_metal = g_.num_metal_layers();
-  const double base_cost = g_.cost_params().base;
   open_.clear();
 
   // Admissible heuristic: remaining Manhattan distance in cells times the
@@ -114,7 +113,7 @@ MazeResult MazeRouter::route(std::size_t cell_a, std::size_t cell_b) {
                              : static_cast<double>(cb - c);
     const double dy = r > rb ? static_cast<double>(r - rb)
                              : static_cast<double>(rb - r);
-    const double h = base_cost * (dx + dy);
+    const double h = kRouteBaseCost * (dx + dy);
     h_stamp_[cell] = current_stamp_;
     h_cache_[cell] = h;
     return h;

@@ -6,6 +6,7 @@
 
 #include "core/explanation.hpp"
 #include "obs/registry.hpp"
+#include "util/failpoint.hpp"
 
 namespace drcshap::serve {
 
@@ -110,15 +111,28 @@ void Batcher::run_batch(std::vector<Pending*>& batch) {
          : request.verb == Verb::kExplain ? explain_items : global_items)
         .push_back(pending);
   }
-  if (!score_items.empty()) serve_verb(model, score_items, Verb::kScore);
-  if (!explain_items.empty()) serve_verb(model, explain_items, Verb::kExplain);
-  if (!global_items.empty()) {
-    serve_verb(model, global_items, Verb::kGlobalExplain);
-  }
+  // An internal fault (an allocation failure, a pool task's exception)
+  // fails only its own verb group with typed replies; the runner thread
+  // survives to serve the next batch.
+  const auto serve_group = [&](std::vector<Pending*>& items, Verb verb) {
+    if (items.empty()) return;
+    try {
+      serve_verb(model, items, verb);
+    } catch (const std::exception& e) {
+      for (Pending* pending : items) {
+        pending->response = error_response(pending->request.id, verb,
+                                           StatusCode::kFault, e.what());
+      }
+    }
+  };
+  serve_group(score_items, Verb::kScore);
+  serve_group(explain_items, Verb::kExplain);
+  serve_group(global_items, Verb::kGlobalExplain);
 }
 
 void Batcher::serve_verb(const std::shared_ptr<const ServedModel>& model,
                          std::vector<Pending*>& items, Verb verb) {
+  DRCSHAP_FAILPOINT("serve.batch");
   std::size_t total_rows = 0;
   for (const Pending* pending : items) total_rows += pending->request.n_rows;
   const std::size_t n_features = model->n_features;
@@ -134,12 +148,12 @@ void Batcher::serve_verb(const std::shared_ptr<const ServedModel>& model,
 
   if (verb == Verb::kScore) {
     DRCSHAP_OBS_TIMER("serve/batch_score");
+    const std::vector<double> probs = model->forest.predict_proba_all(
+        std::span<const float>(matrix), total_rows, ForestEngine::kAuto);
     {
       std::lock_guard<std::mutex> guard(mu_);
       stats_.score_rows += total_rows;
     }
-    const std::vector<double> probs = model->forest.predict_proba_all(
-        std::span<const float>(matrix), total_rows, ForestEngine::kAuto);
     std::size_t offset = 0;
     for (Pending* pending : items) {
       Response& response = pending->response;

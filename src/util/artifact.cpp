@@ -55,7 +55,7 @@ std::string_view to_string(StatusCode code) {
     case StatusCode::kCorrupt: return "corrupt";
     case StatusCode::kStaleConfig: return "stale-config";
     case StatusCode::kInvalid: return "invalid";
-    case StatusCode::kFault: return "fault-injected";
+    case StatusCode::kFault: return "fault";
   }
   return "unknown";
 }

@@ -37,7 +37,8 @@ enum class StatusCode {
   kCorrupt,      ///< torn/bit-flipped/malformed content (recompute/restore)
   kStaleConfig,  ///< valid artifact for a different config digest (recompute)
   kInvalid,      ///< caller error (bad argument, schema violation)
-  kFault,        ///< injected failpoint fired (tests only)
+  kFault,        ///< internal fault: an injected failpoint fired, or a
+                 ///< serve batch threw (out of memory, a worker's error)
 };
 
 std::string_view to_string(StatusCode code);

@@ -69,14 +69,12 @@ TEST(DrcOracle, CalmDesignHasFewViolations) {
 
 TEST(DrcOracle, OverflowRaisesViolationDensity) {
   const HotInstance hot = hot_instance(8);
-  DrcOracleOptions options;
-  options.noise_sigma = 0.2;  // sharpen the comparison
   const DrcReport hot_report =
-      run_drc_oracle(hot.design, hot.congestion, hot.agg, options);
+      run_drc_oracle(hot.design, hot.congestion, hot.agg);
   const Design calm = calm_design();
   const DrcReport calm_report =
       run_drc_oracle(calm, CongestionMap::extract(GridGraph(calm)),
-                     compute_gcell_aggregates(calm), options);
+                     compute_gcell_aggregates(calm));
   // The overflowed neighborhood must light up more than the calm design
   // overall (probability of failure would be astronomically small).
   EXPECT_GT(hot_report.violations().size(),
@@ -86,7 +84,6 @@ TEST(DrcOracle, OverflowRaisesViolationDensity) {
 }
 
 TEST(DrcOracle, DifficultyScoreMonotoneInOverflow) {
-  const DrcOracleOptions options;
   const HotInstance a = hot_instance(2);
   const HotInstance b = hot_instance(10);
   const TrackModel track_a(a.design, a.congestion);
@@ -94,8 +91,8 @@ TEST(DrcOracle, DifficultyScoreMonotoneInOverflow) {
   const auto agg_a = compute_gcell_aggregates(a.design);
   const auto agg_b = compute_gcell_aggregates(b.design);
   const std::size_t hot_cell = a.design.grid().index(4, 4);
-  EXPECT_LT(drc_difficulty(a.design, track_a, agg_a, hot_cell, options),
-            drc_difficulty(b.design, track_b, agg_b, hot_cell, options));
+  EXPECT_LT(drc_difficulty(a.design, track_a, agg_a, hot_cell),
+            drc_difficulty(b.design, track_b, agg_b, hot_cell));
 }
 
 TEST(DrcOracle, ViolationBoxesInsideDie) {
@@ -143,7 +140,6 @@ TEST(DrcOracle, ViaPressureProducesEolErrors) {
     }
   }
   DrcOracleOptions options;
-  options.noise_sigma = 0.2;
   options.bias = -1.0;
   const DrcReport report =
       run_drc_oracle(d, CongestionMap::extract(g), compute_gcell_aggregates(d),
@@ -191,8 +187,7 @@ TEST(DrcOracle, RescoreMatchesFullRun) {
       block.push_back(grid.index(col, row));
     }
   }
-  DrcOracleOptions options;
-  options.noise_sigma = 0.2;
+  const DrcOracleOptions options;
   for (const std::size_t n_threads : {1, 8}) {
     SCOPED_TRACE(n_threads);
     const DrcReport want = run_drc_oracle(after.design, after.congestion,

@@ -338,7 +338,6 @@ TEST_F(EcoDigest, DiffEntriesAreConsistentWithProbabilities) {
   const EcoResult result = engine.apply(edit);
   const std::vector<double>& after = engine.probabilities();
 
-  EcoOptions options;  // defaults the engine ran with
   std::size_t prev_cell = 0;
   bool first = true;
   std::vector<std::uint8_t> in_diff(engine.num_cells(), 0);
@@ -353,19 +352,19 @@ TEST_F(EcoDigest, DiffEntriesAreConsistentWithProbabilities) {
     EXPECT_EQ(e.prob_after, after[e.cell]);
     switch (e.change) {
       case HotspotDiffEntry::Change::kAppeared:
-        EXPECT_LT(e.prob_before, options.hotspot_threshold);
-        EXPECT_GE(e.prob_after, options.hotspot_threshold);
+        EXPECT_LT(e.prob_before, EcoEngine::kHotspotThreshold);
+        EXPECT_GE(e.prob_after, EcoEngine::kHotspotThreshold);
         break;
       case HotspotDiffEntry::Change::kVanished:
-        EXPECT_GE(e.prob_before, options.hotspot_threshold);
-        EXPECT_LT(e.prob_after, options.hotspot_threshold);
+        EXPECT_GE(e.prob_before, EcoEngine::kHotspotThreshold);
+        EXPECT_LT(e.prob_after, EcoEngine::kHotspotThreshold);
         break;
       case HotspotDiffEntry::Change::kChanged:
         EXPECT_GE(std::abs(e.prob_after - e.prob_before),
-                  options.min_prob_delta);
+                  EcoEngine::kMinProbDelta);
         break;
     }
-    EXPECT_LE(e.shap_deltas.size(), options.top_k);
+    EXPECT_LE(e.shap_deltas.size(), EcoEngine::kTopK);
     for (std::size_t i = 1; i < e.shap_deltas.size(); ++i) {
       EXPECT_GE(std::abs(e.shap_deltas[i - 1].second),
                 std::abs(e.shap_deltas[i].second));
@@ -375,13 +374,13 @@ TEST_F(EcoDigest, DiffEntriesAreConsistentWithProbabilities) {
                 result.diff.n_changed,
             result.diff.entries.size());
   // Every cell outside the diff either kept its probability side and moved
-  // less than min_prob_delta, or did not move at all.
+  // less than kMinProbDelta, or did not move at all.
   for (std::size_t cell = 0; cell < engine.num_cells(); ++cell) {
     if (in_diff[cell]) continue;
-    const bool was = before[cell] >= options.hotspot_threshold;
-    const bool is = after[cell] >= options.hotspot_threshold;
+    const bool was = before[cell] >= EcoEngine::kHotspotThreshold;
+    const bool is = after[cell] >= EcoEngine::kHotspotThreshold;
     EXPECT_EQ(was, is) << "cell " << cell << " crossed outside the diff";
-    EXPECT_LT(std::abs(after[cell] - before[cell]), options.min_prob_delta)
+    EXPECT_LT(std::abs(after[cell] - before[cell]), EcoEngine::kMinProbDelta)
         << "cell " << cell;
   }
 }

@@ -282,10 +282,7 @@ TEST(GridGraph, CostTableMatchesFreshEvaluationUnderMutation) {
   Design d = empty_design(6, 5);
   d.add_blockage({{0, 0, 60, 10}, 0, 4});   // bottom row: zero capacity
   d.add_blockage({{20, 20, 35, 50}, 2, 3});  // M3/M4 partly derated
-  RouteCostParams params;
-  params.history_weight = 3.0;
-  params.overflow_penalty = 8.0;
-  GridGraph g(d, params);
+  GridGraph g(d);
 
   std::size_t zero_cap = 0;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {

@@ -22,6 +22,13 @@ Dataset structured_data(std::size_t n, std::uint64_t seed) {
   return d;
 }
 
+/// The `n` probe rows (drawn without replacement, seed 7) the mean |SHAP|
+/// ranking tests fold.
+Dataset probe_rows(const Dataset& probe, std::size_t n) {
+  Rng rng(7);
+  return probe.subset(rng.sample_without_replacement(probe.n_rows(), n));
+}
+
 TEST(MeanAbsShap, RanksFeaturesByTrueInfluence) {
   const Dataset train = structured_data(1500, 1);
   RandomForestOptions options;
@@ -30,50 +37,13 @@ TEST(MeanAbsShap, RanksFeaturesByTrueInfluence) {
   forest.fit(train);
   const TreeShapExplainer explainer(forest);
   const Dataset probe = structured_data(300, 2);
-  const auto importance = mean_abs_shap(explainer, probe, 150);
+  const auto importance =
+      global_shap_summary(explainer, probe_rows(probe, 150)).mean_abs_all();
   ASSERT_EQ(importance.size(), 4u);
   EXPECT_GT(importance[0], importance[1]);
   EXPECT_GT(importance[1], importance[2]);
   EXPECT_GT(importance[1], importance[3]);
   for (const double v : importance) EXPECT_GE(v, 0.0);
-}
-
-TEST(MeanAbsShap, UsesAllRowsWhenFewerThanCap) {
-  const Dataset train = structured_data(400, 3);
-  RandomForestOptions options;
-  options.n_trees = 10;
-  RandomForestClassifier forest(options);
-  forest.fit(train);
-  const TreeShapExplainer explainer(forest);
-  const Dataset probe = structured_data(50, 4);
-  // Deterministic regardless of seed when all rows are used.
-  const auto a = mean_abs_shap(explainer, probe, 100, 1);
-  const auto b = mean_abs_shap(explainer, probe, 100, 2);
-  for (std::size_t f = 0; f < 4; ++f) EXPECT_DOUBLE_EQ(a[f], b[f]);
-}
-
-TEST(MeanAbsShap, SubsamplingIsSeedDeterministic) {
-  const Dataset train = structured_data(400, 5);
-  RandomForestOptions options;
-  options.n_trees = 10;
-  RandomForestClassifier forest(options);
-  forest.fit(train);
-  const TreeShapExplainer explainer(forest);
-  const Dataset probe = structured_data(300, 6);
-  const auto a = mean_abs_shap(explainer, probe, 40, 9);
-  const auto b = mean_abs_shap(explainer, probe, 40, 9);
-  for (std::size_t f = 0; f < 4; ++f) EXPECT_DOUBLE_EQ(a[f], b[f]);
-}
-
-TEST(MeanAbsShap, EmptyDatasetThrows) {
-  const Dataset train = structured_data(200, 7);
-  RandomForestOptions options;
-  options.n_trees = 5;
-  RandomForestClassifier forest(options);
-  forest.fit(train);
-  const TreeShapExplainer explainer(forest);
-  Dataset empty(4);
-  EXPECT_THROW(mean_abs_shap(explainer, empty), std::invalid_argument);
 }
 
 TEST(GlobalShapSummary, MatchesMeanAbsShapAndAddsSignStats) {
@@ -87,11 +57,17 @@ TEST(GlobalShapSummary, MatchesMeanAbsShapAndAddsSignStats) {
 
   const GlobalShapSummary summary = global_shap_summary(explainer, probe);
   EXPECT_EQ(summary.n_rows(), probe.n_rows());
-  const auto direct = mean_abs_shap(explainer, probe, probe.n_rows());
+  // Mean |phi| straight from the batch engine's matrix.
+  const ShapMatrix phi = explainer.shap_values_batch(probe);
   const auto streamed = summary.mean_abs_all();
-  ASSERT_EQ(direct.size(), streamed.size());
-  for (std::size_t f = 0; f < direct.size(); ++f) {
-    EXPECT_DOUBLE_EQ(direct[f], streamed[f]);
+  ASSERT_EQ(streamed.size(), probe.n_features());
+  for (std::size_t f = 0; f < streamed.size(); ++f) {
+    double sum_abs = 0.0;
+    for (std::size_t r = 0; r < probe.n_rows(); ++r) {
+      sum_abs += std::abs(phi.row(r)[f]);
+    }
+    EXPECT_DOUBLE_EQ(sum_abs / static_cast<double>(probe.n_rows()),
+                     streamed[f]);
   }
   for (std::size_t f = 0; f < streamed.size(); ++f) {
     EXPECT_GE(summary.positive_fraction(f), 0.0);
@@ -234,7 +210,8 @@ TEST(MeanAbsShapRegression, ShapRankingAgreesWithSplitImprovement) {
   forest.fit(train);
   const TreeShapExplainer explainer(forest);
   const Dataset probe = structured_data(300, 32);
-  const auto shap = mean_abs_shap(explainer, probe, 150);
+  const auto shap =
+      global_shap_summary(explainer, probe_rows(probe, 150)).mean_abs_all();
   const auto debiased = debiased_split_importance(forest.flat(), probe);
   EXPECT_GT(rank_correlation(shap, debiased), 0.6);
 }

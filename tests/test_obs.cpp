@@ -16,6 +16,7 @@
 #include "obs/json.hpp"
 #include "obs/registry.hpp"
 #include "obs/run_report.hpp"
+#include "route/global_router.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -413,6 +414,24 @@ TEST_F(Obs, ShapWalkNoteAndCacheCountersSurface) {
   ASSERT_TRUE(snap.counters.contains("shap/leaf_memo_misses"));
   EXPECT_GT(snap.counters.at("shap/leaf_memo_misses"), 0u);
   EXPECT_GT(snap.counters.at("shap/leaf_memo_hits"), 0u);
+}
+
+TEST_F(Obs, GlobalRouteSnapshotsCongestionOnce) {
+  // The result's congestion map is the one snapshot of the final graph:
+  // one global_route call records exactly one extract scope.
+  Design d("obs_route", {0, 0, 60, 60}, 6, 6);
+  for (int i = 0; i < 12; ++i) {
+    const NetId n = d.add_net({"n" + std::to_string(i), {}, false, false});
+    d.add_pin({kInvalidId, n, {5.0 + 4 * i, 5.0}, false, false});
+    d.add_pin({kInvalidId, n, {55.0, 5.0 + 4 * i}, false, false});
+  }
+  const GlobalRouteResult result = global_route(d);
+
+  const obs::Snapshot snap = obs::snapshot();
+  ASSERT_TRUE(snap.timers.contains("route/congestion_extract"));
+  EXPECT_EQ(snap.timers.at("route/congestion_extract").count, 1u);
+  EXPECT_EQ(result.congestion.total_edge_overflow(), result.edge_overflow);
+  EXPECT_EQ(result.congestion.total_via_overflow(), result.via_overflow);
 }
 
 TEST_F(Obs, SubstrateCountersAppearInRunReport) {

@@ -33,15 +33,16 @@
 #include "benchsuite/pipeline.hpp"
 #include "core/explanation.hpp"
 #include "core/model_io.hpp"
-#include "features/feature_names.hpp"
 #include "core/random_forest.hpp"
 #include "core/tree_shap.hpp"
+#include "features/feature_names.hpp"
 #include "obs/json.hpp"
 #include "obs/registry.hpp"
 #include "serve/batcher.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "util/failpoint.hpp"
 #include "util/rng.hpp"
 
 #include "decoder_fuzz.hpp"
@@ -435,6 +436,34 @@ TEST_F(BatcherFixture, ExplainMatchesDirectEngineExactly) {
   for (std::size_t i = 0; i < direct.values.size(); ++i) {
     EXPECT_EQ(response.values[i], direct.values[i]) << "phi " << i;
   }
+}
+
+// A throw inside a batch (here the serve.batch failpoint; in production an
+// allocation failure or a pool task's exception) fails that batch's
+// requests with typed kFault replies, and the runner keeps serving.
+TEST_F(BatcherFixture, BatchFaultIsTypedAndRunnerKeepsServing) {
+  Batcher batcher(registry, {});
+  const std::vector<float> features = random_rows(35, 4, 6);
+  {
+    ScopedFailpoints armed("serve.batch=fail@1");
+    const Response failed =
+        batcher.submit(matrix_request(5, Verb::kExplain, 4, 6, features));
+    EXPECT_EQ(failed.status, StatusCode::kFault);
+    EXPECT_EQ(failed.id, 5u);
+    EXPECT_NE(failed.message.find("serve.batch"), std::string::npos)
+        << failed.message;
+  }
+  const Response response =
+      batcher.submit(matrix_request(6, Verb::kExplain, 4, 6, features));
+  ASSERT_EQ(response.status, StatusCode::kOk) << response.message;
+  const std::vector<double> direct = solo(Verb::kExplain, features, 4);
+  ASSERT_EQ(response.values.size(), direct.size());
+  for (std::size_t i = 0; i < direct.size(); ++i) {
+    EXPECT_EQ(response.values[i], direct[i]) << "phi " << i;  // bytes
+  }
+  const Batcher::Stats stats = batcher.stats();
+  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.replies, stats.requests);
 }
 
 TEST_F(BatcherFixture, GlobalExplainMatchesDirectSummary) {

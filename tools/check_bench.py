@@ -35,20 +35,28 @@ candidate report alone: time(NUM) / time(DEN) must be at least MIN. Both
 legs ran in one process on one host, so the ratio does not rot when the
 runner fleet drifts away from the baseline host.
 
+Every time the gate reads must be a finite number > 0 and every benchmark
+name a string; anything else (a NaN would pass every comparison) makes
+the report malformed.
+
 Exit status: 0 = pass, 1 = regression, failed ratio or no overlap,
-2 = usage/IO error, a --require'd benchmark or a ratio leg missing from
-the candidate report.
+2 = usage/IO error, malformed report, a --require'd benchmark or a ratio
+leg missing from the candidate report.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
 TO_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
 MEDIAN = "_median"
+# The other aggregate gauges of a repeated run: never gated, so never read
+# (a spread can be 0).
+UNREAD_AGGREGATES = ("_mean", "_stddev", "_cv")
 
 
 class ReportError(Exception):
@@ -67,6 +75,10 @@ def load_json_object(path: str) -> dict:
             text = f.read()
     except OSError as err:
         raise ReportError(f"check_bench: cannot read {path}: {err}")
+    except UnicodeDecodeError as err:
+        raise ReportError(
+            f"check_bench: {path} is not UTF-8 text ({err.reason} at byte "
+            f"{err.start}) — corrupt report; re-run the benchmarks")
     if not text.strip():
         raise ReportError(
             f"check_bench: {path} is empty — the producing run likely "
@@ -78,11 +90,32 @@ def load_json_object(path: str) -> dict:
             f"check_bench: {path} is not valid JSON (line {err.lineno}, "
             f"col {err.colno}: {err.msg}) — truncated or corrupt report; "
             "re-run the benchmarks")
+    except RecursionError:
+        raise ReportError(
+            f"check_bench: {path} nests too deeply to parse — corrupt "
+            "report; re-run the benchmarks")
     if not isinstance(doc, dict):
         raise ReportError(
             f"check_bench: {path} holds a JSON {type(doc).__name__}, "
             "expected an object (runreport or google-benchmark format)")
     return doc
+
+
+def time_ms(value: object, scale: float, path: str, what: str) -> float:
+    """`value` * `scale` as a time in ms, which must be finite and > 0.
+
+    A NaN time would pass every comparison (and a zero or negative one
+    would make every ratio meaningless), so such a report is corrupt.
+    """
+    try:
+        ms = math.nan if isinstance(value, bool) else float(value) * scale
+    except (TypeError, ValueError, OverflowError):
+        ms = math.nan
+    if not (math.isfinite(ms) and ms > 0):
+        raise ReportError(
+            f"check_bench: {path}: {what} is {value!r}, which is not a "
+            "number (finite, > 0) — corrupt report")
+    return ms
 
 
 def load_baseline(path: str, metric: str) -> dict[str, float]:
@@ -100,13 +133,18 @@ def load_baseline(path: str, metric: str) -> dict[str, float]:
         if bench.get("run_type", "iteration") != "iteration" and not is_median:
             continue  # mean/stddev/cv rows
         try:
-            unit = bench.get("time_unit", "ns")
-            ms = bench[f"{metric}_time"] * TO_MS[unit]
+            scale = TO_MS[bench.get("time_unit", "ns")]
+            value = bench[f"{metric}_time"]
             name = bench["run_name" if is_median else "name"]
         except (KeyError, TypeError) as err:
             raise ReportError(
                 f"check_bench: {path}: benchmark row missing/invalid "
                 f"field {err} — corrupt report")
+        if not isinstance(name, str):
+            raise ReportError(
+                f"check_bench: {path}: benchmark name {name!r} is not a "
+                "string — corrupt report")
+        ms = time_ms(value, scale, path, f"benchmark '{name}' {metric}_time")
         if is_median:
             medians[name] = ms
         else:
@@ -129,12 +167,9 @@ def load_candidate(path: str, metric: str) -> dict[str, float]:
         if not (key.startswith(prefix) and key.endswith(suffix)):
             continue
         name = key[len(prefix):-len(suffix)]
-        try:
-            ms = float(value)
-        except (TypeError, ValueError):
-            raise ReportError(
-                f"check_bench: {path}: gauge '{key}' is not a number "
-                "— corrupt report")
+        if name.endswith(UNREAD_AGGREGATES):
+            continue
+        ms = time_ms(value, 1.0, path, f"gauge '{key}'")
         if name.endswith(MEDIAN):
             medians[name.removesuffix(MEDIAN)] = ms
         else:
@@ -178,6 +213,10 @@ def main() -> int:
     try:
         required = re.compile(args.require) if args.require else None
         ratios = parse_ratios(args.ratio)
+        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+            # a NaN tolerance would pass every comparison
+            raise ValueError(f"--tolerance {args.tolerance} is not a "
+                             "finite number >= 0")
     except re.error as err:
         print(f"check_bench: bad --require regex: {err}", file=sys.stderr)
         return 2
@@ -221,7 +260,7 @@ def main() -> int:
           f"{'ratio':>7}  verdict")
     for name in common:
         base_ms, cur_ms = baseline[name], candidate[name]
-        ratio = cur_ms / base_ms if base_ms > 0 else float("inf")
+        ratio = cur_ms / base_ms  # both finite and > 0 (time_ms)
         if ratio > 1.0 + args.tolerance:
             verdict = "REGRESSION"
             failures.append(name)
@@ -233,7 +272,7 @@ def main() -> int:
               f"{ratio:>6.2f}x  {verdict}")
     for num, den, bound in ratios:
         num_ms, den_ms = candidate[num], candidate[den]
-        ratio = num_ms / den_ms if den_ms > 0 else float("inf")
+        ratio = num_ms / den_ms
         if ratio < bound:
             failures.append(f"{num} / {den}")
         print(f"ratio {num} / {den} = {num_ms:.3f}ms / {den_ms:.3f}ms = "

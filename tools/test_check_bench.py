@@ -12,15 +12,51 @@ it as check_bench.self_tests:
     python3 tools/test_check_bench.py
 """
 
+import contextlib
+import importlib.util
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
+import traceback
 import unittest
 
 CHECK_BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "check_bench.py")
+
+
+def load_gate_module():
+    """check_bench.py as a module, so the fuzz cases run in-process."""
+    spec = importlib.util.spec_from_file_location("check_bench", CHECK_BENCH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_gate_in_process(module, argv):
+    """(exit code, stderr) of check_bench's main() on `argv`.
+
+    An exception escaping main() is what a script run prints as a
+    traceback, so it is rendered into the returned stderr the same way.
+    """
+    err = io.StringIO()
+    saved_argv = sys.argv
+    sys.argv = [CHECK_BENCH, *argv]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = module.main()
+    except SystemExit as stop:
+        code = stop.code
+    except BaseException:  # noqa: BLE001 — the invariant under test
+        code = 1
+        err.write(traceback.format_exc())
+    finally:
+        sys.argv = saved_argv
+    return code, err.getvalue()
 
 
 def benchmark_json(times_ms, aggregates=(), medians=None):
@@ -190,6 +226,14 @@ class CheckBenchTest(unittest.TestCase):
             self.assertEqual(result.returncode, 2, bound)
             self.assertIn("not a positive number", result.stderr)
 
+    def test_non_finite_or_negative_tolerance_diagnosed(self):
+        baseline = self.write("base.json", benchmark_json({"bm_a": 10.0}))
+        report = self.write("report.json", runreport_json({"bm_a": 99.0}))
+        for tolerance in ("nan", "inf", "-0.1"):
+            result = self.run_gate(baseline, report, "--tolerance", tolerance)
+            self.assertEqual(result.returncode, 2, tolerance)
+            self.assertIn("--tolerance", result.stderr)
+
     def test_empty_report_diagnosed(self):
         baseline = self.write("base.json", benchmark_json({"bm_a": 10.0}))
         report = self.write("report.json", "")
@@ -203,6 +247,14 @@ class CheckBenchTest(unittest.TestCase):
         result = self.run_gate(baseline, report)
         self.assertEqual(result.returncode, 2)
         self.assertIn("not valid JSON", result.stderr)
+
+    def test_deeply_nested_json_diagnosed(self):
+        baseline = self.write("base.json", benchmark_json({"bm_a": 10.0}))
+        report = self.write("report.json", '{"a": ' * 100000)
+        result = self.run_gate(baseline, report)
+        self.assertEqual(result.returncode, 2)
+        self.assertIn("nests too deeply", result.stderr)
+        self.assertNotIn("Traceback", result.stderr)
 
     def test_non_object_json_diagnosed(self):
         baseline = self.write("base.json", benchmark_json({"bm_a": 10.0}))
@@ -247,6 +299,81 @@ class CheckBenchTest(unittest.TestCase):
         result = self.run_gate(baseline, report, "--require", "bm_(")
         self.assertEqual(result.returncode, 2)
         self.assertIn("bad --require regex", result.stderr)
+
+    def test_non_finite_or_non_positive_time_diagnosed(self):
+        # NaN compares false both ways, so before this check a NaN time
+        # printed "nanx ok" and passed. Every time the gate reads, in a
+        # baseline row, a median row and a runreport gauge, must be finite
+        # and > 0.
+        valid = self.write("valid.json", benchmark_json({"bm_a": 10.0}))
+        for spelling in ("NaN", "Infinity", "-Infinity", "1e999", "0",
+                         "-0.0", "-5", "true", '"nan"', '"inf"'):
+            for case, doc in (
+                    ("row", benchmark_json({"bm_a": "@"})),
+                    ("median", benchmark_json({}, medians={"bm_a": "@"})),
+                    ("gauge", runreport_json({"bm_a": "@"}))):
+                text = json.dumps(doc).replace('"@"', spelling)
+                bad = self.write("bad.json", text)
+                pairs = [(valid, bad)]  # a runreport is never a baseline
+                if case != "gauge":
+                    pairs.append((bad, valid))
+                for baseline, report in pairs:
+                    result = self.run_gate(baseline, report)
+                    self.assertEqual(result.returncode, 2,
+                                     f"{case} {spelling}: {result.stdout}")
+                    self.assertIn("not a number", result.stderr)
+        # Only gated times are read: a zero spread gauge is no error.
+        spread = self.write("spread.json", runreport_json(
+            {"bm_a_median": 10.0, "bm_a_stddev": 0.0, "bm_a_cv": 0.0}))
+        self.assertEqual(self.run_gate(valid, spread).returncode, 0)
+
+    def test_non_string_name_diagnosed(self):
+        valid = self.write("valid.json", benchmark_json({"bm_a": 10.0}))
+        row = benchmark_json({"bm_a": 10.0})
+        row["benchmarks"][0]["name"] = ["bm_a"]
+        median = benchmark_json({}, medians={"bm_a": 10.0})
+        for r in median["benchmarks"]:
+            r["run_name"] = {"bm": "a"}
+        for doc in (row, median):
+            bad = self.write("bad.json", doc)
+            for baseline, report in ((bad, valid), (valid, bad)):
+                result = self.run_gate(baseline, report)
+                self.assertEqual(result.returncode, 2, result.stderr)
+                self.assertIn("is not a string", result.stderr)
+                self.assertNotIn("Traceback", result.stderr)
+
+    def test_seeded_fuzz_of_both_report_formats(self):
+        # Every truncation and 500 seeded 1-3-byte flips of a valid
+        # baseline and of a valid runreport (each gated against the other,
+        # valid, file). Whatever the damage, the gate answers with its exit
+        # contract and a diagnosis, never a traceback.
+        module = load_gate_module()
+        baseline = json.dumps(benchmark_json(
+            {"bm_a": 10.0, "bm_b": 2.5}, medians={"bm_c": 4.0})).encode()
+        report = json.dumps(runreport_json(
+            {"bm_a": 11.0, "bm_b": 2.4, "bm_c_median": 4.1})).encode()
+        rng = random.Random(0xbe7c)
+        valid = {"base": self.write("base.json", baseline.decode()),
+                 "report": self.write("report.json", report.decode())}
+        damaged = os.path.join(self.dir.name, "damaged.json")
+        failures = []
+        for side, text in (("base", baseline), ("report", report)):
+            cases = [text[:n] for n in range(len(text))]
+            for _ in range(500):
+                flipped = bytearray(text)
+                for _ in range(rng.randint(1, 3)):
+                    flipped[rng.randrange(len(flipped))] = rng.randrange(256)
+                cases.append(bytes(flipped))
+            for i, case in enumerate(cases):
+                with open(damaged, "wb") as f:
+                    f.write(case)
+                argv = ([damaged, valid["report"]] if side == "base"
+                        else [valid["base"], damaged])
+                code, err = run_gate_in_process(module, argv)
+                if code not in (0, 1, 2) or "Traceback" in err:
+                    failures.append(f"{side} case {i} {case!r}: exit {code}"
+                                    f"\n{err}")
+        self.assertEqual(failures[:3], [])
 
 
 if __name__ == "__main__":
