@@ -1,8 +1,8 @@
 // Micro-benchmarks proving the compiled forest backend's speedup claims:
 // exact vs compiled batch scoring at 1 and 8 threads on the paper-scale
-// model (500 unpruned trees, 387 features, 4000 rows), the scalar block
-// kernel (SIMD contribution), single-sample latency, the one-time
-// quantize/layout lowering cost, and a SHAP batch on the paper-scale model.
+// model (500 unpruned trees, 387 features, 4000 rows), single-sample
+// latency, the one-time quantize/layout lowering cost, and a SHAP batch on
+// the paper-scale model.
 //
 // CI perf-smoke gates the serial legs' median CPU time against
 // BENCH_compiled.json and, with tools/check_bench.py --ratio, the
@@ -78,9 +78,8 @@ void BM_PredictAll_Exact(benchmark::State& state) {
 BENCHMARK(BM_PredictAll_Exact)->Arg(1)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// The production call: kAuto resolves to the compiled engine for this
-// quantizable model, so the exact/compiled ratio gate also fails if that
-// resolution ever stops picking it.
+// The production call: kAuto scores batches on the compiled layout, so the
+// exact/compiled ratio gate also fails if batches ever stop running it.
 void BM_PredictAll_Compiled(benchmark::State& state) {
   const Dataset& data = paper_scale_data();
   const RandomForestClassifier forest =
@@ -95,46 +94,15 @@ void BM_PredictAll_Compiled(benchmark::State& state) {
 BENCHMARK(BM_PredictAll_Compiled)->Arg(1)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-void BM_PredictAll_CompiledScalar(benchmark::State& state) {
-  // The scalar block kernel, serial: isolates the quantize + branch-free
-  // layout win from the AVX2 contribution (compare against _Compiled/1).
-  const Dataset& data = paper_scale_data();
-  const CompiledForest* compiled = paper_scale_forest().compiled();
-  if (compiled == nullptr) {
-    state.SkipWithError("model did not compile");
-    return;
-  }
-  std::vector<double> out(data.n_rows());
-  for (auto _ : state) {
-    compiled->predict_batch(data.features_flat().data(), data.n_rows(),
-                            out.data(), CompiledForest::Simd::kScalar);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * data.n_rows()));
-  state.counters["threads"] = 1.0;
-}
-BENCHMARK(BM_PredictAll_CompiledScalar)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
+// A single sample always runs the exact engine.
 void BM_PredictSingle_Exact(benchmark::State& state) {
   const RandomForestClassifier& forest = paper_scale_forest();
   const auto x = paper_scale_data().row(3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(forest.predict_proba(x, ForestEngine::kExact));
+    benchmark::DoNotOptimize(forest.predict_proba(x));
   }
 }
 BENCHMARK(BM_PredictSingle_Exact)->Arg(1)->Unit(benchmark::kMicrosecond);
-
-void BM_PredictSingle_Compiled(benchmark::State& state) {
-  const RandomForestClassifier& forest = paper_scale_forest();
-  const auto x = paper_scale_data().row(3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        forest.predict_proba(x, ForestEngine::kCompiled));
-  }
-}
-BENCHMARK(BM_PredictSingle_Compiled)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_CompiledBuild(benchmark::State& state) {
   // One-time lowering cost per fit/deserialize (the forest/quantize_ms

@@ -2,43 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "util/artifact.hpp"
 
 namespace drcshap {
-
-namespace detail {
-
-void predict_block8_scalar(const CompiledForestView& forest,
-                           const std::int32_t* blockq, double* sums) {
-  for (std::size_t lane = 0; lane < CompiledForest::kBlock; ++lane) {
-    sums[lane] = 0.0;
-  }
-  for (std::size_t t = 0; t < forest.n_trees; ++t) {
-    std::int32_t node[CompiledForest::kBlock];
-    for (auto& n : node) n = forest.roots[t];
-    const std::int32_t depth = forest.depths[t];
-    for (std::int32_t d = 0; d < depth; ++d) {
-      for (std::size_t lane = 0; lane < CompiledForest::kBlock; ++lane) {
-        const auto n = static_cast<std::size_t>(node[lane]);
-        const std::int32_t qx =
-            blockq[static_cast<std::size_t>(forest.feature[n]) *
-                       CompiledForest::kBlock +
-                   lane];
-        node[lane] = forest.child[n] +
-                     static_cast<std::int32_t>(qx > forest.qthreshold[n]);
-      }
-    }
-    for (std::size_t lane = 0; lane < CompiledForest::kBlock; ++lane) {
-      sums[lane] += forest.value[static_cast<std::size_t>(node[lane])];
-    }
-  }
-}
-
-}  // namespace detail
 
 namespace {
 
@@ -134,16 +104,6 @@ CompiledForest::CompiledForest(const FlatForest& flat)
   }
 }
 
-std::shared_ptr<const CompiledForest> CompiledForest::try_compile(
-    const FlatForest& flat, std::string* reason) {
-  try {
-    return std::make_shared<const CompiledForest>(flat);
-  } catch (const std::invalid_argument& err) {
-    if (reason != nullptr) *reason = err.what();
-    return nullptr;
-  }
-}
-
 std::uint32_t CompiledForest::code_of(std::size_t feature, float value) const {
   const float* begin = cuts_.data() + cut_begin_[feature];
   const float* end = cuts_.data() + cut_begin_[feature + 1];
@@ -162,32 +122,32 @@ void CompiledForest::quantize_sample(const float* x,
   }
 }
 
-double CompiledForest::predict_coded(const std::uint16_t* codes) const {
-  double total = 0.0;
+void CompiledForest::predict_block8(const std::int32_t* blockq,
+                                    double* sums) const {
+  const std::int32_t* feature = feature_.data();
+  const std::int32_t* qthreshold = qthreshold_.data();
+  const std::int32_t* child = child_.data();
+  for (std::size_t lane = 0; lane < kBlock; ++lane) sums[lane] = 0.0;
   for (std::size_t t = 0; t < roots_.size(); ++t) {
-    std::int32_t node = roots_[t];
+    std::int32_t node[kBlock];
+    for (auto& n : node) n = roots_[t];
     const std::int32_t depth = depths_[t];
     for (std::int32_t d = 0; d < depth; ++d) {
-      const auto n = static_cast<std::size_t>(node);
-      const auto qx = static_cast<std::int32_t>(
-          codes[static_cast<std::size_t>(feature_[n])]);
-      node = child_[n] + static_cast<std::int32_t>(qx > qthreshold_[n]);
+      for (std::size_t lane = 0; lane < kBlock; ++lane) {
+        const auto n = static_cast<std::size_t>(node[lane]);
+        const std::int32_t qx =
+            blockq[static_cast<std::size_t>(feature[n]) * kBlock + lane];
+        node[lane] = child[n] + static_cast<std::int32_t>(qx > qthreshold[n]);
+      }
     }
-    total += value_[static_cast<std::size_t>(node)];
+    for (std::size_t lane = 0; lane < kBlock; ++lane) {
+      sums[lane] += value_[static_cast<std::size_t>(node[lane])];
+    }
   }
-  return total / static_cast<double>(roots_.size());
-}
-
-double CompiledForest::predict(const float* x) const {
-  std::vector<std::uint16_t> codes(n_features_);
-  quantize_sample(x, codes.data());
-  return predict_coded(codes.data());
 }
 
 void CompiledForest::predict_batch(const float* rows, std::size_t n_rows,
-                                   double* out, Simd simd) const {
-  const bool use_simd = simd == Simd::kAuto && simd_available();
-  const detail::CompiledForestView forest = view();
+                                   double* out) const {
   std::vector<std::int32_t> blockq(n_features_ * kBlock);
   double sums[kBlock];
   for (std::size_t begin = 0; begin < n_rows; begin += kBlock) {
@@ -203,16 +163,7 @@ void CompiledForest::predict_batch(const float* rows, std::size_t n_rows,
             static_cast<std::int32_t>(code_of(f, x[f]));
       }
     }
-#if DRCSHAP_SIMD_ENABLED
-    if (use_simd) {
-      detail::predict_block8_avx2(forest, blockq.data(), sums);
-    } else {
-      detail::predict_block8_scalar(forest, blockq.data(), sums);
-    }
-#else
-    (void)use_simd;
-    detail::predict_block8_scalar(forest, blockq.data(), sums);
-#endif
+    predict_block8(blockq.data(), sums);
     for (std::size_t lane = 0; lane < lanes; ++lane) {
       out[begin + lane] = sums[lane] / static_cast<double>(n_trees());
     }

@@ -22,10 +22,8 @@
 //
 //  3. *Batch-of-8 evaluation.* Eight samples descend one tree in lockstep,
 //     amortizing every node-array cache line eight ways. The inner step is
-//     four gathers and an add: with AVX2 (DRCSHAP_SIMD build option +
-//     runtime cpuid, see simd_available) it runs as one vector op per
-//     gather; the scalar block kernel — always compiled — performs the
-//     identical per-lane arithmetic, so SIMD on/off is bit-identical.
+//     four gathers and an add per lane, in a scalar block kernel the
+//     compiler is free to unroll.
 //
 // Per-lane leaf values accumulate in tree order with the same double adds
 // and final divide as FlatForest::predict, so the compiled engine's
@@ -33,77 +31,55 @@
 // the design suite and a randomized-forest fuzz corpus.
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
-#include "core/compiled_forest_simd.hpp"
 #include "core/flat_forest.hpp"
+
+#ifndef DRCSHAP_SIMD_ENABLED
+#define DRCSHAP_SIMD_ENABLED 0
+#endif
 
 namespace drcshap {
 
 class CompiledForest {
  public:
   /// Samples evaluated per block kernel invocation.
-  static constexpr std::size_t kBlock = detail::kBlockLanes;
+  static constexpr std::size_t kBlock = 8;
   /// A feature with more distinct thresholds than this cannot be coded in
-  /// u16 and the forest stays on the exact engine (never hit by binned
-  /// training, which caps distinct splits per feature at max_bins - 1).
+  /// u16, so RandomForestClassifier::set_trees rejects the forest. Binned
+  /// training never gets there: it caps distinct splits per feature at
+  /// BinnedMatrix::kMaxBins - 1.
   static constexpr std::size_t kMaxCutsPerFeature = 65535;
-
-  /// Per-call kernel selection; kAuto uses AVX2 when simd_available().
-  enum class Simd { kAuto, kScalar };
 
   /// Lowers `flat`; throws std::invalid_argument if any feature exceeds
   /// kMaxCutsPerFeature distinct thresholds.
   explicit CompiledForest(const FlatForest& flat);
 
-  /// Non-throwing factory: nullptr (with `reason` filled when non-null)
-  /// if the ensemble cannot be quantized.
-  static std::shared_ptr<const CompiledForest> try_compile(
-      const FlatForest& flat, std::string* reason = nullptr);
-
   std::size_t n_trees() const { return roots_.size(); }
   std::size_t n_features() const { return n_features_; }
   std::size_t n_nodes() const { return feature_.size(); }
   int max_depth() const { return max_depth_; }
-  std::int32_t root(std::size_t tree) const { return roots_[tree]; }
-  int tree_depth(std::size_t tree) const { return depths_[tree]; }
-
-  // BFS node arrays (absolute ids), read only by the predict kernels. A
-  // leaf is a node with child()[n] == n. The SHAP tree explainer walks the
-  // exact FlatForest instead and uses this layout only through
-  // quantize_sample, whose codes are its dedupe/cache key.
-  const std::int32_t* feature() const { return feature_.data(); }
-  const std::int32_t* qthreshold() const { return qthreshold_.data(); }
-  const std::int32_t* child() const { return child_.data(); }
-  const double* value() const { return value_.data(); }
 
   /// Code one sample: codes[f] = #distinct thresholds of f strictly below
   /// x[f] (NaN maps to the number of distinct thresholds of f, i.e. "greater
-  /// than everything"). `codes` must hold n_features() entries.
+  /// than everything"). `codes` must hold n_features() entries. The SHAP
+  /// tree explainer walks the exact FlatForest and uses this layout only
+  /// here: the codes are its dedupe/cache key.
   void quantize_sample(const float* x, std::uint16_t* codes) const;
 
-  /// P(y=1 | x): scalar quantize + branch-free descent, byte-identical to
-  /// FlatForest::predict.
-  double predict(const float* x) const;
-  /// Same, for a sample already coded by quantize_sample.
-  double predict_coded(const std::uint16_t* codes) const;
-
-  /// Scores `n_rows` row-major samples into out[0..n_rows). Runs the block
-  /// kernel on every 8-lane group (short tails are padded with code-0
-  /// lanes whose results are discarded); serial — callers parallelize over
-  /// row chunks.
-  void predict_batch(const float* rows, std::size_t n_rows, double* out,
-                     Simd simd = Simd::kAuto) const;
+  /// Scores `n_rows` row-major samples into out[0..n_rows), byte-identical
+  /// to FlatForest::predict row for row. Runs the block kernel on every
+  /// 8-lane group (short tails are padded with code-0 lanes whose results
+  /// are discarded); serial — callers parallelize over row chunks.
+  void predict_batch(const float* rows, std::size_t n_rows,
+                     double* out) const;
 
   /// True when the AVX2 kernels were compiled in and this CPU runs them
   /// (cpuid reports AVX2 and FMA). The one SIMD guard of the library: the
-  /// compiled forest's block kernel and the TreeSHAP vector walk both
-  /// check it, and their scalar twins are the bit-identical fallback
-  /// whenever it is false.
+  /// TreeSHAP leaf kernels check it, and their scalar twin is the
+  /// bit-identical fallback whenever it is false.
   static bool simd_available();
-  /// True when the build compiled the AVX2 kernel (DRCSHAP_SIMD=ON and the
+  /// True when the build compiled the AVX2 kernels (DRCSHAP_SIMD=ON and the
   /// compiler/arch supported -mavx2).
   static constexpr bool simd_compiled() { return DRCSHAP_SIMD_ENABLED != 0; }
 
@@ -112,25 +88,24 @@ class CompiledForest {
   /// — e.g. before and after a model_io round trip — must agree.
   std::uint64_t layout_digest() const;
 
-  detail::CompiledForestView view() const {
-    return {feature_.data(), qthreshold_.data(), child_.data(), value_.data(),
-            roots_.data(),   depths_.data(),    n_trees()};
-  }
-
  private:
   std::uint32_t code_of(std::size_t feature, float value) const;
+  /// Descends the 8 lanes of `blockq` (codes interleaved as
+  /// blockq[feature * 8 + lane]) through every tree and writes the per-lane
+  /// sums of leaf values, in tree order, not yet divided by n_trees.
+  void predict_block8(const std::int32_t* blockq, double* sums) const;
 
   // Per-feature sorted distinct thresholds, ragged storage.
   std::vector<float> cuts_;
   std::vector<std::int32_t> cut_begin_;  ///< size n_features + 1
 
-  // BFS node arrays.
-  std::vector<std::int32_t> feature_;
-  std::vector<std::int32_t> qthreshold_;
-  std::vector<std::int32_t> child_;
-  std::vector<double> value_;
-  std::vector<std::int32_t> roots_;
-  std::vector<std::int32_t> depths_;
+  // BFS node arrays (absolute ids). A leaf is a node with child_[n] == n.
+  std::vector<std::int32_t> feature_;     ///< 0 on leaves (safe gather)
+  std::vector<std::int32_t> qthreshold_;  ///< INT32_MAX on leaves
+  std::vector<std::int32_t> child_;       ///< left child; right = left + 1
+  std::vector<double> value_;             ///< leaf P(y=1)
+  std::vector<std::int32_t> roots_;       ///< per tree
+  std::vector<std::int32_t> depths_;      ///< per tree (edge depth)
 
   std::size_t n_features_ = 0;
   int max_depth_ = 0;

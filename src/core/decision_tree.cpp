@@ -101,7 +101,7 @@ void bin_column(std::span<const float> column, int max_bins,
 BinnedMatrix::BinnedMatrix(const Dataset& data, int max_bins,
                            std::size_t n_threads)
     : n_rows_(data.n_rows()), n_features_(data.n_features()) {
-  if (max_bins < 2 || max_bins > 256) {
+  if (max_bins < 2 || max_bins > kMaxBins) {
     throw std::invalid_argument("BinnedMatrix: max_bins must be in [2, 256]");
   }
   if (n_rows_ == 0) throw std::invalid_argument("BinnedMatrix: empty dataset");

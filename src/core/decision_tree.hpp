@@ -38,12 +38,17 @@ namespace drcshap {
 /// Quantile-binned view of a dataset, shared by all trees of a forest.
 class BinnedMatrix {
  public:
-  /// Bins every feature of `data` into at most `max_bins` (<= 256) quantile
-  /// bins. Distinct values fewer than max_bins get one bin each. Features
-  /// are binned on up to `n_threads` shared-pool workers (0 = whole pool;
-  /// serial when nested in a parallel region); the result is identical at
-  /// any width. Throws std::invalid_argument on a NaN feature value (+-Inf
-  /// are ordinary values).
+  /// Largest max_bins: bin codes are u8. A feature then has at most
+  /// kMaxBins - 1 split values, which bounds the distinct thresholds per
+  /// feature of any fitted forest.
+  static constexpr int kMaxBins = 256;
+
+  /// Bins every feature of `data` into at most `max_bins` (<= kMaxBins)
+  /// quantile bins. Distinct values fewer than max_bins get one bin each.
+  /// Features are binned on up to `n_threads` shared-pool workers (0 =
+  /// whole pool; serial when nested in a parallel region); the result is
+  /// identical at any width. Throws std::invalid_argument on a NaN feature
+  /// value (+-Inf are ordinary values).
   BinnedMatrix(const Dataset& data, int max_bins = 64,
                std::size_t n_threads = 0);
 

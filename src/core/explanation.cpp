@@ -10,6 +10,19 @@
 
 namespace drcshap {
 
+namespace {
+
+/// "f<index>", the name of a feature that has no name. Appended rather than
+/// built as `"f" + std::to_string(f)`, which sets off a GCC 12 -Wrestrict
+/// false positive in Release builds.
+std::string generic_feature_name(std::size_t f) {
+  std::string name = "f";
+  name += std::to_string(f);
+  return name;
+}
+
+}  // namespace
+
 Explanation::Explanation(double base_value, double prediction,
                          std::vector<double> shap_values,
                          std::vector<float> feature_values,
@@ -36,7 +49,7 @@ std::vector<FeatureContribution> Explanation::ranked() const {
   out.reserve(order.size());
   for (const std::size_t f : order) {
     out.push_back({f,
-                   feature_names_.empty() ? "f" + std::to_string(f)
+                   feature_names_.empty() ? generic_feature_name(f)
                                           : feature_names_[f],
                    shap_values_[f], feature_values_[f]});
   }
@@ -212,7 +225,7 @@ std::string GlobalShapSummary::to_text(
     const std::size_t f = top[rank];
     const std::string name = f < feature_names.size()
                                  ? feature_names[f]
-                                 : "f" + std::to_string(f);
+                                 : generic_feature_name(f);
     os << "  " << (rank + 1) << ". " << name << "  mean|shap|="
        << fmt_fixed(mean_abs(f), 5) << "  mean=" << fmt_fixed(mean_signed(f), 5)
        << "  pos=" << fmt_fixed(positive_fraction(f) * 100.0, 1) << "%\n";

@@ -13,9 +13,7 @@
 //
 // Entries store the full code vector next to the phi row and verify it on
 // lookup, so a 64-bit digest collision degrades to a miss, never to a
-// wrong explanation. An ensemble that cannot quantize keys on the raw
-// float row bytes instead via the same digest+verify scheme — byte-equal
-// rows are trivially explanation-equal.
+// wrong explanation.
 //
 // Shards are independently mutex-guarded LRU lists; concurrent explain
 // batches (and the serving daemon's batch runner) hit different shards in
@@ -69,10 +67,9 @@ class ExplanationCache {
   /// Looks up the row keyed by (`salt`, `key_bytes`) — the salt is the
   /// explainer's structural model digest, so one cache accidentally shared
   /// by two models misses instead of serving the wrong model's phi.
-  /// `key_bytes` is the quantized code vector, or the raw float row when
-  /// the forest cannot be quantized. On a hit copies the stored phi row into
-  /// `phi_out` (must hold n_values doubles) and returns true. Touches LRU
-  /// recency.
+  /// `key_bytes` is the quantized code vector. On a hit copies the stored
+  /// phi row into `phi_out` (must hold n_values doubles) and returns true.
+  /// Touches LRU recency.
   bool lookup(std::uint64_t salt, const void* key_bytes, std::size_t key_len,
               double* phi_out, std::size_t n_values);
 

@@ -130,7 +130,13 @@ RandomForestClassifier load_forest(std::istream& is) {
   RandomForestOptions options;
   options.n_trees = static_cast<int>(n_trees);
   RandomForestClassifier forest(options);
-  forest.set_trees(std::move(trees), options);
+  try {
+    // Well-formed nodes can still hold more distinct thresholds per feature
+    // than the compiled layout codes; no fit writes such a forest.
+    forest.set_trees(std::move(trees), options);
+  } catch (const std::invalid_argument& err) {
+    fail_corrupt(err.what());
+  }
   return forest;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
-#include <string>
 
 #include "obs/registry.hpp"
 #include "util/thread_pool.hpp"
@@ -27,13 +26,13 @@ void RandomForestClassifier::fit(const Dataset& data) {
     DRCSHAP_OBS_TIMER("forest/bin");
     return BinnedMatrix(data, options_.max_bins, options_.n_threads);
   }();
-  trees_.assign(static_cast<std::size_t>(options_.n_trees), DecisionTree{});
+  std::vector<DecisionTree> trees(static_cast<std::size_t>(options_.n_trees));
 
   // Pre-draw per-tree seeds so results are independent of thread scheduling.
   Rng seeder(options_.seed);
-  std::vector<std::uint64_t> tree_seeds(trees_.size());
+  std::vector<std::uint64_t> tree_seeds(trees.size());
   for (auto& s : tree_seeds) s = seeder();
-  std::vector<std::size_t> unique_rows(trees_.size());
+  std::vector<std::size_t> unique_rows(trees.size());
 
   auto build_tree = [&](std::size_t t) {
     Rng rng(tree_seeds[t]);
@@ -51,62 +50,47 @@ void RandomForestClassifier::fit(const Dataset& data) {
     tree_options.max_features = options_.max_features;
     tree_options.positive_weight = options_.positive_weight;
     tree_options.seed = rng();
-    unique_rows[t] = trees_[t].fit_binned(binned, data, rows, tree_options);
+    unique_rows[t] = trees[t].fit_binned(binned, data, rows, tree_options);
   };
 
-  parallel_for_shared(trees_.size(), build_tree, options_.n_threads);
+  parallel_for_shared(trees.size(), build_tree, options_.n_threads);
   obs::counter_add("forest/fit_unique_rows",
                    std::accumulate(unique_rows.begin(), unique_rows.end(),
                                    std::uint64_t{0}));
-  rebuild_engines();
+  install(std::move(trees));
 }
 
-void RandomForestClassifier::rebuild_engines() {
-  flat_ = std::make_shared<FlatForest>(std::span<const DecisionTree>(trees_));
-  // The quantize/layout lowering is paid once per fit/deserialize; the
-  // timer lets run reports attribute it separately from tree training.
-  DRCSHAP_OBS_TIMER("forest/quantize_ms");
-  std::string reason;
-  compiled_ = CompiledForest::try_compile(*flat_, &reason);
-  if (compiled_ == nullptr) {
-    obs::note_set("forest/compile_skipped", reason);
-  }
-}
+// Binned training splits a feature only at its bin cuts, so every fitted
+// forest quantizes and install() cannot reject it.
+static_assert(BinnedMatrix::kMaxBins - 1 <= CompiledForest::kMaxCutsPerFeature);
 
-ForestEngine RandomForestClassifier::resolve_engine(
-    ForestEngine requested) const {
-  if (requested == ForestEngine::kAuto) {
-    requested =
-        compiled_ != nullptr ? ForestEngine::kCompiled : ForestEngine::kExact;
+void RandomForestClassifier::install(std::vector<DecisionTree> trees) {
+  // Both layouts are built before anything is assigned, so a forest the
+  // compiled layout rejects leaves the classifier as it was.
+  auto flat =
+      std::make_shared<const FlatForest>(std::span<const DecisionTree>(trees));
+  std::shared_ptr<const CompiledForest> compiled;
+  {
+    // The quantize/layout lowering is paid once per fit/deserialize; the
+    // timer lets run reports attribute it separately from tree training.
+    DRCSHAP_OBS_TIMER("forest/quantize_ms");
+    compiled = std::make_shared<const CompiledForest>(*flat);
   }
-  // Fallback guarantee: asking for the compiled engine on a model that did
-  // not quantize serves exact (identical output) instead of failing.
-  if (requested == ForestEngine::kCompiled && compiled_ == nullptr) {
-    requested = ForestEngine::kExact;
-  }
-  return requested;
+  trees_ = std::move(trees);
+  flat_ = std::move(flat);
+  compiled_ = std::move(compiled);
 }
 
 double RandomForestClassifier::predict_proba(
     std::span<const float> features) const {
-  return predict_proba(features, ForestEngine::kAuto);
-}
-
-double RandomForestClassifier::predict_proba(std::span<const float> features,
-                                             ForestEngine engine) const {
   if (!fitted()) throw std::logic_error("RandomForest: not fitted");
   if (features.size() != flat_->n_features()) {
     throw std::invalid_argument("RandomForest: feature count mismatch");
   }
-  // Auto picks per call shape: a lone sample pays the full quantization of
-  // every feature for a single descent, which costs more than the exact
-  // walk reads (~depth features) — so unless the caller pins the compiled
-  // engine, single-sample requests serve exact. Batches amortize
+  // A lone sample serves exact: the compiled layout would pay the full
+  // quantization of every feature for a single descent, which costs more
+  // than the exact walk reads (~depth features). Batches amortize
   // quantization across all trees and go compiled (see predict_proba_all).
-  // Outputs are byte-identical either way.
-  if (engine == ForestEngine::kCompiled && compiled_ != nullptr) {
-    return compiled_->predict(features.data());
-  }
   return flat_->predict(features.data());
 }
 
@@ -133,13 +117,13 @@ std::vector<double> RandomForestClassifier::predict_proba_all(
   if (features.size() != n_rows * n_features) {
     throw std::invalid_argument("RandomForest: feature count mismatch");
   }
-  const ForestEngine chosen = resolve_engine(engine);
+  const bool exact = engine == ForestEngine::kExact;
   DRCSHAP_OBS_TIMER("forest/predict_all");
   obs::counter_add("forest/rows_scored", n_rows);
-  obs::note_set("forest/engine", forest_engine_name(chosen));
+  obs::note_set("forest/engine", exact ? "exact" : "compiled");
   std::vector<double> out(n_rows);
   if (out.empty()) return out;
-  if (chosen == ForestEngine::kCompiled) {
+  if (!exact) {
     // Chunks of whole 8-lane blocks; each chunk quantizes and descends its
     // rows independently, so results are position-keyed and bit-identical
     // at any thread count.
@@ -204,10 +188,9 @@ double RandomForestClassifier::expected_value() const {
 void RandomForestClassifier::set_trees(std::vector<DecisionTree> trees,
                                        RandomForestOptions options) {
   if (trees.empty()) throw std::invalid_argument("set_trees: empty forest");
-  trees_ = std::move(trees);
+  install(std::move(trees));
   options_ = options;
   options_.n_trees = static_cast<int>(trees_.size());
-  rebuild_engines();
 }
 
 }  // namespace drcshap

@@ -8,19 +8,30 @@
 // deserialization: the *exact* FlatForest SoA walk (the reference oracle,
 // also the substrate of the SHAP tree explainer) and the *compiled*
 // CompiledForest layout (quantized thresholds, breadth-first branch-free
-// descent, batch-of-8 SIMD kernel). Both return byte-identical
-// probabilities; see core/forest_engine.hpp for how a backend is chosen
-// per call.
+// descent, batch-of-8 block kernel). Both return byte-identical
+// probabilities. Batches score compiled and single samples exact unless a
+// call pins the exact engine; every fitted or loaded forest has both
+// layouts (set_trees rejects one that cannot be quantized).
 
 #include <memory>
 
 #include "core/compiled_forest.hpp"
 #include "core/decision_tree.hpp"
 #include "core/flat_forest.hpp"
-#include "core/forest_engine.hpp"
 #include "ml/classifier.hpp"
 
 namespace drcshap {
+
+/// Inference backend of one predict call. Selection is purely a
+/// performance choice: every engine returns byte-identical probabilities
+/// (proved by tests/test_compiled_forest.cpp).
+enum class ForestEngine {
+  /// Batches run the compiled layout; a single sample runs exact, since one
+  /// descent does not repay quantizing every feature.
+  kAuto = 0,
+  /// FlatForest float-threshold traversal — the reference oracle.
+  kExact,
+};
 
 struct RandomForestOptions {
   int n_trees = 500;            ///< the paper's final model uses 500
@@ -50,12 +61,12 @@ class RandomForestClassifier final : public BinaryClassifier {
   /// options().n_threads workers), each accumulating its trees in fixed
   /// order, so the result is identical to the per-row loop for any thread
   /// count. Cross-validation and grid search call this on every fold.
-  /// Served by resolve_engine(kAuto): compiled when the model quantizes;
-  /// the engine note/counters in the run report record which backend ran.
+  /// Served by the compiled layout; the forest/engine note in the run
+  /// report records which backend ran.
   std::vector<double> predict_proba_all(const Dataset& data) const override;
 
-  /// Same, with the backend pinned per call (kAuto = resolve_engine rules).
-  /// Every engine returns byte-identical probabilities.
+  /// Same, with the backend pinned per call. Every engine returns
+  /// byte-identical probabilities.
   std::vector<double> predict_proba_all(const Dataset& data,
                                         ForestEngine engine) const;
 
@@ -66,17 +77,6 @@ class RandomForestClassifier final : public BinaryClassifier {
   std::vector<double> predict_proba_all(std::span<const float> features,
                                         std::size_t n_rows,
                                         ForestEngine engine) const;
-
-  /// Single-sample scoring with the backend pinned per call. kAuto serves
-  /// exact here: one descent does not repay quantizing every feature.
-  double predict_proba(std::span<const float> features,
-                       ForestEngine engine) const;
-
-  /// The batch score backend predict_proba_all runs for `requested`: kAuto
-  /// means compiled when the fitted model has a compiled layout, and
-  /// kCompiled falls back to kExact when it has none. Single-sample
-  /// predict_proba resolves kAuto to exact instead (see there).
-  ForestEngine resolve_engine(ForestEngine requested) const;
 
   std::size_t n_parameters() const override;
   std::size_t prediction_ops() const override;
@@ -91,10 +91,9 @@ class RandomForestClassifier final : public BinaryClassifier {
   const FlatForest& flat() const;
   std::shared_ptr<const FlatForest> flat_shared() const;
 
-  /// Compiled (quantized, breadth-first) layout of the fitted ensemble, or
-  /// nullptr when the model could not be quantized (then every call serves
-  /// from the exact engine). The shared_ptr form lets explainers outlive a
-  /// refit, like flat_shared().
+  /// Compiled (quantized, breadth-first) layout of the fitted ensemble
+  /// (nullptr only when not fitted). The shared_ptr form lets explainers
+  /// outlive a refit, like flat_shared().
   const CompiledForest* compiled() const { return compiled_.get(); }
   std::shared_ptr<const CompiledForest> compiled_shared() const {
     return compiled_;
@@ -103,12 +102,16 @@ class RandomForestClassifier final : public BinaryClassifier {
   /// Cover-weighted mean prediction over training data: the SHAP base value.
   double expected_value() const;
 
-  /// For deserialization (model_io).
+  /// For deserialization (model_io). Throws std::invalid_argument for an
+  /// empty forest or one whose feature has more than
+  /// CompiledForest::kMaxCutsPerFeature distinct thresholds; the classifier
+  /// is then left as it was.
   void set_trees(std::vector<DecisionTree> trees, RandomForestOptions options);
 
  private:
-  /// Rebuilds both inference engines from trees_ (fit / set_trees).
-  void rebuild_engines();
+  /// Builds both layouts of `trees` and commits all three; throws (and
+  /// commits nothing) if the compiled layout rejects the forest.
+  void install(std::vector<DecisionTree> trees);
 
   RandomForestOptions options_;
   std::vector<DecisionTree> trees_;

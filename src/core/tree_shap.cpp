@@ -918,26 +918,19 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
   // Quantize every row once up front into its u16 codes: the explanation
   // key. Rows with equal codes fall in the same threshold bucket of every
   // split feature, so they take the same branch at every split and their
-  // phi rows are bit-equal. An unquantizable forest keys on the raw float
-  // bytes instead (byte-equal rows are trivially explanation-equal).
-  const CompiledForest* compiled = compiled_.get();
-  std::vector<std::uint16_t> codes;
-  if (compiled != nullptr) {
-    codes.resize(n_rows * n_features);
-    pool.parallel_for(
-        n_rows,
-        [&](std::size_t r) {
-          compiled->quantize_sample(features.data() + r * n_features,
-                                    codes.data() + r * n_features);
-        },
-        /*grain=*/8, /*max_workers=*/n_threads);
-  }
-  const std::size_t key_len = compiled != nullptr
-                                  ? n_features * sizeof(std::uint16_t)
-                                  : n_features * sizeof(float);
-  const auto key_ptr = [&](std::size_t r) -> const void* {
-    if (compiled != nullptr) return codes.data() + r * n_features;
-    return features.data() + r * n_features;
+  // phi rows are bit-equal.
+  const CompiledForest& compiled = *compiled_;
+  std::vector<std::uint16_t> codes(n_rows * n_features);
+  pool.parallel_for(
+      n_rows,
+      [&](std::size_t r) {
+        compiled.quantize_sample(features.data() + r * n_features,
+                                 codes.data() + r * n_features);
+      },
+      /*grain=*/8, /*max_workers=*/n_threads);
+  const std::size_t key_len = n_features * sizeof(std::uint16_t);
+  const auto key_ptr = [&](std::size_t r) {
+    return codes.data() + r * n_features;
   };
 
   // --- Dedupe rows on their key: explain one representative, scatter to

@@ -69,8 +69,7 @@
 // at every split, so they provably share one phi row: each unique row is
 // explained once and scattered to its duplicates, and rows differing only
 // inside a threshold bucket (or in unsplit features) share a cache entry.
-// A forest that cannot be quantized keys on the raw float row bytes. With a
-// shared ExplanationCache attached (core/explanation_cache.hpp), unique rows
+// With a shared ExplanationCache attached (core/explanation_cache.hpp), unique rows
 // are additionally served from — and inserted into — the cache, carrying
 // the dedupe across batches and serve requests.
 
@@ -96,7 +95,7 @@ struct ShapMetaCell;  // lazily built structural metadata of the forest
 /// else with the scalar leaf kernel. kScalar pins the scalar leaf kernel
 /// and kReference the Algorithm-2 recursion under the same block/merge
 /// structure; they are the byte-identity oracles of tests and benches, the
-/// way CompiledForest::Simd::kScalar is for the compiled kernel.
+/// way ForestEngine::kExact is for the compiled forest.
 enum class ShapWalk { kAuto, kScalar, kReference };
 
 /// Row-major matrix of SHAP values: one row of n_features doubles per
@@ -117,9 +116,9 @@ struct ShapMatrix {
 
 class TreeShapExplainer {
  public:
-  /// Snapshots the forest's flattened SoA view (and its compiled layout,
-  /// the key quantizer, when one was built); the explainer stays valid even
-  /// if the forest is refit afterwards.
+  /// Snapshots the forest's flattened SoA view and its compiled layout (the
+  /// key quantizer); the explainer stays valid even if the forest is refit
+  /// afterwards.
   explicit TreeShapExplainer(const RandomForestClassifier& forest);
 
   /// Attaches a shared explanation cache consulted (and filled) by
@@ -166,8 +165,7 @@ class TreeShapExplainer {
 
  private:
   std::shared_ptr<const FlatForest> flat_;
-  /// Quantizes rows into their u16 explanation keys; null when the forest
-  /// cannot be quantized (raw float bytes are the key then).
+  /// Quantizes rows into their u16 explanation keys.
   std::shared_ptr<const CompiledForest> compiled_;
   /// Shared lazily-initialized structural metadata of the fast batch path.
   /// Copies of the explainer — the serving daemon snapshots one per batch —

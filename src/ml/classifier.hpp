@@ -7,7 +7,7 @@
 // Models with multiple inference backends keep this interface engine-
 // agnostic: the Random Forest serves predict_proba/predict_proba_all from
 // whichever ForestEngine (exact FlatForest walk or compiled quantized
-// layout — see core/forest_engine.hpp) the call resolves to, with
+// layout — see core/random_forest.hpp) the call resolves to, with
 // byte-identical probabilities either way, so callers of this interface
 // never observe which backend ran.
 

@@ -4,12 +4,18 @@
 
 namespace drcshap {
 
+// The names are appended rather than built as `"M" + std::to_string(...)`,
+// which sets off a GCC 12 -Wrestrict false positive in Release builds.
 std::string Technology::metal_name(int metal) {
-  return "M" + std::to_string(metal + 1);
+  std::string name = "M";
+  name += std::to_string(metal + 1);
+  return name;
 }
 
 std::string Technology::via_name(int via) {
-  return "V" + std::to_string(via + 1);
+  std::string name = "V";
+  name += std::to_string(via + 1);
+  return name;
 }
 
 Design::Design(std::string name, Rect die, std::size_t gcells_x,

@@ -499,10 +499,6 @@ obs::JsonValue Server::stats_document() const {
     model_json["version"] = model->version;
     model_json["path"] = model->path;
     model_json["n_features"] = static_cast<std::uint64_t>(model->n_features);
-    // The batch score backend (single-sample calls would run exact).
-    const ForestEngine engine =
-        model->forest.resolve_engine(ForestEngine::kAuto);
-    model_json["engine"] = std::string(forest_engine_name(engine));
   }
   model_json["swaps"] = registry_.swap_count();
   model_json["retired_alive"] =

@@ -17,8 +17,8 @@ library=$2
     bad = 1
   }
   END {
-    if (objects != 2) {
-      print "expected 2 AVX2 objects in the library, found " objects + 0
+    if (objects != 1) {
+      print "expected 1 AVX2 object in the library, found " objects + 0
       bad = 1
     }
     exit bad

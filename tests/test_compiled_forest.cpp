@@ -1,6 +1,6 @@
 // Equivalence suite for the compiled inference backend: every test asserts
 // *byte-identical* doubles between the exact FlatForest walk and the
-// quantized/branch-free/SIMD CompiledForest paths — the backend is only
+// quantized, branch-free CompiledForest batch path — the backend is only
 // allowed to change speed, never a single output bit.
 
 #include "core/compiled_forest.hpp"
@@ -8,16 +8,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <iomanip>
 #include <limits>
-#include <memory>
+#include <sstream>
 
 #include "benchsuite/pipeline.hpp"
 #include "benchsuite/suite.hpp"
-#include "core/explanation_cache.hpp"
+#include "core/model_io.hpp"
 #include "core/random_forest.hpp"
-#include "core/tree_shap.hpp"
 #include "features/feature_names.hpp"
+#include "obs/registry.hpp"
+#include "serve/model_registry.hpp"
+#include "util/artifact.hpp"
 #include "util/rng.hpp"
 
 namespace drcshap {
@@ -69,35 +73,20 @@ TEST(CompiledForest, BatchMatchesExactBitwise) {
   const Dataset eval = noisy_data(777, 8, 3);  // odd size: exercises tails
   const RandomForestClassifier forest = small_forest(train, 40);
   const auto exact = forest.predict_proba_all(eval, ForestEngine::kExact);
-  const auto compiled =
-      forest.predict_proba_all(eval, ForestEngine::kCompiled);
+  const auto compiled = forest.predict_proba_all(eval, ForestEngine::kAuto);
   expect_bits_equal(exact, compiled);
 }
 
 TEST(CompiledForest, SingleSampleMatchesExactBitwise) {
+  // One row alone through the block kernel: seven padded lanes, one kept.
   const Dataset d = noisy_data(400, 5, 4);
   const RandomForestClassifier forest = small_forest(d);
   for (std::size_t i = 0; i < 64; ++i) {
     const auto x = d.row(i);
-    const double exact = forest.predict_proba(x, ForestEngine::kExact);
-    const double compiled = forest.predict_proba(x, ForestEngine::kCompiled);
-    ASSERT_EQ(exact, compiled) << "row " << i;
+    double compiled = 0.0;
+    forest.compiled()->predict_batch(x.data(), 1, &compiled);
+    ASSERT_EQ(forest.predict_proba(x), compiled) << "row " << i;
   }
-}
-
-TEST(CompiledForest, SimdAndScalarKernelsBitIdentical) {
-  const Dataset train = noisy_data(400, 7, 5);
-  const Dataset eval = noisy_data(333, 7, 6);
-  const RandomForestClassifier forest = small_forest(train);
-  const CompiledForest* compiled = forest.compiled();
-  ASSERT_NE(compiled, nullptr);
-  std::vector<double> with_simd(eval.n_rows());
-  std::vector<double> scalar(eval.n_rows());
-  compiled->predict_batch(eval.features_flat().data(), eval.n_rows(),
-                          with_simd.data(), CompiledForest::Simd::kAuto);
-  compiled->predict_batch(eval.features_flat().data(), eval.n_rows(),
-                          scalar.data(), CompiledForest::Simd::kScalar);
-  expect_bits_equal(with_simd, scalar);
 }
 
 TEST(CompiledForest, EveryTailLengthMatchesSingleSample) {
@@ -110,7 +99,7 @@ TEST(CompiledForest, EveryTailLengthMatchesSingleSample) {
     std::vector<double> batch(n);
     compiled->predict_batch(eval.features_flat().data(), n, batch.data());
     for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(batch[i], compiled->predict(eval.row(i).data()))
+      ASSERT_EQ(batch[i], forest.predict_proba(eval.row(i)))
           << "n=" << n << " row " << i;
     }
   }
@@ -167,34 +156,20 @@ TEST(CompiledForest, AdversarialHandBuiltForests) {
       {-kInf, std::nextafter(kMax, 0.0f), -0.0f},
   };
   std::vector<float> rows;
-  for (const auto& p : probes) {
-    const double exact =
-        forest.predict_proba(p, ForestEngine::kExact);
-    const double compiled =
-        forest.predict_proba(p, ForestEngine::kCompiled);
-    ASSERT_EQ(exact, compiled);
-    rows.insert(rows.end(), p.begin(), p.end());
-  }
-  // Same probes through both block kernels.
-  std::vector<double> batch_auto(probes.size());
-  std::vector<double> batch_scalar(probes.size());
-  forest.compiled()->predict_batch(rows.data(), probes.size(),
-                                   batch_auto.data(),
-                                   CompiledForest::Simd::kAuto);
-  forest.compiled()->predict_batch(rows.data(), probes.size(),
-                                   batch_scalar.data(),
-                                   CompiledForest::Simd::kScalar);
-  expect_bits_equal(batch_auto, batch_scalar);
+  for (const auto& p : probes) rows.insert(rows.end(), p.begin(), p.end());
+  const auto exact = forest.predict_proba_all(rows, probes.size(),
+                                              ForestEngine::kExact);
+  const auto compiled = forest.predict_proba_all(rows, probes.size(),
+                                                 ForestEngine::kAuto);
+  expect_bits_equal(exact, compiled);
   for (std::size_t i = 0; i < probes.size(); ++i) {
-    ASSERT_EQ(batch_auto[i],
-              forest.predict_proba(probes[i], ForestEngine::kExact));
+    ASSERT_EQ(compiled[i], forest.predict_proba(probes[i])) << "probe " << i;
   }
 }
 
-TEST(CompiledForest, FallsBackToExactWhenUnquantizable) {
-  // 65536 distinct thresholds on one feature exceeds the u16 code space, so
-  // try_compile must refuse and every call must serve exact instead. One
-  // stump per threshold keeps the forest shallow enough to explain.
+/// One stump per threshold on feature 0 of a 2-feature forest: with
+/// kMaxCutsPerFeature + 1 stumps the feature exceeds the u16 code space.
+std::vector<DecisionTree> unquantizable_stumps() {
   const int n_splits =
       static_cast<int>(CompiledForest::kMaxCutsPerFeature) + 1;
   std::vector<DecisionTree> trees(static_cast<std::size_t>(n_splits));
@@ -206,42 +181,66 @@ TEST(CompiledForest, FallsBackToExactWhenUnquantizable) {
          {-1, 0.0f, -1, -1, 0.75, 4.0 - left_cover}},
         2);
   }
+  return trees;
+}
 
-  std::string reason;
-  const FlatForest flat{std::span<const DecisionTree>(trees)};
-  EXPECT_EQ(CompiledForest::try_compile(flat, &reason), nullptr);
-  EXPECT_FALSE(reason.empty());
-
-  RandomForestClassifier forest;
-  forest.set_trees(std::move(trees), RandomForestOptions{});
-  EXPECT_EQ(forest.compiled(), nullptr);
-  EXPECT_EQ(forest.resolve_engine(ForestEngine::kCompiled),
-            ForestEngine::kExact);
-  const std::vector<float> x{3.5f, 0.0f};
-  EXPECT_EQ(forest.predict_proba(x, ForestEngine::kCompiled),
-            forest.predict_proba(x, ForestEngine::kExact));
-
-  // With no quantizer the explainer keys its dedupe and cache on the raw
-  // float bytes; phi must still equal the reference recursion bit for bit,
-  // cold and warm, at any thread count.
-  Dataset eval(2);
-  for (const float x0 : {3.5f, -1.0f, 40000.5f, 70000.0f, std::nanf("")}) {
-    eval.append_row(std::vector<float>{x0, 0.0f}, 0, 0);
+/// save_forest's payload for `trees`, written here because no classifier
+/// can hold an unquantizable forest to save it.
+std::string forest_payload(const std::vector<DecisionTree>& trees) {
+  std::ostringstream os;
+  os << std::setprecision(17) << "FOREST " << trees.size() << " "
+     << trees.front().n_features() << "\n";
+  for (const DecisionTree& tree : trees) {
+    os << "TREE " << tree.n_nodes() << "\n";
+    for (const TreeNode& n : tree.nodes()) {
+      os << n.feature << " " << n.threshold << " " << n.left << " "
+         << n.right << " " << n.value << " " << n.cover << "\n";
+    }
   }
-  eval.append_row(std::vector<float>{3.5f, 0.0f}, 0, 0);  // duplicate row
-  const ShapMatrix reference = TreeShapExplainer(forest).shap_values_batch(
-      std::span<const float>(eval.features_flat()), eval.n_rows(), 1,
-      ShapWalk::kReference);
-  TreeShapExplainer explainer(forest);
-  const auto cache = std::make_shared<ExplanationCache>();
-  explainer.set_cache(cache);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_bits_equal(reference.values,
-                      explainer.shap_values_batch(eval, threads).values);
+  os << "END\n";
+  return std::move(os).str();
+}
+
+TEST(CompiledForest, RejectedForestIsTypedAndHarmless) {
+  const std::vector<DecisionTree> stumps = unquantizable_stumps();
+
+  // set_trees throws and the classifier keeps its trees and both layouts.
+  const Dataset d = noisy_data(200, 2, 21);
+  RandomForestClassifier forest = small_forest(d, 10);
+  const auto flat_before = forest.flat_shared();
+  const auto compiled_before = forest.compiled_shared();
+  const std::vector<double> before = forest.predict_proba_all(d);
+  EXPECT_THROW(forest.set_trees(stumps, RandomForestOptions{}),
+               std::invalid_argument);
+  EXPECT_EQ(forest.trees().size(), 10u);
+  EXPECT_EQ(forest.options().n_trees, 10);
+  EXPECT_EQ(forest.flat_shared(), flat_before);
+  EXPECT_EQ(forest.compiled_shared(), compiled_before);
+  expect_bits_equal(before, forest.predict_proba_all(d));
+
+  // On disk it is a well-formed artifact holding a corrupt model.
+  const std::string bad_path = "/tmp/drcshap_unquantizable.forest";
+  throw_if_error(
+      write_artifact_atomic(bad_path, "forest", forest_payload(stumps)));
+  try {
+    (void)load_forest_file(bad_path);
+    ADD_FAILURE() << "an unquantizable forest loaded";
+  } catch (const ArtifactError& err) {
+    EXPECT_EQ(err.code(), StatusCode::kCorrupt) << err.what();
   }
-  EXPECT_EQ(cache->stats().misses, 5u);  // five distinct rows, explained once
-  EXPECT_EQ(cache->stats().hits, 5u);    // ...then all served warm
+
+  // A serving registry refuses it with a typed error and keeps serving the
+  // version it had.
+  const std::string good_path = "/tmp/drcshap_quantizable.forest";
+  save_forest_file(forest, good_path);
+  serve::ModelRegistry registry;
+  ASSERT_TRUE(registry.load(good_path).ok());
+  const auto serving = registry.current();
+  EXPECT_EQ(registry.load(bad_path).code(), StatusCode::kCorrupt);
+  EXPECT_EQ(registry.current(), serving);
+  expect_bits_equal(before, registry.current()->forest.predict_proba_all(d));
+  std::remove(bad_path.c_str());
+  std::remove(good_path.c_str());
 }
 
 TEST(CompiledForest, LayoutDigestDeterministic) {
@@ -260,25 +259,19 @@ TEST(CompiledForest, LayoutDigestDeterministic) {
 TEST(ForestEngine, AutoResolvesByModelAndCallShape) {
   const Dataset d = noisy_data(300, 4, 12);
   const RandomForestClassifier forest = small_forest(d, 10);
-  ASSERT_NE(forest.compiled(), nullptr);
-  // Batches of a quantizable model score compiled; an explicit engine wins.
-  EXPECT_EQ(forest.resolve_engine(ForestEngine::kAuto),
-            ForestEngine::kCompiled);
-  EXPECT_EQ(forest.resolve_engine(ForestEngine::kExact), ForestEngine::kExact);
-  EXPECT_EQ(forest.resolve_engine(ForestEngine::kCompiled),
-            ForestEngine::kCompiled);
-  // Whatever backend each call shape resolves to, the bytes are the same.
+  // Batches score compiled unless the exact engine is pinned; the run
+  // report's engine note names the backend that ran.
   const std::vector<double> batch = forest.predict_proba_all(d);
+  EXPECT_EQ(obs::snapshot().notes.at("forest/engine"), "compiled");
+  const std::vector<double> exact =
+      forest.predict_proba_all(d, ForestEngine::kExact);
+  EXPECT_EQ(obs::snapshot().notes.at("forest/engine"), "exact");
+  expect_bits_equal(exact, batch);
+  // A single sample runs exact; the bytes are the same either way.
   for (std::size_t r = 0; r < d.n_rows(); ++r) {
     const double single = forest.predict_proba(d.row(r));
     ASSERT_EQ(std::memcmp(&single, &batch[r], sizeof(double)), 0) << r;
   }
-}
-
-TEST(ForestEngine, NamesRoundTrip) {
-  EXPECT_EQ(forest_engine_name(ForestEngine::kAuto), "auto");
-  EXPECT_EQ(forest_engine_name(ForestEngine::kExact), "exact");
-  EXPECT_EQ(forest_engine_name(ForestEngine::kCompiled), "compiled");
 }
 
 /// Property-style cross-backend fuzz: random forests (shape, depth,
@@ -349,21 +342,14 @@ TEST(CompiledForestFuzz, RandomForestsMatchExactBitwise) {
     }
 
     const auto exact = forest.predict_proba_all(eval, ForestEngine::kExact);
-    const auto compiled =
-        forest.predict_proba_all(eval, ForestEngine::kCompiled);
+    const auto compiled = forest.predict_proba_all(eval, ForestEngine::kAuto);
     expect_bits_equal(exact, compiled);
-
-    std::vector<double> scalar(eval.n_rows());
-    forest.compiled()->predict_batch(eval.features_flat().data(),
-                                     eval.n_rows(), scalar.data(),
-                                     CompiledForest::Simd::kScalar);
-    expect_bits_equal(exact, scalar);
   }
 }
 
 /// Engine equivalence on the real feature distribution: every design of the
 /// paper's 14-design suite at test scale, one fitted forest, byte-identical
-/// probabilities from both engines and both kernels.
+/// probabilities from both engines.
 TEST(CompiledForestSuite, AllSuiteDesignsByteIdentical) {
   PipelineOptions tiny;
   tiny.generator.scale = 16.0;
@@ -387,14 +373,8 @@ TEST(CompiledForestSuite, AllSuiteDesignsByteIdentical) {
     const Dataset& d = designs[i];
     if (d.n_rows() == 0) continue;
     const auto exact = forest.predict_proba_all(d, ForestEngine::kExact);
-    const auto compiled =
-        forest.predict_proba_all(d, ForestEngine::kCompiled);
+    const auto compiled = forest.predict_proba_all(d, ForestEngine::kAuto);
     expect_bits_equal(exact, compiled);
-    std::vector<double> scalar(d.n_rows());
-    forest.compiled()->predict_batch(d.features_flat().data(), d.n_rows(),
-                                     scalar.data(),
-                                     CompiledForest::Simd::kScalar);
-    expect_bits_equal(exact, scalar);
   }
 }
 

@@ -83,8 +83,7 @@ TEST(ModelIo, RoundTripRebuildsIdenticalCompiledLayout) {
     eval.append_row(x, 0, 0);
   }
   const auto exact = original.predict_proba_all(eval, ForestEngine::kExact);
-  const auto compiled =
-      loaded.predict_proba_all(eval, ForestEngine::kCompiled);
+  const auto compiled = loaded.predict_proba_all(eval, ForestEngine::kAuto);
   ASSERT_EQ(exact.size(), compiled.size());
   EXPECT_TRUE(std::memcmp(exact.data(), compiled.data(),
                           exact.size() * sizeof(double)) == 0);

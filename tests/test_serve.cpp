@@ -410,7 +410,7 @@ TEST_F(BatcherFixture, ScoreMatchesDirectEngineExactly) {
   const auto model = registry.current();
   for (const ForestEngine engine :
        {ForestEngine::kAuto, ForestEngine::kExact}) {
-    SCOPED_TRACE(forest_engine_name(engine));
+    SCOPED_TRACE(engine == ForestEngine::kAuto ? "auto" : "exact");
     const std::vector<double> direct = model->forest.predict_proba_all(
         std::span<const float>(features), 5, engine);
     ASSERT_EQ(response.values.size(), direct.size());
@@ -782,9 +782,6 @@ TEST_F(ServerFixture, StatsReloadAndShutdownVerbs) {
   const auto doc = obs::JsonValue::parse(stats.text);
   EXPECT_EQ(doc.at("model").at("n_features").as_number(), 6.0);
   EXPECT_EQ(doc.at("model").at("swaps").as_number(), 0.0);
-  // The fixture forest quantizes, so batches score on the compiled layout.
-  ASSERT_NE(server->registry().current()->forest.compiled(), nullptr);
-  EXPECT_EQ(doc.at("model").at("engine").as_string(), "compiled");
   EXPECT_TRUE(doc.at("latency_ms").at("score").contains("p99_ms"));
 
   // Reload from an explicit path (a retrained model) swaps the version.
@@ -1278,8 +1275,8 @@ TEST(ServeStdio, StatsAndShutdownOverPipes) {
   EXPECT_EQ(WEXITSTATUS(status), 0);
   const auto report = obs::JsonValue::parse_file(report_path);
   EXPECT_EQ(report.at("gauges").at("serve/model/n_features").as_number(), 6.0);
-  EXPECT_EQ(report.at("notes").at("serve/model/engine").as_string(),
-            "compiled");
+  EXPECT_EQ(report.at("notes").at("serve/model/path").as_string(),
+            model_path);
   std::remove(report_path.c_str());
   std::remove(model_path.c_str());
 }
@@ -1341,7 +1338,7 @@ TEST(ServeEngine, SpanOverloadMatchesDatasetOverload) {
     data.append_row(std::span<const float>(features).subspan(i * 6, 6), 0);
   }
   for (const ForestEngine engine :
-       {ForestEngine::kExact, ForestEngine::kCompiled}) {
+       {ForestEngine::kExact, ForestEngine::kAuto}) {
     const std::vector<double> via_span = forest.predict_proba_all(
         std::span<const float>(features), 7, engine);
     const std::vector<double> via_dataset =

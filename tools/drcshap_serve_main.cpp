@@ -78,10 +78,9 @@ int usage(const char* argv0) {
       "                      (default 16; 1 = full size)\n"
       "\n"
       "Numeric values must be non-negative decimals; anything else prints\n"
-      "this text and exits 2. Batches score on the compiled forest when the\n"
-      "model quantizes, explain goes through the model's explanation cache,\n"
-      "and AVX2 kernels run when the CPU has them; none of this is\n"
-      "configurable.\n"
+      "this text and exits 2. Batches score on the compiled forest, explain\n"
+      "goes through the model's explanation cache, and TreeSHAP's AVX2\n"
+      "kernels run when the CPU has them; none of this is configurable.\n"
       "\n"
       "environment:\n"
       "  DRCSHAP_THREADS=N         cap the shared thread pool (at startup)\n"
